@@ -31,7 +31,6 @@ from .gateway import (
     ChatRequest,
     HttpBackend,
     OracleBackend,
-    ScriptedBackend,
     oracle_nearest_demo,
 )
 from .judge import JudgeVerdict, PlanJudge, score_plan

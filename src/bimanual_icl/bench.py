@@ -14,7 +14,6 @@ coupled with a sequential dependency).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -460,50 +459,3 @@ def default_tasks() -> dict:
 
 
 DEFAULT_TASKS = default_tasks()
-
-
-# --- structured task documents --------------------------------------------
-
-
-def task_to_dict(task: TaskSpec) -> dict:
-    return {
-        "name": task.name,
-        "coupling": task.coupling,
-        "predicate": task.predicate,
-        "bimanual_objects": list(task.bimanual_objects),
-        "objects": [
-            {
-                "name": o.name,
-                "region": [list(axis) for axis in o.region],
-                "half_extent": list(o.half_extent),
-                "graspable": o.graspable,
-                "grasp_offsets": [list(g) for g in o.grasp_offsets],
-            }
-            for o in task.objects
-        ],
-    }
-
-
-def task_from_dict(payload: dict) -> TaskSpec:
-    objects = tuple(
-        ObjectSpec(
-            name=o["name"],
-            region=tuple(tuple(int(v) for v in axis) for axis in o["region"]),
-            half_extent=tuple(float(v) for v in o.get("half_extent", (0.01, 0.01, 0.01))),
-            graspable=bool(o.get("graspable", True)),
-            grasp_offsets=tuple(tuple(int(v) for v in g) for g in o.get("grasp_offsets", [[0, 0, 0]])),
-        )
-        for o in payload["objects"]
-    )
-    return TaskSpec(
-        name=payload["name"],
-        objects=objects,
-        predicate=payload["predicate"],
-        coupling=payload["coupling"],
-        bimanual_objects=tuple(payload.get("bimanual_objects", ())),
-    )
-
-
-def load_task_file(path) -> TaskSpec:
-    with open(path, encoding="utf-8") as fh:
-        return task_from_dict(json.load(fh))

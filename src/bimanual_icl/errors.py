@@ -82,9 +82,22 @@ class AllCandidatesFailed(RuntimeError):
         self.failures = list(failures)
 
 
-class JudgeParseError(RuntimeError):
-    """The judge backend returned an uninterpretable verdict after retries."""
+class JudgeParseError(CompletionError):
+    """The judge backend returned an uninterpretable verdict."""
 
 
 class GimbalWarning(UserWarning):
     """Pitch is within 1e-3 rad of +/-90 deg; Euler angles are degenerate there."""
+
+
+# The failures an episode may end with that are not bugs in the program:
+# the runner records them as a failed episode, and best-of-n reranking
+# drops a candidate whose judge call raised one. Anything else propagates.
+EPISODE_ERRORS = (
+    AllCandidatesFailed,
+    CompletionError,
+    ExhaustedRetries,
+    JudgeParseError,
+    OracleParseError,
+    TransportError,
+)

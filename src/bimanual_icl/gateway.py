@@ -1,4 +1,4 @@
-"""Uniform chat-call interface over an HTTP backend and scripted stand-ins.
+"""Uniform chat-call interface over an HTTP backend and the scripted oracle.
 
 A backend is any callable mapping a ChatRequest to raw completion text.
 The gateway wraps a backend with parse-and-retry plus per-call accounting;
@@ -9,7 +9,6 @@ arms), serializing only the accounting appends.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import threading
@@ -28,12 +27,12 @@ from .errors import (
 from .perception import observation_l1
 from .prompts import (
     JUDGE_SYSTEM,
-    PARTNER_KEYS,
     ParsedCompletion,
     SINGLE_ARM_SYSTEM,
     parse_completion,
+    parse_judge_prompt,
+    parse_prompt,
     render_action_list,
-    split_top_level,
 )
 
 
@@ -80,16 +79,12 @@ class CallLog:
                 return len(self._records)
             return sum(1 for r in self._records if r.tag.startswith(tag_prefix))
 
-    def reset(self):
-        with self._lock:
-            self._records.clear()
-
 
 class HttpBackend:
     """Chat-completions HTTP client: POST {model, messages, temperature}.
 
     Reads the bearer token from ``api_key_env`` at call time; the response
-    text is taken from ``choices[0].message.content``.
+    text is taken from ``choices[0].message.content``, which must be a string.
     """
 
     def __init__(self, url: str, model: str, api_key_env: str = "OPENAI_API_KEY",
@@ -125,62 +120,12 @@ class HttpBackend:
         if resp.status_code >= 400:
             raise TransportError(f"HTTP {resp.status_code} from {self.url}: {resp.text[:200]}")
         try:
-            return resp.json()["choices"][0]["message"]["content"]
+            content = resp.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed chat response: {resp.text[:200]}") from exc
-
-
-class ScriptedBackend:
-    """Replays a fixed sequence of completions, one per call (thread-safe)."""
-
-    def __init__(self, responses):
-        self._responses = list(responses)
-        self._lock = threading.Lock()
-        self.calls = 0
-
-    def __call__(self, req: ChatRequest) -> str:
-        with self._lock:
-            if self.calls >= len(self._responses):
-                raise TransportError("scripted backend exhausted its responses")
-            text = self._responses[self.calls]
-            self.calls += 1
-        return text
-
-
-class CallableBackend:
-    """Adapts a plain function (ChatRequest -> str) into a backend."""
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def __call__(self, req: ChatRequest) -> str:
-        return self._fn(req)
-
-
-class FlakyBackend:
-    """Wraps a backend so each logical call fails a fixed number of times.
-
-    Failures are unparseable completions, keyed by (tag, prompt fingerprint)
-    so retries of one call are counted together while repeated identical
-    prompts from different pipeline phases each get their own failures;
-    the pattern is deterministic under concurrency.
-    """
-
-    def __init__(self, inner, failures: int = 2, garbage: str = "sorry, no plan today"):
-        self.inner = inner
-        self.failures = failures
-        self.garbage = garbage
-        self._seen: dict[tuple, int] = {}
-        self._lock = threading.Lock()
-
-    def __call__(self, req: ChatRequest) -> str:
-        key = (req.tag, request_fingerprint(req))
-        with self._lock:
-            n = self._seen.get(key, 0)
-            self._seen[key] = n + 1
-        if n < self.failures:
-            return self.garbage
-        return self.inner(req)
+        if not isinstance(content, str):
+            raise TransportError(f"chat response carries no text content: {resp.text[:200]}")
+        return content
 
 
 def request_fingerprint(req: ChatRequest) -> str:
@@ -194,85 +139,6 @@ def request_fingerprint(req: ChatRequest) -> str:
 # --- scripted oracle -------------------------------------------------------
 
 
-def _parse_serialized_observation(text: str):
-    """Parse one canonical observation literal into (entries, partner)."""
-    if not (text.startswith("{") and text.endswith("}")):
-        raise OracleParseError(f"observation does not look like a dict: {text[:80]!r}")
-    inner = text[1:-1]
-    entries: dict[str, tuple[int, int, int]] = {}
-    partner = None
-    if not inner:
-        return entries, partner
-    for item in split_top_level(inner, ","):
-        item = item.strip()
-        if not (item.startswith("'") and "': " in item):
-            raise OracleParseError(f"bad observation entry: {item[:80]!r}")
-        name, value = item[1:].split("': ", 1)
-        if name in PARTNER_KEYS:
-            try:
-                rows = json.loads(value)
-            except ValueError as exc:
-                raise OracleParseError(f"bad partner trajectory: {value[:80]!r}") from exc
-            partner = (name, [tuple(int(v) for v in row) for row in rows])
-        else:
-            try:
-                voxel = json.loads(value)
-            except ValueError as exc:
-                raise OracleParseError(f"bad voxel triple: {value[:80]!r}") from exc
-            if len(voxel) != 3:
-                raise OracleParseError(f"voxel triple has {len(voxel)} components")
-            entries[name] = tuple(int(v) for v in voxel)
-    return entries, partner
-
-
-def _parse_pair_sequence(text: str, with_trailing_test: bool):
-    """Parse ``obs>actions, obs>actions[, obs>]`` into demos (and a test obs)."""
-    demos = []
-    pos = 0
-    while True:
-        if pos >= len(text) or text[pos] != "{":
-            raise OracleParseError(f"expected observation at position {pos}")
-        end = _find_balanced(text, pos, "{", "}")
-        entries, partner = _parse_serialized_observation(text[pos:end])
-        pos = end
-        if pos >= len(text) or text[pos] != ">":
-            raise OracleParseError(f"expected '>' at position {pos}")
-        pos += 1
-        if pos == len(text):
-            if not with_trailing_test:
-                raise OracleParseError("unexpected trailing observation")
-            return demos, (entries, partner)
-        if text[pos] != "[":
-            raise OracleParseError(f"expected action list at position {pos}")
-        end = _find_balanced(text, pos, "[", "]")
-        try:
-            rows = json.loads(text[pos:end])
-        except ValueError as exc:
-            raise OracleParseError(f"bad action list at {pos}") from exc
-        actions = [tuple(int(v) for v in row) for row in rows]
-        demos.append((entries, partner, actions))
-        pos = end
-        if pos == len(text):
-            if with_trailing_test:
-                raise OracleParseError("prompt does not end with a test observation")
-            return demos, None
-        if not text.startswith(", ", pos):
-            raise OracleParseError(f"expected ', ' separator at position {pos}")
-        pos += 2
-
-
-def _find_balanced(text: str, start: int, open_ch: str, close_ch: str) -> int:
-    depth = 0
-    for i in range(start, len(text)):
-        if text[i] == open_ch:
-            depth += 1
-        elif text[i] == close_ch:
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    raise OracleParseError(f"unbalanced {open_ch}...{close_ch} starting at {start}")
-
-
 def oracle_nearest_demo(req: ChatRequest) -> str:
     """Scripted completion policy: replay the nearest demo, translated.
 
@@ -282,10 +148,9 @@ def oracle_nearest_demo(req: ChatRequest) -> str:
     the rounded per-object mean voxel offset, and copies rotation bins and
     gripper bits verbatim.
     """
-    demos, test = _parse_pair_sequence(req.user, with_trailing_test=True)
+    demos, (test_entries, _) = parse_prompt(req.user)
     if not demos:
         raise OracleParseError("prompt contains no demonstrations")
-    test_entries, _ = test
     distances = [observation_l1(test_entries, entries) for entries, _, _ in demos]
     best = min(range(len(demos)), key=lambda i: distances[i])
     demo_entries, _, actions = demos[best]
@@ -318,9 +183,6 @@ class OracleBackend:
     emit. Pure in (system, user), so concurrent use is safe.
     """
 
-    def __init__(self, seed: int = 0):
-        self.seed = seed
-
     def __call__(self, req: ChatRequest) -> str:
         if req.system == JUDGE_SYSTEM:
             return self._judge(req)
@@ -332,16 +194,7 @@ class OracleBackend:
         from .demos import Demonstration
         from .perception import Observation
 
-        try:
-            head, candidate_part = req.user.split("\n\nCandidate Plan\n", 1)
-            refs_part = head.split("Reference Demos\n", 1)[1]
-        except (ValueError, IndexError) as exc:
-            raise OracleParseError("judge prompt missing its two sections") from exc
-        ref_demos, _ = _parse_pair_sequence(refs_part, with_trailing_test=False)
-        cand_demos, _ = _parse_pair_sequence(candidate_part, with_trailing_test=False)
-        if len(cand_demos) != 1:
-            raise OracleParseError("candidate section must hold exactly one plan")
-
+        ref_demos, (cand_entries, _, cand_actions) = parse_judge_prompt(req.user)
         demos = [
             Demonstration(
                 observation=Observation(entries=dict(entries)),
@@ -349,7 +202,6 @@ class OracleBackend:
             )
             for entries, _, actions in ref_demos
         ]
-        cand_entries, _, cand_actions = cand_demos[0]
         plan = tuple(BimanualAction.from_tuple(a) for a in cand_actions)
         verdict = judge_mod.score_plan(
             plan, demos, Observation(entries=dict(cand_entries)), mode="rubric"
@@ -376,8 +228,7 @@ class NoisyArmBackend:
         text = self.inner(req)
         if req.system != SINGLE_ARM_SYSTEM.format(arm=self.arm):
             return text
-        _, test = _parse_pair_sequence(req.user, with_trailing_test=True)
-        entries, _ = test
+        _, (entries, _) = parse_prompt(req.user)
         digest = hashlib.md5(
             (repr(sorted(entries.items())) + f"|{self.seed}").encode("utf-8")
         ).digest()
@@ -432,7 +283,17 @@ class ChatGateway:
         return text, record
 
     def complete_parsed(self, req: ChatRequest, arity: int, max_retries: int = 2) -> ParsedCompletion:
-        """Call and parse, reusing the identical prompt on parse failures."""
+        """Call and parse an action list of 7 or 14 integers per action."""
+        return self.complete_and_parse(req, lambda text: parse_completion(text, arity),
+                                       max_retries)
+
+    def complete_and_parse(self, req: ChatRequest, parse, max_retries: int = 2):
+        """Return ``parse(text)``, reusing the identical prompt on parse failures.
+
+        ``parse`` signals an unusable completion by raising CompletionError;
+        each such attempt is recorded as ``parse_fail``. Raises
+        ExhaustedRetries after ``max_retries + 1`` failed attempts.
+        """
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         attempts = []
@@ -441,7 +302,7 @@ class ChatGateway:
             text, record = self.complete_with_record(req, attempt=attempt)
             attempts.append(record)
             try:
-                return parse_completion(text, arity)
+                return parse(text)
             except CompletionError as exc:
                 record.outcome = "parse_fail"
                 last_error = exc

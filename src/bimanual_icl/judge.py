@@ -2,8 +2,8 @@
 
 The deterministic rubric implements four checks; the final score starts at
 3, adds each check's delta, and clamps into [1, 5]. The llm mode emits the
-validator prompt instead and parses the JSON verdict, recomputing the
-score from the reported checks whenever the clamp identity is violated.
+validator prompt instead and parses the JSON verdict, computing the score
+from the reported checks by that same clamp.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .errors import JudgeParseError
+from .errors import ExhaustedRetries, JudgeParseError
 from .perception import Observation, observation_l1
-from .prompts import build_judge_prompt
+from .prompts import _balanced_span, build_judge_prompt
 
 COLLISION_DISTANCE = 10.0
 FIRST_ACTION_TOLERANCE = 5
@@ -149,22 +149,17 @@ def score_plan(plan, demos, obs: Observation, mode: str = "rubric", gateway=None
     req = ChatRequest(
         system=bundle.system_text, user=bundle.user_text, temperature=temperature, tag="judge"
     )
-    last_error = None
-    for attempt in range(1, max_retries + 2):
-        text, record = gateway.complete_with_record(req, attempt=attempt)
-        try:
-            return parse_verdict(text)
-        except JudgeParseError as exc:
-            record.outcome = "parse_fail"
-            last_error = exc
-    raise JudgeParseError(f"no parseable verdict after {max_retries + 1} attempts: {last_error}")
+    try:
+        return gateway.complete_and_parse(req, parse_verdict, max_retries)
+    except ExhaustedRetries as exc:
+        raise JudgeParseError(str(exc)) from exc
 
 
 def parse_verdict(text: str) -> JudgeVerdict:
     """Parse the judge's JSON verdict, tolerating surrounding prose.
 
-    A reported score violating score = clamp(3 + sum(checks), 1, 5) is
-    corrected from the reported check values, not trusted.
+    The score is clamp(3 + sum(checks), 1, 5) over the reported check
+    values; a reported score is not trusted.
     """
     payload = _extract_json_object(text)
     checks = []
@@ -190,12 +185,9 @@ def parse_verdict(text: str) -> JudgeVerdict:
             raise JudgeParseError(f"{key} value {value} not in {allowed}")
         checks.append(value)
         reasons[key] = reason
-    expected = clamp_score(*checks)
-    reported = payload.get("score")
-    score = expected if reported != expected else int(reported)
     return JudgeVerdict(
         check1=checks[0], check2=checks[1], check3=checks[2], check4=checks[3],
-        score=score, reasons=reasons,
+        score=clamp_score(*checks), reasons=reasons,
     )
 
 
@@ -221,20 +213,14 @@ def verdict_to_json(verdict: JudgeVerdict) -> str:
 def _extract_json_object(text: str) -> dict:
     start = text.find("{")
     while start != -1:
-        depth = 0
-        for i in range(start, len(text)):
-            if text[i] == "{":
-                depth += 1
-            elif text[i] == "}":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        value = json.loads(text[start : i + 1])
-                    except ValueError:
-                        break
-                    if isinstance(value, dict):
-                        return value
-                    break
+        end = _balanced_span(text, start, "{", "}")
+        if end is not None:
+            try:
+                value = json.loads(text[start:end])
+            except ValueError:
+                value = None
+            if isinstance(value, dict):
+                return value
         start = text.find("{", start + 1)
     raise JudgeParseError(f"no JSON object found in verdict: {text[:120]!r}")
 

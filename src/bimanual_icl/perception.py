@@ -58,9 +58,6 @@ class Observation:
             partner_actions=tuple(actions),
         )
 
-    def without_partner(self) -> "Observation":
-        return Observation(entries=dict(self.entries))
-
 
 def extract_centroid(clouds, strategy: str = "prune", voxel_size: float = DEFAULT_VOXEL_SIZE):
     """Fuse one object's per-camera clouds into a single centroid, in meters."""

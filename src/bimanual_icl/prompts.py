@@ -8,21 +8,27 @@ pinned by golden files:
 * action sequence: ``[[v, v, v, r, r, r, g], ...]`` (7 or 14 integers each)
 * prompt body: ``obs_1>actions_1, obs_2>actions_2, ..., obs_test>``
 
-Parsing is tolerant (prose, code fences, trailing commas) while rendering
-is strict; backends routinely wrap their answer in chatter.
+Completion parsing is tolerant (prose, code fences, trailing commas) while
+rendering is strict; backends routinely wrap their answer in chatter.
+``parse_prompt`` and ``parse_judge_prompt`` invert the renderers and, unlike
+completion parsing, reject prose or any other text around the grammar; the
+scripted oracle reads prompts through them.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 from dataclasses import dataclass
 
 from .actions import BimanualAction, DiscreteAction, ROTATION_BINS, VOXELS_PER_AXIS
-from .errors import ArityMismatch, ParseFailure, RangeViolation
+from .errors import ArityMismatch, OracleParseError, ParseFailure, RangeViolation
 from .perception import Observation
 
 ARM_FILTERS = ("right", "left", "both")
 PARTNER_KEYS = ("leader_arm", "follower_arm")
+JUDGE_REFS_HEADER = "Reference Demos\n"
+JUDGE_CANDIDATE_HEADER = "\n\nCandidate Plan\n"
 
 SINGLE_ARM_SYSTEM = (
     "You are the {arm} arm of a bimanual Franka Panda robot with parallel grippers.\n"
@@ -226,10 +232,8 @@ def build_judge_prompt(demos, test_obs: Observation, candidate_actions) -> Promp
     )
     candidate = render_action_list(candidate_actions)
     user = (
-        "Reference Demos\n"
-        f"{refs}\n\n"
-        "Candidate Plan\n"
-        f"{serialize_observation(test_obs)}>{candidate}"
+        f"{JUDGE_REFS_HEADER}{refs}"
+        f"{JUDGE_CANDIDATE_HEADER}{serialize_observation(test_obs)}>{candidate}"
     )
     return PromptBundle(system_text=JUDGE_SYSTEM, user_text=user, role="judge", arm="both")
 
@@ -347,3 +351,99 @@ def split_top_level(text: str, separator: str) -> list[str]:
                 last = i + 1
     parts.append(text[last:])
     return parts
+
+
+def _parse_observation(text: str):
+    """Parse one canonical observation literal into (entries, partner)."""
+    if not (text.startswith("{") and text.endswith("}")):
+        raise OracleParseError(f"observation does not look like a dict: {text[:80]!r}")
+    inner = text[1:-1]
+    entries: dict[str, tuple[int, int, int]] = {}
+    partner = None
+    if not inner:
+        return entries, partner
+    for item in split_top_level(inner, ","):
+        item = item.strip()
+        if not (item.startswith("'") and "': " in item):
+            raise OracleParseError(f"bad observation entry: {item[:80]!r}")
+        name, value = item[1:].split("': ", 1)
+        if name in PARTNER_KEYS:
+            try:
+                rows = json.loads(value)
+            except ValueError as exc:
+                raise OracleParseError(f"bad partner trajectory: {value[:80]!r}") from exc
+            partner = (name, [tuple(int(v) for v in row) for row in rows])
+        else:
+            try:
+                voxel = json.loads(value)
+            except ValueError as exc:
+                raise OracleParseError(f"bad voxel triple: {value[:80]!r}") from exc
+            if len(voxel) != 3:
+                raise OracleParseError(f"voxel triple has {len(voxel)} components")
+            entries[name] = tuple(int(v) for v in voxel)
+    return entries, partner
+
+
+def _closing(text: str, start: int, open_ch: str, close_ch: str) -> int:
+    end = _balanced_span(text, start, open_ch, close_ch)
+    if end is None:
+        raise OracleParseError(f"unbalanced {open_ch}...{close_ch} starting at {start}")
+    return end
+
+
+def parse_prompt(text: str, with_trailing_test: bool = True):
+    """Invert a rendered ``obs>actions, ..., obs>`` prompt body.
+
+    Returns ``(demos, test)``: each demo is ``(entries, partner, actions)``
+    and ``test`` is ``(entries, partner)``, where ``partner`` is ``None`` or
+    ``(key, action tuples)``. With ``with_trailing_test=False`` the body must
+    end after its last action list and ``test`` is ``None``. Raises
+    OracleParseError on any text outside the grammar.
+    """
+    demos = []
+    pos = 0
+    while True:
+        if pos >= len(text) or text[pos] != "{":
+            raise OracleParseError(f"expected observation at position {pos}")
+        end = _closing(text, pos, "{", "}")
+        entries, partner = _parse_observation(text[pos:end])
+        pos = end
+        if pos >= len(text) or text[pos] != ">":
+            raise OracleParseError(f"expected '>' at position {pos}")
+        pos += 1
+        if pos == len(text):
+            if not with_trailing_test:
+                raise OracleParseError("unexpected trailing observation")
+            return demos, (entries, partner)
+        if text[pos] != "[":
+            raise OracleParseError(f"expected action list at position {pos}")
+        end = _closing(text, pos, "[", "]")
+        try:
+            rows = json.loads(text[pos:end])
+        except ValueError as exc:
+            raise OracleParseError(f"bad action list at {pos}") from exc
+        actions = [tuple(int(v) for v in row) for row in rows]
+        demos.append((entries, partner, actions))
+        pos = end
+        if pos == len(text):
+            if with_trailing_test:
+                raise OracleParseError("prompt does not end with a test observation")
+            return demos, None
+        if not text.startswith(", ", pos):
+            raise OracleParseError(f"expected ', ' separator at position {pos}")
+        pos += 2
+
+
+def parse_judge_prompt(text: str):
+    """Invert build_judge_prompt's user text into (reference demos, candidate).
+
+    Both parts use parse_prompt's demo shape ``(entries, partner, actions)``.
+    """
+    head, found, candidate_part = text.partition(JUDGE_CANDIDATE_HEADER)
+    if not (found and head.startswith(JUDGE_REFS_HEADER)):
+        raise OracleParseError("judge prompt missing its two sections")
+    refs, _ = parse_prompt(head[len(JUDGE_REFS_HEADER):], with_trailing_test=False)
+    candidates, _ = parse_prompt(candidate_part, with_trailing_test=False)
+    if len(candidates) != 1:
+        raise OracleParseError("candidate section must hold exactly one plan")
+    return refs, candidates[0]

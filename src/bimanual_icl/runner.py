@@ -20,27 +20,10 @@ import numpy as np
 
 from .bench import DEFAULT_TASKS, execute, scripted_expert, spawn
 from .demos import load_demo_dir, sample_batch
-from .errors import (
-    AllCandidatesFailed,
-    CompletionError,
-    ConfigError,
-    ExhaustedRetries,
-    JudgeParseError,
-    OracleParseError,
-    TransportError,
-)
+from .errors import EPISODE_ERRORS, ConfigError
 from .gateway import CallLog, ChatGateway, HttpBackend, OracleBackend
 from .judge import PlanJudge
 from .strategies import STRATEGY_KINDS, StrategyConfig, run_strategy
-
-_EPISODE_ERRORS = (
-    AllCandidatesFailed,
-    CompletionError,
-    ExhaustedRetries,
-    JudgeParseError,
-    OracleParseError,
-    TransportError,
-)
 
 
 @dataclass
@@ -131,16 +114,11 @@ def build_store(task_name: str, cfg: RunConfig):
                 f"dataset for {task_name!r} holds {len(demos)} demos, need {cfg.n_demos}"
             )
         return demos
-    task = DEFAULT_TASKS[task_name]
-    demos = []
-    for k in range(cfg.store_size):
-        world = spawn(task, seed=stable_seed(task_name, "store", cfg.dataset_seed, k))
-        demos.append(scripted_expert(task, world))
-    return demos
+    return generate_dataset(task_name, cfg.store_size, cfg.dataset_seed)
 
 
 def generate_dataset(task_name: str, count: int, seed: int):
-    """gen-data entry point: expert demonstrations for one task."""
+    """Expert demonstrations for one task (gen-data, and stores without a data_dir)."""
     task = DEFAULT_TASKS[task_name]
     demos = []
     for k in range(count):
@@ -174,13 +152,12 @@ def _run_episode(cfg: RunConfig, backend, store, task_name: str, strategy: str,
     plan_len = 0
     try:
         plan = run_strategy(strategy, gateway, batch, world.observation, strategy_cfg,
-                            judge=judge, store=store,
-                            seed=stable_seed(task_name, strategy, seed, episode, "cand"))
+                            judge=judge)
         plan_len = len(plan.actions)
         result = execute(world, plan.actions)
         success = result.success
         reason = result.reason
-    except _EPISODE_ERRORS as exc:
+    except EPISODE_ERRORS as exc:
         reason = f"strategy_error:{type(exc).__name__}"
     wall_ms = int((time.perf_counter() - started) * 1000)
 
@@ -322,25 +299,6 @@ def report_to_summary(report: AggregateReport) -> dict:
             for row in report.rows
         ],
     }
-
-
-def summary_to_report(summary: dict) -> AggregateReport:
-    rows = [
-        StrategyTaskStats(
-            task=r["task"],
-            strategy=r["strategy"],
-            episodes=r["episodes"],
-            success_mean=r["success_mean"],
-            success_sd=r["success_sd"],
-            calls_mean=r["calls_mean"],
-            calls_sd=r["calls_sd"],
-            prompt_chars_mean=r["prompt_chars_mean"],
-            completion_chars_mean=r["completion_chars_mean"],
-        )
-        for r in summary["rows"]
-    ]
-    return AggregateReport(tasks=list(summary["tasks"]), strategies=list(summary["strategies"]),
-                           seeds=list(summary["seeds"]), episodes=summary["episodes"], rows=rows)
 
 
 def render_summary_json(report: AggregateReport) -> str:

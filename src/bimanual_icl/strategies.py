@@ -12,21 +12,17 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .actions import BimanualAction
-from .demos import sample_batch
-from .errors import AllCandidatesFailed, ConfigError, EmptyTrajectory, ExhaustedRetries
+from .errors import (
+    AllCandidatesFailed,
+    ConfigError,
+    EPISODE_ERRORS,
+    EmptyTrajectory,
+    ExhaustedRetries,
+)
 from .gateway import ChatRequest, ChatGateway
 from .judge import PlanJudge
 from .perception import Observation
 from .prompts import build_conditioned_prompt, build_follower_prompt, build_single_prompt
-
-STRATEGY_KINDS = (
-    "single_agent",
-    "dual_agent",
-    "leader_follower",
-    "arms_debate",
-    "best_of_n",
-    "debate_plus_bon",
-)
 
 
 @dataclass(frozen=True)
@@ -37,7 +33,6 @@ class StrategyConfig:
     max_retries: int = 2
     temperature: float = 1.0  # candidate sampling; the judge runs at its own temperature
     judge_temperature: float = 0.0
-    resample_demos: bool = False  # best-of-n: fresh batch per candidate instead of one shared
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
@@ -192,104 +187,80 @@ def run_arms_debate(gateway: ChatGateway, demos, obs: Observation,
 
 
 def _run_reranked(gateway: ChatGateway, demos, obs: Observation, cfg: StrategyConfig,
-                  judge: PlanJudge, generate, kind: str, store=None, seed: int = 0) -> BimanualPlan:
-    """Shared best-of-n machinery: concurrent candidates, concurrent scoring."""
+                  judge: PlanJudge | None, kind: str, generate) -> BimanualPlan:
+    """Best-of-n: n concurrent tasks, each generating ``generate(j)`` then scoring it.
+
+    A candidate whose generation exhausts its retries, or whose judge call
+    fails, is skipped; the highest score wins, ties to the lowest index.
+    """
     n = cfg.n_candidates
-    batches = [list(demos)] * n
-    if cfg.resample_demos:
-        if store is None:
-            raise ConfigError("resample_demos requires a demonstration store")
-        batches = [sample_batch(store, len(demos), seed=seed + 1 + j) for j in range(n)]
+    judge = judge or PlanJudge(mode="llm", gateway=gateway, temperature=cfg.judge_temperature,
+                               max_retries=cfg.max_retries)
 
-    failures = []
-    candidates: list[BimanualPlan | None] = [None] * n
+    def candidate(j: int):
+        try:
+            plan = generate(j)
+        except (ExhaustedRetries, EmptyTrajectory) as exc:
+            return None, None, exc
+        try:
+            return plan, judge.score(plan.actions, demos, obs).score, None
+        except EPISODE_ERRORS as exc:
+            return plan, None, exc
 
-    def make(j: int):
-        return generate(batches[j], j)
+    with ThreadPoolExecutor(max_workers=n) as pool:
+        results = list(pool.map(candidate, range(n)))
 
-    with ThreadPoolExecutor(max_workers=max(1, n)) as pool:
-        futures = {pool.submit(make, j): j for j in range(n)}
-        for future, j in futures.items():
-            try:
-                candidates[j] = future.result()
-            except (ExhaustedRetries, EmptyTrajectory) as exc:
-                failures.append((j, exc))
-
-    scores: list[int | None] = [None] * n
-
-    def rate(j: int):
-        return judge.score(candidates[j].actions, batches[j], obs)
-
-    with ThreadPoolExecutor(max_workers=max(1, n)) as pool:
-        futures = {
-            pool.submit(rate, j): j for j in range(n) if candidates[j] is not None
-        }
-        for future, j in futures.items():
-            try:
-                scores[j] = future.result().score
-            except Exception as exc:  # scoring failure skips the candidate
-                failures.append((j, exc))
-                scores[j] = None
-
-    viable = [j for j in range(n) if candidates[j] is not None and scores[j] is not None]
+    viable = [j for j, (_, score, _) in enumerate(results) if score is not None]
     if not viable:
-        raise AllCandidatesFailed(
-            f"all {n} candidates failed for {kind}", failures=failures
-        )
-    best = max(viable, key=lambda j: (scores[j], -j))  # ties: lowest index
-    chosen = candidates[best]
+        failures = [(j, exc) for j, (_, _, exc) in enumerate(results)]
+        raise AllCandidatesFailed(f"all {n} candidates failed for {kind}", failures=failures)
+    best = max(viable, key=lambda j: (results[j][1], -j))
+    chosen, score, _ = results[best]
     return BimanualPlan(
         actions=chosen.actions,
         kind=kind,
-        tags=chosen.tags + (f"selected:{best}", f"score:{scores[best]}"),
+        tags=chosen.tags + (f"selected:{best}", f"score:{score}"),
     )
 
 
 def run_best_of_n(gateway: ChatGateway, demos, obs: Observation,
-                  cfg: StrategyConfig | None = None, judge: PlanJudge | None = None,
-                  store=None, seed: int = 0) -> BimanualPlan:
+                  cfg: StrategyConfig | None = None,
+                  judge: PlanJudge | None = None) -> BimanualPlan:
     """n independent leader-follower candidates, judged, argmax selected."""
     cfg = cfg or StrategyConfig(kind="best_of_n")
-    judge = judge or PlanJudge(mode="llm", gateway=gateway, temperature=cfg.judge_temperature,
-                               max_retries=cfg.max_retries)
-
-    def generate(batch, j: int):
-        return run_leader_follower(gateway, batch, obs, cfg, tag_prefix=f"bon{j}")
-
-    return _run_reranked(gateway, demos, obs, cfg, judge, generate, kind="best_of_n",
-                         store=store, seed=seed)
+    return _run_reranked(
+        gateway, demos, obs, cfg, judge, "best_of_n",
+        lambda j: run_leader_follower(gateway, demos, obs, cfg, tag_prefix=f"bon{j}"),
+    )
 
 
 def run_debate_plus_bon(gateway: ChatGateway, demos, obs: Observation,
-                        cfg: StrategyConfig | None = None, judge: PlanJudge | None = None,
-                        store=None, seed: int = 0) -> BimanualPlan:
+                        cfg: StrategyConfig | None = None,
+                        judge: PlanJudge | None = None) -> BimanualPlan:
     """Best-of-n with arms-debate candidates: 4n generation + n judge calls."""
     cfg = cfg or StrategyConfig(kind="debate_plus_bon")
-    judge = judge or PlanJudge(mode="llm", gateway=gateway, temperature=cfg.judge_temperature,
-                               max_retries=cfg.max_retries)
+    return _run_reranked(
+        gateway, demos, obs, cfg, judge, "debate_plus_bon",
+        lambda j: run_arms_debate(gateway, demos, obs, cfg, tag_prefix=f"dbon{j}"),
+    )
 
-    def generate(batch, j: int):
-        return run_arms_debate(gateway, batch, obs, cfg, tag_prefix=f"dbon{j}")
 
-    return _run_reranked(gateway, demos, obs, cfg, judge, generate, kind="debate_plus_bon",
-                         store=store, seed=seed)
+# Each entry looks its function up in this module at call time, so a
+# rebound module attribute (a tracer's wrapper, a test patch) sees every call.
+_STRATEGIES = {
+    "single_agent": lambda *args, judge: run_single_agent(*args),
+    "dual_agent": lambda *args, judge: run_dual_agent(*args),
+    "leader_follower": lambda *args, judge: run_leader_follower(*args),
+    "arms_debate": lambda *args, judge: run_arms_debate(*args),
+    "best_of_n": lambda *args, judge: run_best_of_n(*args, judge),
+    "debate_plus_bon": lambda *args, judge: run_debate_plus_bon(*args, judge),
+}
+STRATEGY_KINDS = tuple(_STRATEGIES)
 
 
 def run_strategy(kind: str, gateway: ChatGateway, demos, obs: Observation,
-                 cfg: StrategyConfig | None = None, judge: PlanJudge | None = None,
-                 store=None, seed: int = 0) -> BimanualPlan:
+                 cfg: StrategyConfig | None = None,
+                 judge: PlanJudge | None = None) -> BimanualPlan:
     """Dispatch by strategy kind; the experiment runner's single entry point."""
     cfg = replace(cfg, kind=kind) if cfg is not None else StrategyConfig(kind=kind)
-    if kind == "single_agent":
-        return run_single_agent(gateway, demos, obs, cfg)
-    if kind == "dual_agent":
-        return run_dual_agent(gateway, demos, obs, cfg)
-    if kind == "leader_follower":
-        return run_leader_follower(gateway, demos, obs, cfg)
-    if kind == "arms_debate":
-        return run_arms_debate(gateway, demos, obs, cfg)
-    if kind == "best_of_n":
-        return run_best_of_n(gateway, demos, obs, cfg, judge, store=store, seed=seed)
-    if kind == "debate_plus_bon":
-        return run_debate_plus_bon(gateway, demos, obs, cfg, judge, store=store, seed=seed)
-    raise ConfigError(f"unknown strategy kind {kind!r}")
+    return _STRATEGIES[kind](gateway, demos, obs, cfg, judge=judge)

@@ -21,7 +21,6 @@ from bimanual_icl.gateway import (
     CallLog,
     ChatGateway,
     ChatRequest,
-    FlakyBackend,
     HttpBackend,
     NoisyArmBackend,
     OracleBackend,
@@ -37,6 +36,7 @@ from bimanual_icl.prompts import (
 )
 from bimanual_icl.runner import RunConfig, run_experiment, run_strategy, stable_seed
 from bimanual_icl.strategies import StrategyConfig
+from bimanual_icl.testing import FlakyBackend
 
 from conftest import make_demo
 

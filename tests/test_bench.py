@@ -5,13 +5,11 @@ from bimanual_icl.actions import BimanualAction, DiscreteAction
 from bimanual_icl.bench import (
     DEFAULT_TASKS,
     EpisodeResult,
+    ObjectSpec,
     benchmark_clouds,
     execute,
-    load_task_file,
     scripted_expert,
     spawn,
-    task_from_dict,
-    task_to_dict,
 )
 
 
@@ -156,28 +154,13 @@ class TestDrawerSequencing:
 
 
 class TestTaskDocuments:
-    def test_round_trip(self):
-        task = DEFAULT_TASKS["dual_targets"]
-        assert task_from_dict(task_to_dict(task)) == task
-
-    def test_file_round_trip(self, tmp_path):
-        import json
-
-        task = DEFAULT_TASKS["lift_sym"]
-        path = tmp_path / "task.json"
-        path.write_text(json.dumps(task_to_dict(task)), encoding="utf-8")
-        assert load_task_file(path) == task
-
     def test_coupling_classes_covered(self):
         couplings = {t.coupling for t in DEFAULT_TASKS.values()}
         assert couplings == {"symmetric", "asymmetric", "loose"}
 
     def test_region_validation(self):
         with pytest.raises(ValueError):
-            task_from_dict({
-                "name": "bad", "coupling": "loose", "predicate": "lift",
-                "objects": [{"name": "x", "region": [[0, 120], [0, 9], [0, 9]]}],
-            })
+            ObjectSpec(name="x", region=((0, 120), (0, 9), (0, 9)))
 
 
 class TestBenchmarkClouds:

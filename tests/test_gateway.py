@@ -1,4 +1,5 @@
 import json
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -10,18 +11,17 @@ from bimanual_icl.errors import (
 )
 from bimanual_icl.gateway import (
     CallLog,
-    CallableBackend,
     ChatGateway,
     ChatRequest,
-    FlakyBackend,
+    HttpBackend,
     NoisyArmBackend,
     OracleBackend,
-    ScriptedBackend,
     oracle_nearest_demo,
     request_fingerprint,
 )
 from bimanual_icl.perception import Observation
 from bimanual_icl.prompts import build_single_prompt, parse_completion
+from bimanual_icl.testing import FlakyBackend, ScriptedBackend
 
 
 def req(user, system="sys", tag="t"):
@@ -42,11 +42,11 @@ class TestScriptedBackends:
             backend(req("x"))
 
     def test_callable_backend(self):
-        backend = CallableBackend(lambda r: r.user.upper())
-        assert backend(req("hello")) == "HELLO"
+        gw = ChatGateway(lambda r: r.user.upper(), CallLog())
+        assert gw.complete(req("hello")) == "HELLO"
 
     def test_flaky_backend_is_per_prompt(self):
-        inner = CallableBackend(lambda r: "[[1,2,3,4,5,6,1]]")
+        inner = lambda r: "[[1,2,3,4,5,6,1]]"
         backend = FlakyBackend(inner, failures=2)
         a, b = req("one"), req("two")
         texts = [backend(a), backend(a), backend(a), backend(b)]
@@ -58,7 +58,7 @@ class TestScriptedBackends:
 class TestGatewayAccounting:
     def test_complete_records_ok(self):
         log = CallLog()
-        gw = ChatGateway(CallableBackend(lambda r: "out"), log)
+        gw = ChatGateway(lambda r: "out", log)
         text = gw.complete(req("abc", system="sy", tag="leader"))
         assert text == "out"
         record = log.records()[0]
@@ -73,14 +73,14 @@ class TestGatewayAccounting:
             raise TransportError("down")
 
         log = CallLog()
-        gw = ChatGateway(CallableBackend(boom), log)
+        gw = ChatGateway(boom, log)
         with pytest.raises(TransportError):
             gw.complete(req("x"))
         assert log.records()[0].outcome == "transport_fail"
 
     def test_parsed_first_try(self):
         log = CallLog()
-        gw = ChatGateway(CallableBackend(lambda r: "[[1,2,3,4,5,6,1]]"), log)
+        gw = ChatGateway(lambda r: "[[1,2,3,4,5,6,1]]", log)
         parsed = gw.complete_parsed(req("x"), arity=7, max_retries=3)
         assert parsed.actions == ((1, 2, 3, 4, 5, 6, 1),)
         assert log.count() == 1
@@ -96,7 +96,7 @@ class TestGatewayAccounting:
         assert [r.outcome for r in records] == ["parse_fail", "parse_fail", "ok"]
 
     def test_exhausted_retries(self):
-        backend = CallableBackend(lambda r: "garbage")
+        backend = lambda r: "garbage"
         log = CallLog()
         gw = ChatGateway(backend, log)
         with pytest.raises(ExhaustedRetries) as excinfo:
@@ -112,10 +112,24 @@ class TestGatewayAccounting:
 
     def test_concurrent_accounting(self):
         log = CallLog()
-        gw = ChatGateway(CallableBackend(lambda r: "[[1,2,3,4,5,6,1]]"), log)
+        gw = ChatGateway(lambda r: "[[1,2,3,4,5,6,1]]", log)
         with ThreadPoolExecutor(max_workers=8) as pool:
             list(pool.map(lambda i: gw.complete_parsed(req(f"u{i}"), 7), range(64)))
         assert log.count() == 64
+
+
+class TestHttpResponseContent:
+    @pytest.mark.parametrize("content", [None, 7, ["[[1, 2, 3, 4, 5, 6, 1]]"]])
+    def test_non_text_content_is_a_transport_failure(self, monkeypatch, content):
+        body = json.dumps({"choices": [{"message": {"role": "assistant", "content": content}}]})
+        response = types.SimpleNamespace(status_code=200, text=body,
+                                         json=lambda: json.loads(body))
+        monkeypatch.setattr("bimanual_icl.gateway.requests.post", lambda *a, **k: response)
+        log = CallLog()
+        gw = ChatGateway(HttpBackend("http://127.0.0.1:9/v1/chat/completions", "m"), log)
+        with pytest.raises(TransportError):
+            gw.complete_parsed(req("x"), arity=7)
+        assert [r.outcome for r in log.records()] == ["transport_fail"]
 
 
 class TestOraclePolicy:

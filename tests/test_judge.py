@@ -4,7 +4,7 @@ import json
 import pytest
 
 from bimanual_icl.errors import JudgeParseError
-from bimanual_icl.gateway import CallLog, CallableBackend, ChatGateway, ScriptedBackend
+from bimanual_icl.gateway import CallLog, ChatGateway
 from bimanual_icl.judge import (
     JudgeVerdict,
     PlanJudge,
@@ -18,6 +18,7 @@ from bimanual_icl.judge import (
     score_plan,
     verdict_to_json,
 )
+from bimanual_icl.testing import ScriptedBackend
 from conftest import make_demo
 
 
@@ -274,7 +275,7 @@ class TestLlmModeJudge:
             "check4": "0: r", "score": 5,
         })
         log = CallLog()
-        gw = ChatGateway(CallableBackend(lambda r: payload), log)
+        gw = ChatGateway(lambda r: payload, log)
         judge = PlanJudge(mode="llm", gateway=gw)
         verdict = judge.score(demo.actions, [demo], demo.observation)
         assert verdict.score == 5
@@ -284,7 +285,7 @@ class TestLlmModeJudge:
     def test_llm_mode_retries_then_fails(self):
         demo = base_demo()
         log = CallLog()
-        gw = ChatGateway(CallableBackend(lambda r: "not a verdict"), log)
+        gw = ChatGateway(lambda r: "not a verdict", log)
         judge = PlanJudge(mode="llm", gateway=gw, max_retries=2)
         with pytest.raises(JudgeParseError):
             judge.score(demo.actions, [demo], demo.observation)

@@ -3,16 +3,23 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bimanual_icl.errors import ArityMismatch, ParseFailure, RangeViolation
+from bimanual_icl.actions import BimanualAction, DiscreteAction
+from bimanual_icl.demos import Demonstration
+from bimanual_icl.errors import ArityMismatch, OracleParseError, ParseFailure, RangeViolation
 from bimanual_icl.perception import Observation
 from bimanual_icl.prompts import (
+    PARTNER_KEYS,
     PromptBundle,
     build_conditioned_prompt,
     build_follower_prompt,
     build_judge_prompt,
     build_single_prompt,
     parse_completion,
+    parse_judge_prompt,
+    parse_prompt,
     render_action_list,
     serialize_observation,
     split_top_level,
@@ -216,3 +223,131 @@ class TestPromptBundleInvariants:
     def test_requires_system_text(self):
         with pytest.raises(ValueError):
             PromptBundle(system_text="", user_text="x>", role="single", arm="both")
+
+
+# --- grammar round trip: parse_prompt / parse_judge_prompt invert the renderers
+
+_triples = st.tuples(*[st.integers(0, 99)] * 3)
+_arm_actions = st.builds(
+    DiscreteAction,
+    voxel=_triples,
+    rot=st.tuples(*[st.integers(0, 71)] * 3),
+    gripper=st.integers(0, 1),
+)
+_bimanual_actions = st.builds(BimanualAction, right=_arm_actions, left=_arm_actions)
+_names = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8).filter(
+    lambda name: name not in PARTNER_KEYS
+)
+
+
+@st.composite
+def _observations(draw):
+    obs = Observation(entries=draw(st.dictionaries(_names, _triples, max_size=4)))
+    if draw(st.booleans()):
+        obs = obs.with_partner(draw(st.sampled_from(PARTNER_KEYS)),
+                               draw(st.lists(_arm_actions, min_size=1, max_size=3)))
+    return obs
+
+
+_demos = st.lists(
+    st.builds(Demonstration, observation=_observations(),
+              actions=st.lists(_bimanual_actions, min_size=1, max_size=4)),
+    min_size=1, max_size=3,
+)
+
+
+def _partner(obs):
+    if obs.partner_key is None:
+        return None
+    return obs.partner_key, [a.as_tuple() for a in obs.partner_actions]
+
+
+def _parsed_pair(obs, actions):
+    return obs.entries, _partner(obs), actions
+
+
+def _arm_tuples(actions, arm):
+    return [a.as_tuple() if arm == "both" else a.arm(arm).as_tuple() for a in actions]
+
+
+def _assert_truncations_rejected(text, cut):
+    """A strict prefix fails to parse, unless it ends at a pair's '>'.
+
+    Checks the prefix at ``cut`` plus those ending just before and just
+    after every '>'.
+    """
+    full_demos, _ = parse_prompt(text)
+    marks = [i for i, c in enumerate(text) if c == ">"]
+    points = {cut % len(text)} | set(marks) | {i + 1 for i in marks[:-1]}
+    for point in sorted(points):
+        prefix = text[:point]
+        if prefix.endswith(">"):
+            demos, _ = parse_prompt(prefix)
+            assert demos == full_demos[:len(demos)]
+        else:
+            with pytest.raises(OracleParseError):
+                parse_prompt(prefix)
+
+
+def _assert_garbles_rejected(text):
+    for garbled in ("Sure! " + text, text + " done", text.replace(">", "?", 1)):
+        with pytest.raises(OracleParseError):
+            parse_prompt(garbled)
+
+
+class TestParsePromptRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(demos=_demos, test_obs=_observations(),
+           arm=st.sampled_from(("right", "left", "both")), cut=st.integers(min_value=0))
+    def test_single_prompt(self, demos, test_obs, arm, cut):
+        text = build_single_prompt(demos, test_obs, arm_filter=arm).user_text
+        parsed_demos, parsed_test = parse_prompt(text)
+        assert parsed_demos == [
+            _parsed_pair(d.observation, _arm_tuples(d.actions, arm)) for d in demos
+        ]
+        assert parsed_test == (test_obs.entries, _partner(test_obs))
+        assert {len(a) for _, _, acts in parsed_demos for a in acts} == {
+            14 if arm == "both" else 7
+        }
+        _assert_truncations_rejected(text, cut)
+        _assert_garbles_rejected(text)
+
+    @settings(max_examples=60, deadline=None)
+    @given(demos=_demos, test_obs=_observations(),
+           target=st.sampled_from(("right", "left")),
+           partner_key=st.sampled_from(PARTNER_KEYS),
+           partner_pred=st.lists(_arm_actions, min_size=1, max_size=3),
+           cut=st.integers(min_value=0))
+    def test_conditioned_prompt(self, demos, test_obs, target, partner_key, partner_pred,
+                                cut):
+        partner_arm = "left" if target == "right" else "right"
+        text = build_conditioned_prompt(
+            demos, test_obs, target_arm=target, partner_arm=partner_arm,
+            partner_key=partner_key, partner_pred=partner_pred,
+        ).user_text
+        parsed_demos, parsed_test = parse_prompt(text)
+        assert parsed_demos == [
+            (d.observation.entries,
+             (partner_key, _arm_tuples(d.actions, partner_arm)),
+             _arm_tuples(d.actions, target))
+            for d in demos
+        ]
+        assert parsed_test == (test_obs.entries,
+                               (partner_key, [a.as_tuple() for a in partner_pred]))
+        _assert_truncations_rejected(text, cut)
+        _assert_garbles_rejected(text)
+
+    @settings(max_examples=60, deadline=None)
+    @given(demos=_demos, test_obs=_observations(),
+           candidate=st.lists(_bimanual_actions, min_size=1, max_size=4),
+           cut=st.integers(min_value=0))
+    def test_judge_prompt(self, demos, test_obs, candidate, cut):
+        text = build_judge_prompt(demos, test_obs, candidate).user_text
+        refs, parsed_candidate = parse_judge_prompt(text)
+        assert refs == [_parsed_pair(d.observation, _arm_tuples(d.actions, "both"))
+                        for d in demos]
+        assert parsed_candidate == _parsed_pair(test_obs, _arm_tuples(candidate, "both"))
+        for garbled in (text[:cut % len(text)], "Sure! " + text, text + " done",
+                        text.replace("Candidate Plan", "Candidate", 1)):
+            with pytest.raises(OracleParseError):
+                parse_judge_prompt(garbled)

@@ -14,7 +14,6 @@ from bimanual_icl.runner import (
     report_to_summary,
     run_experiment,
     stable_seed,
-    summary_to_report,
 )
 
 
@@ -106,18 +105,6 @@ class TestRunExperiment:
 
 
 class TestReporting:
-    def test_summary_round_trip(self):
-        cfg = small_config(episodes=3)
-        report = run_experiment(cfg)
-        summary = report_to_summary(report)
-        back = summary_to_report(summary)
-        assert back.tasks == report.tasks
-        assert back.seeds == report.seeds
-        for a, b in zip(back.rows, report.rows):
-            assert (a.task, a.strategy, a.episodes) == (b.task, b.strategy, b.episodes)
-            assert a.success_mean == b.success_mean
-            assert a.calls_mean == b.calls_mean
-
     def test_summary_has_no_wall_times(self):
         cfg = small_config(episodes=2)
         report = run_experiment(cfg)

@@ -7,14 +7,10 @@ from bimanual_icl.errors import (
     ConfigError,
     EmptyTrajectory,
     ExhaustedRetries,
+    JudgeParseError,
+    TransportError,
 )
-from bimanual_icl.gateway import (
-    CallLog,
-    CallableBackend,
-    ChatGateway,
-    FlakyBackend,
-    OracleBackend,
-)
+from bimanual_icl.gateway import CallLog, ChatGateway, OracleBackend
 from bimanual_icl.judge import PlanJudge
 from bimanual_icl.perception import Observation
 from bimanual_icl.strategies import (
@@ -28,6 +24,7 @@ from bimanual_icl.strategies import (
     run_single_agent,
     run_strategy,
 )
+from bimanual_icl.testing import FlakyBackend
 
 
 def act(x, g=1):
@@ -137,7 +134,7 @@ class TestLeaderFollower:
             captured.append(req)
             return OracleBackend()(req)
 
-        gw = ChatGateway(CallableBackend(capture), CallLog())
+        gw = ChatGateway(capture, CallLog())
         run_leader_follower(gw, demos, test_obs, StrategyConfig(kind="leader_follower",
                                                                 leader_arm="left"))
         assert "the left arm" in captured[0].system
@@ -157,7 +154,7 @@ class TestLeaderFollower:
 
     def test_phase_identity_on_failure(self, two_demo_fixture):
         demos, test_obs = two_demo_fixture
-        gw = ChatGateway(CallableBackend(lambda r: "nope"), CallLog())
+        gw = ChatGateway(lambda r: "nope", CallLog())
         with pytest.raises(ExhaustedRetries) as excinfo:
             run_leader_follower(gw, demos, test_obs,
                                 StrategyConfig(kind="leader_follower", max_retries=1))
@@ -182,7 +179,7 @@ class TestArmsDebate:
             "[[12, 50, 42, 0, 0, 0, 0]]",  # leader round 2 (Y)
             "[[82, 50, 42, 0, 0, 0, 0]]",  # follower round 2 (Y)
         ])
-        gw = ChatGateway(CallableBackend(lambda r: next(replies)), CallLog())
+        gw = ChatGateway(lambda r: next(replies), CallLog())
         plan = run_arms_debate(gw, demos, test_obs)
         assert len(plan.actions) == 1
         assert plan.actions[0].right.voxel == (12, 50, 42)
@@ -196,7 +193,7 @@ class TestArmsDebate:
             seen.append(req.user)
             return OracleBackend()(req)
 
-        gw = ChatGateway(CallableBackend(capture), CallLog())
+        gw = ChatGateway(capture, CallLog())
         run_arms_debate(gw, demos, test_obs)
         assert len(seen) == 4
         assert seen[0].count("_arm':") == 0
@@ -243,7 +240,7 @@ class TestBestOfN:
             i = next(counter)
             return f"[[{10 + i}, 50, 40, 0, 0, 0, 1]]"
 
-        gw = ChatGateway(CallableBackend(backend), CallLog())
+        gw = ChatGateway(backend, CallLog())
         plan = run_best_of_n(gw, demos, test_obs, StrategyConfig(kind="best_of_n"), FakeJudge())
         assert "selected:1" in plan.tags
         assert "score:5" in plan.tags
@@ -258,7 +255,7 @@ class TestBestOfN:
                 return "unusable"
             return OracleBackend()(req)
 
-        gw = ChatGateway(CallableBackend(backend), CallLog())
+        gw = ChatGateway(backend, CallLog())
         judge = PlanJudge(mode="llm", gateway=gw)
         plan = run_best_of_n(
             gw, demos, test_obs,
@@ -269,19 +266,37 @@ class TestBestOfN:
 
     def test_all_candidates_failed(self, two_demo_fixture):
         demos, test_obs = two_demo_fixture
-        gw = ChatGateway(CallableBackend(lambda r: "junk"), CallLog())
+        gw = ChatGateway(lambda r: "junk", CallLog())
         judge = PlanJudge(mode="llm", gateway=gw)
         with pytest.raises(AllCandidatesFailed):
             run_best_of_n(gw, demos, test_obs,
                           StrategyConfig(kind="best_of_n", n_candidates=2, max_retries=0), judge)
 
-    def test_resample_requires_store(self, two_demo_fixture):
+    @pytest.mark.parametrize("error", [JudgeParseError, TransportError])
+    def test_named_judge_errors_skip_the_candidate(self, two_demo_fixture, error):
+        demos, test_obs = two_demo_fixture
+        gw, log = oracle_gateway()
+
+        class FailingJudge:
+            def score(self, plan_actions, batch, obs):
+                raise error("judge unavailable")
+
+        with pytest.raises(AllCandidatesFailed) as excinfo:
+            run_strategy("best_of_n", gw, demos, test_obs,
+                         StrategyConfig(kind="best_of_n", n_candidates=3), FailingJudge())
+        assert [j for j, _ in excinfo.value.failures] == [0, 1, 2]
+        assert log.count() == 6  # every candidate was generated before its judge failed
+
+    def test_judge_bug_propagates(self, two_demo_fixture):
         demos, test_obs = two_demo_fixture
         gw, _ = oracle_gateway()
-        judge = PlanJudge(mode="llm", gateway=gw)
-        with pytest.raises(ConfigError):
-            run_best_of_n(gw, demos, test_obs,
-                          StrategyConfig(kind="best_of_n", resample_demos=True), judge)
+
+        class BrokenJudge:
+            def score(self, plan_actions, batch, obs):
+                raise TypeError("bug in the judge")
+
+        with pytest.raises(TypeError):
+            run_strategy("best_of_n", gw, demos, test_obs, judge=BrokenJudge())
 
 
 class TestDebatePlusBon:

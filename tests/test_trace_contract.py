@@ -1,0 +1,53 @@
+"""The traced benchmark pass still finds every name it rebinds.
+
+``perfbench/spans.py`` records spans by rebinding module attributes by name
+(``runner.spawn``, ``gateway.parse_completion``, ...); a renamed or moved
+name makes a traced pass fail with ``MissingName``, and a name that is no
+longer looked up at call time silently reads zero. This runs one small
+traced pass the way the benchmark does and checks the layers it reports.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SPEC = {
+    "run": {
+        "tasks": ["handover"],
+        "strategies": ["leader_follower", "best_of_n"],
+        "episodes": 1,
+        "store_size": 12,
+        "n_demos": 4,
+        "n_candidates": 2,
+        "judge_mode": "llm",
+    },
+    "trace": True,
+}
+
+
+def test_traced_pass_finds_every_rebound_name(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPEC), encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), str(spec), str(out)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+    layers = json.loads((out / "pass.json").read_text(encoding="utf-8"))["layers"]
+    # leader_follower: 2 calls; best_of_n at n=2: 2 x 2 generation + 2 judge calls
+    assert layers["gateway.calls.ok"] == 8
+    assert layers["judge.score.calls"] == 2
+    for name in ("prompts.parse_completion.busy_ms", "gateway.oracle_predict.busy_ms",
+                 "gateway.oracle_judge.busy_ms"):
+        assert layers[name] > 0, name
