@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from bimanual_icl.bench import (
     execute,
     scripted_expert,
     spawn,
+    synthetic_clouds,
 )
 
 
@@ -169,3 +173,39 @@ class TestBenchmarkClouds:
         clouds = benchmark_clouds(rng, (0.2, 0.0, 1.1))
         assert [c.camera_id for c in clouds] == ["dense", "sparse"]
         assert len(clouds[0].points) > 10 * len(clouds[1].points)
+
+
+class TestSpawnOutputPinned:
+    """sha256 digests of spawn and cloud-sampler outputs, recorded from the
+    per-point reference implementations; a faster sampler or downsample
+    must reproduce them byte for byte."""
+
+    def test_spawn_observations(self):
+        h = hashlib.sha256()
+        for name in sorted(DEFAULT_TASKS):
+            for seed in range(100):
+                world = spawn(DEFAULT_TASKS[name], seed=seed)
+                entries = [[k, list(v)] for k, v in world.observation.entries.items()]
+                h.update(json.dumps([name, seed, entries]).encode())
+        assert h.hexdigest() == SPAWN_DIGEST
+
+    def test_synthetic_clouds(self):
+        h = hashlib.sha256()
+        for seed in range(5):
+            for half_extent in ((0.12, 0.05, 0.02), (0.015, 0.015, 0.015), (0.02, 0.02, 0.002)):
+                rng = np.random.default_rng(seed)
+                for cloud in synthetic_clouds(rng, "obj", (0.1, -0.2, 0.9), half_extent):
+                    h.update(cloud.points.tobytes())
+        assert h.hexdigest() == SYNTHETIC_CLOUDS_DIGEST
+
+    def test_benchmark_clouds(self):
+        h = hashlib.sha256()
+        for seed in range(5):
+            for cloud in benchmark_clouds(np.random.default_rng(seed), (0.2, 0.0, 1.1)):
+                h.update(cloud.points.tobytes())
+        assert h.hexdigest() == BENCHMARK_CLOUDS_DIGEST
+
+
+SPAWN_DIGEST = "2fcd6217cdc6181186f9b9ca9fb015eb435e3ff65146c489ad39da253f550d64"
+SYNTHETIC_CLOUDS_DIGEST = "42d6d648eca391506894e788f1db7a602031c7703183848493c8707e7ed597be"
+BENCHMARK_CLOUDS_DIGEST = "2155d5e053cc8233887d529c9135b43fb506006655674581ce135f2c786c3a96"
