@@ -127,15 +127,16 @@ def _sample_box_surface(rng, center, half_extent, n, sigma, face_weights=None):
     u = rng.uniform(-1.0, 1.0, size=n)
     v = rng.uniform(-1.0, 1.0, size=n)
     pts = np.empty((n, 3))
+    rows = np.arange(n)
     axis = faces // 2
+    # The two in-face axes in increasing order: u spans the first, v the second.
+    first = np.where(axis == 0, 1, 0)
+    second = np.where(axis == 2, 1, 2)
     sign = np.where(faces % 2 == 0, 1.0, -1.0)
     half = np.array([hx, hy, hz])
-    for i in range(n):
-        a = axis[i]
-        others = [j for j in range(3) if j != a]
-        pts[i, a] = sign[i] * half[a]
-        pts[i, others[0]] = u[i] * half[others[0]]
-        pts[i, others[1]] = v[i] * half[others[1]]
+    pts[rows, axis] = sign * half[axis]
+    pts[rows, first] = u * half[first]
+    pts[rows, second] = v * half[second]
     return np.asarray(center) + pts + rng.normal(0.0, sigma, size=(n, 3))
 
 

@@ -87,7 +87,14 @@ def _voxel_downsample(points: np.ndarray, voxel_size: float) -> np.ndarray:
     if voxel_size <= 0:
         raise ValueError(f"voxel_size must be positive, got {voxel_size}")
     cells = np.floor(points / voxel_size).astype(np.int64)
-    _, inverse = np.unique(cells, axis=0, return_inverse=True)
+    # Number occupied cells in lexicographic (x, y, z) order: sort the rows and
+    # open a new cell wherever a sorted row differs from the one before it.
+    order = np.lexsort(cells.T[::-1])
+    sorted_cells = cells[order]
+    starts = np.ones(len(cells), dtype=bool)
+    starts[1:] = (sorted_cells[1:] != sorted_cells[:-1]).any(axis=1)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(starts) - 1
     n_cells = inverse.max() + 1
     sums = np.zeros((n_cells, 3))
     np.add.at(sums, inverse, points)

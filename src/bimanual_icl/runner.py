@@ -23,7 +23,7 @@ from .demos import load_demo_dir, sample_batch
 from .errors import EPISODE_ERRORS, ConfigError
 from .gateway import CallLog, ChatGateway, HttpBackend, OracleBackend
 from .judge import PlanJudge
-from .strategies import STRATEGY_KINDS, StrategyConfig, run_strategy
+from .strategies import StrategyConfig, run_strategy
 
 
 @dataclass
@@ -63,10 +63,20 @@ class RunConfig:
             if task not in DEFAULT_TASKS:
                 raise ConfigError(f"unknown task {task!r}; available: {sorted(DEFAULT_TASKS)}")
         for strategy in self.strategies:
-            if strategy not in STRATEGY_KINDS:
-                raise ConfigError(f"unknown strategy {strategy!r}")
+            self.strategy_config(strategy)  # StrategyConfig owns the strategy checks
         if self.store_size < self.n_demos:
             raise ConfigError("store_size must be at least n_demos")
+
+    def strategy_config(self, kind: str) -> StrategyConfig:
+        """The strategy settings every ``kind`` episode of this run uses."""
+        return StrategyConfig(
+            kind=kind,
+            leader_arm=self.leader_arm,
+            n_candidates=self.n_candidates,
+            max_retries=self.max_retries,
+            temperature=self.temperature,
+            judge_temperature=self.judge_temperature,
+        )
 
 
 @dataclass
@@ -135,14 +145,7 @@ def _run_episode(cfg: RunConfig, backend, store, task_name: str, strategy: str,
 
     log = CallLog()
     gateway = ChatGateway(backend, log)
-    strategy_cfg = StrategyConfig(
-        kind=strategy,
-        leader_arm=cfg.leader_arm,
-        n_candidates=cfg.n_candidates,
-        max_retries=cfg.max_retries,
-        temperature=cfg.temperature,
-        judge_temperature=cfg.judge_temperature,
-    )
+    strategy_cfg = cfg.strategy_config(strategy)
     judge = PlanJudge(mode=cfg.judge_mode, gateway=gateway,
                       temperature=cfg.judge_temperature, max_retries=cfg.max_retries)
 

@@ -1,13 +1,30 @@
 import json
+import tempfile
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from bimanual_icl.actions import BimanualAction, DiscreteAction
 from bimanual_icl.demos import Demonstration
 from bimanual_icl.perception import Observation
+
+
+# Property tests draw the same examples on every run and write no example
+# database, so a tier-1 result depends only on the code under test.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
+
+
+def pytest_configure(config):
+    """Hypothesis caches the literals it finds in local source under its home
+    directory even without an example database; keep that cache out of the tree."""
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
 
 
 def _action(x, y, z, g):

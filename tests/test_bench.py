@@ -3,12 +3,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bimanual_icl.actions import BimanualAction, DiscreteAction
 from bimanual_icl.bench import (
     DEFAULT_TASKS,
     EpisodeResult,
     ObjectSpec,
+    _sample_box_surface,
     benchmark_clouds,
     execute,
     scripted_expert,
@@ -204,6 +207,55 @@ class TestSpawnOutputPinned:
             for cloud in benchmark_clouds(np.random.default_rng(seed), (0.2, 0.0, 1.1)):
                 h.update(cloud.points.tobytes())
         assert h.hexdigest() == BENCHMARK_CLOUDS_DIGEST
+
+
+def _sample_box_surface_loop(rng, center, half_extent, n, sigma, face_weights=None):
+    """Per-point reference for ``_sample_box_surface``: same draws, one row at a time."""
+    hx, hy, hz = half_extent
+    if face_weights is None:
+        weights = np.array([hy * hz, hy * hz, hx * hz, hx * hz, hx * hy, hx * hy], dtype=float)
+    else:
+        weights = np.asarray(face_weights, dtype=float)
+    faces = rng.choice(6, size=n, p=weights / weights.sum())
+    u = rng.uniform(-1.0, 1.0, size=n)
+    v = rng.uniform(-1.0, 1.0, size=n)
+    pts = np.empty((n, 3))
+    axis = faces // 2
+    sign = np.where(faces % 2 == 0, 1.0, -1.0)
+    half = np.array([hx, hy, hz])
+    for i in range(n):
+        a = axis[i]
+        others = [j for j in range(3) if j != a]
+        pts[i, a] = sign[i] * half[a]
+        pts[i, others[0]] = u[i] * half[others[0]]
+        pts[i, others[1]] = v[i] * half[others[1]]
+    return np.asarray(center) + pts + rng.normal(0.0, sigma, size=(n, 3))
+
+
+_extents = st.floats(min_value=1e-4, max_value=2.0)
+_face_weights = st.one_of(
+    st.none(),
+    st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=6, max_size=6),
+    st.lists(st.sampled_from((0.0, 0.0, 0.05, 1.0, 7.0)), min_size=6, max_size=6)
+    .filter(lambda w: sum(w) > 0),
+)
+
+
+class TestSampleBoxSurfaceMatchesLoop:
+    @settings(max_examples=300)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n=st.integers(min_value=0, max_value=400),
+           half_extent=st.tuples(_extents, _extents, _extents),
+           center=st.tuples(*[st.floats(min_value=-2.0, max_value=2.0)] * 3),
+           sigma=st.sampled_from((0.0, 0.002, 0.005)),
+           face_weights=_face_weights)
+    def test_byte_identical(self, seed, n, half_extent, center, sigma, face_weights):
+        fast = _sample_box_surface(np.random.default_rng(seed), center, half_extent, n, sigma,
+                                   face_weights=face_weights)
+        slow = _sample_box_surface_loop(np.random.default_rng(seed), center, half_extent, n,
+                                        sigma, face_weights=face_weights)
+        assert fast.shape == slow.shape == (n, 3)
+        assert fast.tobytes() == slow.tobytes()
 
 
 SPAWN_DIGEST = "2fcd6217cdc6181186f9b9ca9fb015eb435e3ff65146c489ad39da253f550d64"

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bimanual_icl.bench import benchmark_clouds
 from bimanual_icl.errors import EmptyObject, OutOfWorkspace
 from bimanual_icl.perception import (
     MaskedCloud,
     Observation,
+    _voxel_downsample,
     build_observation,
     centroid_error,
     extract_centroid,
@@ -73,6 +76,51 @@ class TestExtractCentroid:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             extract_centroid([cloud("a", "obj", [(0, 0, 0)])], strategy="median")
+
+
+def _voxel_downsample_unique(points, voxel_size):
+    """Reference for ``_voxel_downsample``: cells grouped by ``np.unique(axis=0)``."""
+    cells = np.floor(points / voxel_size).astype(np.int64)
+    _, inverse = np.unique(cells, axis=0, return_inverse=True)
+    n_cells = inverse.max() + 1
+    sums = np.zeros((n_cells, 3))
+    np.add.at(sums, inverse, points)
+    counts = np.bincount(inverse, minlength=n_cells).astype(float)
+    return sums / counts[:, None]
+
+
+@st.composite
+def _clouds(draw):
+    """(N, 3) clouds: spread over spans up to 1e9 m, one point, one cell, heavy duplication."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    voxel_size = draw(st.sampled_from((0.005, 0.02, 0.1)))
+    kind = draw(st.sampled_from(("spread", "one_point", "one_cell", "duplicated")))
+    n = draw(st.integers(min_value=1, max_value=300))
+    span = draw(st.sampled_from((0.01, 0.3, 10.0, 1e4, 1e9)))
+    offset = draw(st.floats(min_value=-1e3, max_value=1e3))
+    if kind == "one_point":
+        points = rng.uniform(-span, span, size=(1, 3))
+    elif kind == "one_cell":
+        corner = np.floor(rng.uniform(-span, span, size=3) / voxel_size) * voxel_size
+        points = corner + rng.uniform(0.1, 0.9, size=(n, 3)) * voxel_size
+        offset = 0.0
+    elif kind == "duplicated":
+        distinct = rng.uniform(-span, span, size=(draw(st.integers(1, 5)), 3))
+        points = distinct[rng.integers(0, len(distinct), size=n)]
+    else:
+        points = rng.uniform(-span, span, size=(n, 3))
+    return points + offset, voxel_size
+
+
+class TestVoxelDownsampleMatchesUnique:
+    @settings(max_examples=300)
+    @given(case=_clouds())
+    def test_byte_identical(self, case):
+        points, voxel_size = case
+        fast = _voxel_downsample(points, voxel_size)
+        slow = _voxel_downsample_unique(points, voxel_size)
+        assert fast.shape == slow.shape
+        assert fast.tobytes() == slow.tobytes()
 
 
 class TestBuildObservation:

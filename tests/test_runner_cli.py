@@ -94,6 +94,21 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             small_config(backend="carrier-pigeon").validate()
 
+    @pytest.mark.parametrize("override", [
+        {"max_retries": -1},
+        {"n_candidates": 0},
+        {"leader_arm": "up"},
+    ])
+    def test_strategy_options_fail_before_any_store_is_built(self, monkeypatch, override):
+        import bimanual_icl.runner as runner_mod
+
+        def no_store(*args, **kwargs):
+            raise AssertionError("build_store ran before validation")
+
+        monkeypatch.setattr(runner_mod, "build_store", no_store)
+        with pytest.raises(ConfigError):
+            run_experiment(small_config(strategies=["best_of_n"], **override))
+
     def test_workers_do_not_change_summary(self, tmp_path):
         cfg1 = small_config(out_dir=str(tmp_path / "a"))
         cfg2 = small_config(out_dir=str(tmp_path / "b"), workers=4)

@@ -223,22 +223,19 @@ class TestBestOfN:
 
     def test_first_maximal_score_selected(self, two_demo_fixture):
         demos, test_obs = two_demo_fixture
-        scores = iter([3, 5, 5, 2, 4])
-        plans = {}
+        scores = [3, 5, 5, 2, 4]  # candidate j scores scores[j]
 
         class FakeJudge:
             def score(self, plan_actions, batch, obs):
                 from bimanual_icl.judge import JudgeVerdict
-                s = next(scores)
-                plans[s] = plans.get(s, []) + [plan_actions]
-                return JudgeVerdict(check1=1, check2=1, check3=0, check4=0, score=s)
+                j = plan_actions[0].right.voxel[0] - 10
+                return JudgeVerdict(check1=1, check2=1, check3=0, check4=0, score=scores[j])
 
-        # distinct candidates so selection is observable
-        counter = iter(range(100))
-
+        # Candidate j predicts x voxel 10 + j, so the judge can tell candidates
+        # apart whatever order the pool runs them in.
         def backend(req):
-            i = next(counter)
-            return f"[[{10 + i}, 50, 40, 0, 0, 0, 1]]"
+            j = int(req.tag.split(":")[0].removeprefix("bon"))
+            return f"[[{10 + j}, 50, 40, 0, 0, 0, 1]]"
 
         gw = ChatGateway(backend, CallLog())
         plan = run_best_of_n(gw, demos, test_obs, StrategyConfig(kind="best_of_n"), FakeJudge())
