@@ -27,11 +27,11 @@ from .strategies import STRATEGY_KINDS
 
 
 def _parse_int_list(text):
-    return [int(v) for v in str(text).split(",") if v != ""]
+    return [int(v) for v in text.split(",") if v]
 
 
 def _parse_str_list(text):
-    return [v for v in str(text).split(",") if v]
+    return [v for v in text.split(",") if v]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,38 +44,37 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-data", help="generate expert demonstration datasets")
     gen.add_argument("--task", required=True, choices=sorted(DEFAULT_TASKS),
                      help="task archetype to generate demos for")
-    gen.add_argument("--episodes", type=int, default=100, help="number of demonstrations")
-    gen.add_argument("--seed", type=int, default=1234)
+    gen.add_argument("--episodes", type=int, default=RunConfig.store_size,
+                     help="number of demonstrations")
+    gen.add_argument("--seed", type=int, default=RunConfig.dataset_seed)
     gen.add_argument("--out", required=True, help="output directory root")
 
-    run = sub.add_parser("run", help="run an experiment grid")
-    run.add_argument("--task", default="lift_sym",
+    # Flags left out stay out of the namespace, so RunConfig owns every default.
+    run = sub.add_parser("run", help="run an experiment grid",
+                         argument_default=argparse.SUPPRESS)
+    run.add_argument("--task", dest="tasks", type=_parse_str_list,
                      help="comma-separated task names")
-    run.add_argument("--strategy", default="leader_follower",
+    run.add_argument("--strategy", dest="strategies", type=_parse_str_list,
                      help=f"comma-separated strategies from {STRATEGY_KINDS}")
-    run.add_argument("--backend", choices=("oracle", "http"), default="oracle")
-    run.add_argument("--seeds", default="0", help="comma-separated integer seeds")
-    run.add_argument("--episodes", type=int, default=10, help="episodes per seed")
-    run.add_argument("--n-demos", type=int, default=10, dest="n_demos")
-    run.add_argument("--leader-arm", choices=("right", "left"), default="right",
-                     dest="leader_arm")
-    run.add_argument("--n-candidates", type=int, default=5, dest="n_candidates")
-    run.add_argument("--max-retries", type=int, default=2, dest="max_retries")
-    run.add_argument("--data-dir", default=None, dest="data_dir",
+    run.add_argument("--backend", help="oracle or http")
+    run.add_argument("--seeds", type=_parse_int_list, help="comma-separated integer seeds")
+    run.add_argument("--episodes", type=int, help="episodes per seed")
+    run.add_argument("--n-demos", type=int, dest="n_demos")
+    run.add_argument("--leader-arm", dest="leader_arm", help="right or left")
+    run.add_argument("--n-candidates", type=int, dest="n_candidates")
+    run.add_argument("--max-retries", type=int, dest="max_retries")
+    run.add_argument("--data-dir", dest="data_dir",
                      help="load datasets generated by gen-data instead of regenerating")
-    run.add_argument("--store-size", type=int, default=100, dest="store_size")
-    run.add_argument("--workers", type=int, default=1)
-    run.add_argument("--http-url", default="http://localhost:8000/v1/chat/completions",
-                     dest="http_url")
-    run.add_argument("--http-model", default="local-model", dest="http_model")
-    run.add_argument("--api-key-env", default="OPENAI_API_KEY", dest="api_key_env",
+    run.add_argument("--store-size", type=int, dest="store_size")
+    run.add_argument("--workers", type=int)
+    run.add_argument("--http-url", dest="http_url")
+    run.add_argument("--http-model", dest="http_model")
+    run.add_argument("--api-key-env", dest="api_key_env",
                      help="environment variable holding the bearer token")
-    run.add_argument("--timeout", type=float, default=60.0)
-    run.add_argument("--judge-mode", choices=("llm", "rubric"), default="llm",
-                     dest="judge_mode")
-    run.add_argument("--out", default=None, help="output directory for logs and reports")
-    run.add_argument("--config", default=None,
-                     help="JSON config file; its values override the flags")
+    run.add_argument("--timeout", type=float)
+    run.add_argument("--judge-mode", dest="judge_mode", help="llm or rubric")
+    run.add_argument("--out", dest="out_dir", help="output directory for logs and reports")
+    run.add_argument("--config", help="JSON config file; its values override the flags")
 
     rep = sub.add_parser("report", help="re-render tables from an episode log")
     rep.add_argument("--log", required=True, help="episodes.jsonl from a previous run")
@@ -90,34 +89,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_config_from_args(args) -> RunConfig:
-    values = {
-        "tasks": _parse_str_list(args.task),
-        "strategies": _parse_str_list(args.strategy),
-        "backend": args.backend,
-        "seeds": _parse_int_list(args.seeds),
-        "episodes": args.episodes,
-        "n_demos": args.n_demos,
-        "leader_arm": args.leader_arm,
-        "n_candidates": args.n_candidates,
-        "max_retries": args.max_retries,
-        "data_dir": args.data_dir,
-        "store_size": args.store_size,
-        "workers": args.workers,
-        "http_url": args.http_url,
-        "http_model": args.http_model,
-        "api_key_env": args.api_key_env,
-        "timeout": args.timeout,
-        "judge_mode": args.judge_mode,
-        "out_dir": args.out,
-    }
-    if args.config:
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    overrides = {}
+    if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
             overrides = json.load(fh)
         unknown = set(overrides) - set(RunConfig.__dataclass_fields__)
         if unknown:
             raise SystemExit(f"unknown config keys: {sorted(unknown)}")
-        values.update(overrides)
-    return RunConfig(**values)
+    return RunConfig(**{**flags, **overrides})
 
 
 def main(argv=None) -> int:

@@ -22,6 +22,7 @@ FIRST_ACTION_TOLERANCE = 5
 ZONE_LIMIT_RIGHT = 30  # right arm should keep x strictly above this
 ZONE_LIMIT_LEFT = 70  # left arm should keep x strictly below this
 ZONE_VIOLATION_STEPS = 3
+JUDGE_MODES = ("rubric", "llm")
 
 _CHECK_VALUE = re.compile(r"^\s*([+-]?\d+)")
 
@@ -230,7 +231,7 @@ class PlanJudge:
 
     def __init__(self, mode: str = "rubric", gateway=None, temperature: float = 0.0,
                  max_retries: int = 2):
-        if mode not in ("rubric", "llm"):
+        if mode not in JUDGE_MODES:
             raise ValueError(f"unknown judge mode {mode!r}")
         self.mode = mode
         self.gateway = gateway

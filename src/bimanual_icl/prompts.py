@@ -10,9 +10,10 @@ pinned by golden files:
 
 Completion parsing is tolerant (prose, code fences, trailing commas) while
 rendering is strict; backends routinely wrap their answer in chatter.
-``parse_prompt`` and ``parse_judge_prompt`` invert the renderers and, unlike
-completion parsing, reject prose or any other text around the grammar; the
-scripted oracle reads prompts through them.
+``parse_prompt`` and ``parse_judge_prompt`` accept exactly the renderers'
+output: they decode a prompt, render the result again and reject any text
+that does not come back byte for byte. The scripted oracle reads prompts
+through them.
 """
 
 from __future__ import annotations
@@ -130,11 +131,12 @@ def _filter_action(action: BimanualAction, arm_filter: str):
     return action.arm(arm_filter).as_tuple()
 
 
-def _demo_pairs(rendered_pairs, test_obs_text) -> str:
-    body = ", ".join(f"{obs}>{acts}" for obs, acts in rendered_pairs)
-    if body:
-        return f"{body}, {test_obs_text}>"
-    return f"{test_obs_text}>"
+def _demo_pairs(rendered_pairs, test_obs_text=None) -> str:
+    """Join ``obs>actions`` pairs, then the open ``test_obs>`` when one is given."""
+    segments = [f"{obs}>{acts}" for obs, acts in rendered_pairs]
+    if test_obs_text is not None:
+        segments.append(f"{test_obs_text}>")
+    return ", ".join(segments)
 
 
 def build_single_prompt(demos, test_obs: Observation, arm_filter: str = "both",
@@ -227,14 +229,13 @@ def build_judge_prompt(demos, test_obs: Observation, candidate_actions) -> Promp
     """Validator prompt: reference demos plus the candidate bimanual plan."""
     if not demos:
         raise ValueError("at least one demonstration is required")
-    refs = ", ".join(
-        f"{serialize_observation(d.observation)}>{render_action_list(d.actions)}" for d in demos
+    refs = _demo_pairs(
+        (serialize_observation(d.observation), render_action_list(d.actions)) for d in demos
     )
-    candidate = render_action_list(candidate_actions)
-    user = (
-        f"{JUDGE_REFS_HEADER}{refs}"
-        f"{JUDGE_CANDIDATE_HEADER}{serialize_observation(test_obs)}>{candidate}"
+    candidate = _demo_pairs(
+        [(serialize_observation(test_obs), render_action_list(candidate_actions))]
     )
+    user = f"{JUDGE_REFS_HEADER}{refs}{JUDGE_CANDIDATE_HEADER}{candidate}"
     return PromptBundle(system_text=JUDGE_SYSTEM, user_text=user, role="judge", arm="both")
 
 
@@ -335,60 +336,28 @@ def parse_completion(text: str, arity: int) -> ParsedCompletion:
     return ParsedCompletion(actions=tuple(actions), raw=text)
 
 
-def split_top_level(text: str, separator: str) -> list[str]:
-    """Split on a separator character ignoring bracketed/quoted regions."""
-    parts, depth, last, in_quote = [], 0, 0, False
-    for i, c in enumerate(text):
-        if c == "'":
-            in_quote = not in_quote
-        elif not in_quote:
-            if c in "[{":
-                depth += 1
-            elif c in "]}":
-                depth -= 1
-            elif c == separator and depth == 0:
-                parts.append(text[last:i])
-                last = i + 1
-    parts.append(text[last:])
-    return parts
+def _rows(value):
+    return [tuple(int(v) for v in row) for row in value]
 
 
-def _parse_observation(text: str):
-    """Parse one canonical observation literal into (entries, partner)."""
-    if not (text.startswith("{") and text.endswith("}")):
-        raise OracleParseError(f"observation does not look like a dict: {text[:80]!r}")
-    inner = text[1:-1]
-    entries: dict[str, tuple[int, int, int]] = {}
-    partner = None
-    if not inner:
-        return entries, partner
-    for item in split_top_level(inner, ","):
-        item = item.strip()
-        if not (item.startswith("'") and "': " in item):
-            raise OracleParseError(f"bad observation entry: {item[:80]!r}")
-        name, value = item[1:].split("': ", 1)
+def _observation_parts(obs):
+    """Split one decoded observation object into (entries, partner)."""
+    if not isinstance(obs, dict):
+        raise OracleParseError(f"expected an observation, got {type(obs).__name__}")
+    entries, partner = {}, None
+    for name, value in obs.items():
         if name in PARTNER_KEYS:
-            try:
-                rows = json.loads(value)
-            except ValueError as exc:
-                raise OracleParseError(f"bad partner trajectory: {value[:80]!r}") from exc
-            partner = (name, [tuple(int(v) for v in row) for row in rows])
+            partner = (name, _rows(value))
+        elif len(value) != 3:
+            raise OracleParseError(f"voxel {name!r} has {len(value)} components")
         else:
-            try:
-                voxel = json.loads(value)
-            except ValueError as exc:
-                raise OracleParseError(f"bad voxel triple: {value[:80]!r}") from exc
-            if len(voxel) != 3:
-                raise OracleParseError(f"voxel triple has {len(voxel)} components")
-            entries[name] = tuple(int(v) for v in voxel)
+            entries[name] = tuple(int(v) for v in value)
     return entries, partner
 
 
-def _closing(text: str, start: int, open_ch: str, close_ch: str) -> int:
-    end = _balanced_span(text, start, open_ch, close_ch)
-    if end is None:
-        raise OracleParseError(f"unbalanced {open_ch}...{close_ch} starting at {start}")
-    return end
+def _render_parts(entries, partner) -> str:
+    key, rows = partner or (None, ())
+    return serialize_observation(Observation(entries, key, tuple(rows)))
 
 
 def parse_prompt(text: str, with_trailing_test: bool = True):
@@ -396,42 +365,26 @@ def parse_prompt(text: str, with_trailing_test: bool = True):
 
     Returns ``(demos, test)``: each demo is ``(entries, partner, actions)``
     and ``test`` is ``(entries, partner)``, where ``partner`` is ``None`` or
-    ``(key, action tuples)``. With ``with_trailing_test=False`` the body must
-    end after its last action list and ``test`` is ``None``. Raises
-    OracleParseError on any text outside the grammar.
+    ``(key, action tuples)``; with ``with_trailing_test=False`` the body ends
+    after its last action list and ``test`` is ``None``. The body is decoded
+    as one JSON array and rendered again, and OracleParseError is raised
+    unless that render equals ``text`` byte for byte.
     """
-    demos = []
-    pos = 0
-    while True:
-        if pos >= len(text) or text[pos] != "{":
-            raise OracleParseError(f"expected observation at position {pos}")
-        end = _closing(text, pos, "{", "}")
-        entries, partner = _parse_observation(text[pos:end])
-        pos = end
-        if pos >= len(text) or text[pos] != ">":
-            raise OracleParseError(f"expected '>' at position {pos}")
-        pos += 1
-        if pos == len(text):
-            if not with_trailing_test:
-                raise OracleParseError("unexpected trailing observation")
-            return demos, (entries, partner)
-        if text[pos] != "[":
-            raise OracleParseError(f"expected action list at position {pos}")
-        end = _closing(text, pos, "[", "]")
-        try:
-            rows = json.loads(text[pos:end])
-        except ValueError as exc:
-            raise OracleParseError(f"bad action list at {pos}") from exc
-        actions = [tuple(int(v) for v in row) for row in rows]
-        demos.append((entries, partner, actions))
-        pos = end
-        if pos == len(text):
-            if with_trailing_test:
-                raise OracleParseError("prompt does not end with a test observation")
-            return demos, None
-        if not text.startswith(", ", pos):
-            raise OracleParseError(f"expected ', ' separator at position {pos}")
-        pos += 2
+    body = text[:-1] if with_trailing_test else text  # the test observation's '>'
+    try:
+        items = json.loads("[" + body.replace("'", '"').replace(">", ", ") + "]")
+        observations = [_observation_parts(obs) for obs in items[0::2]]
+        action_lists = [_rows(actions) for actions in items[1::2]]
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise OracleParseError(f"prompt outside the grammar: {exc}") from exc
+    if not observations or len(observations) != len(action_lists) + with_trailing_test:
+        raise OracleParseError("prompt does not alternate observations and action lists")
+    demos = [(*obs, actions) for obs, actions in zip(observations, action_lists)]
+    test = observations[-1] if with_trailing_test else None
+    pairs = [(_render_parts(e, p), render_action_list(a)) for e, p, a in demos]
+    if _demo_pairs(pairs, _render_parts(*test) if test else None) != text:
+        raise OracleParseError("prompt is not byte-identical renderer output")
+    return demos, test
 
 
 def parse_judge_prompt(text: str):

@@ -1,18 +1,19 @@
 """Experiment runner: seeds x episodes x strategies, aggregation, reporting.
 
-Episode logs are JSONL (append-safe under concurrent episodes); the machine
+Episode logs are JSONL in grid order whatever the worker count; the machine
 summary contains only deterministic fields, so reruns with the same config
-and the oracle backend are byte-identical. Wall-clock statistics appear in
-the rendered tables and the episode log, never in the summary.
+and the oracle backend are byte-identical, and so is the summary rebuilt
+from the log. Wall-clock statistics appear in the rendered tables and the
+episode log, never in the summary.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .bench import DEFAULT_TASKS, execute, scripted_expert, spawn
 from .demos import load_demo_dir, sample_batch
 from .errors import EPISODE_ERRORS, ConfigError
 from .gateway import CallLog, ChatGateway, HttpBackend, OracleBackend
-from .judge import PlanJudge
+from .judge import JUDGE_MODES, PlanJudge
 from .strategies import StrategyConfig, run_strategy
 
 
@@ -59,6 +60,14 @@ class RunConfig:
             raise ConfigError("at least one seed is required")
         if self.backend not in ("oracle", "http"):
             raise ConfigError(f"unknown backend {self.backend!r}")
+        if self.judge_mode not in JUDGE_MODES:
+            raise ConfigError(f"unknown judge mode {self.judge_mode!r}; available: {JUDGE_MODES}")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
+        for name in ("tasks", "strategies", "seeds"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} must not repeat an entry: {values}")
         for task in self.tasks:
             if task not in DEFAULT_TASKS:
                 raise ConfigError(f"unknown task {task!r}; available: {sorted(DEFAULT_TASKS)}")
@@ -195,48 +204,40 @@ def run_experiment(cfg: RunConfig) -> AggregateReport:
     ]
 
     out_dir = Path(cfg.out_dir) if cfg.out_dir else None
-    log_fh = None
-    log_lock = threading.Lock()
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-        log_fh = open(out_dir / "episodes.jsonl", "w", encoding="utf-8")
 
     def work(job):
         task, strategy, seed, episode = job
-        record = _run_episode(cfg, backend, stores[task], task, strategy, seed, episode)
-        if log_fh is not None:
-            line = json.dumps(record, sort_keys=True)
-            with log_lock:
-                log_fh.write(line + "\n")
+        return _run_episode(cfg, backend, stores[task], task, strategy, seed, episode)
+
+    records = []
+    log = open(out_dir / "episodes.jsonl", "w", encoding="utf-8") if out_dir else nullcontext()
+    with log as log_fh, ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        # both maps yield in grid order, whichever episode finishes first
+        for record in (pool.map if cfg.workers > 1 else map)(work, jobs):
+            if log_fh is not None:
+                log_fh.write(json.dumps(record, sort_keys=True) + "\n")
                 log_fh.flush()
-        return record
+            records.append(record)
 
-    try:
-        if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                records = list(pool.map(work, jobs))
-        else:
-            records = [work(job) for job in jobs]
-    finally:
-        if log_fh is not None:
-            log_fh.close()
-
-    report = aggregate(records, tasks=cfg.tasks, strategies=cfg.strategies,
-                       seeds=cfg.seeds, episodes=cfg.episodes)
+    report = aggregate(records)
     if out_dir:
         write_report(report, out_dir)
     return report
 
 
-def aggregate(records, tasks=None, strategies=None, seeds=None, episodes=None) -> AggregateReport:
-    """Group episode records into per-(task, strategy) statistics."""
+def aggregate(records) -> AggregateReport:
+    """Group episode records into per-(task, strategy) statistics.
+
+    Tasks, strategies and seeds keep their order of first appearance, so the
+    grid-order records of a run aggregate exactly as that run did.
+    """
     records = list(records)
-    tasks = tasks or _first_appearance(r["task"] for r in records)
-    strategies = strategies or _first_appearance(r["strategy"] for r in records)
-    seeds = seeds if seeds is not None else sorted({r["seed"] for r in records})
-    episodes = episodes if episodes is not None else max(
-        (r["episode"] + 1 for r in records), default=0
-    )
+    tasks = _first_appearance(r["task"] for r in records)
+    strategies = _first_appearance(r["strategy"] for r in records)
+    seeds = _first_appearance(r["seed"] for r in records)
+    episodes = max((r["episode"] + 1 for r in records), default=0)
 
     rows = []
     for task in tasks:

@@ -3,7 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bimanual_icl.actions import BimanualAction, DiscreteAction
@@ -11,6 +11,8 @@ from bimanual_icl.demos import Demonstration
 from bimanual_icl.errors import ArityMismatch, OracleParseError, ParseFailure, RangeViolation
 from bimanual_icl.perception import Observation
 from bimanual_icl.prompts import (
+    JUDGE_CANDIDATE_HEADER,
+    JUDGE_REFS_HEADER,
     PARTNER_KEYS,
     PromptBundle,
     build_conditioned_prompt,
@@ -22,7 +24,6 @@ from bimanual_icl.prompts import (
     parse_prompt,
     render_action_list,
     serialize_observation,
-    split_top_level,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -86,13 +87,6 @@ class TestBuildSinglePrompt:
         many = (demos * 5)[:10]
         bundle = build_single_prompt(many, test_obs, arm_filter="both")
         assert bundle.user_text.count(">") == 11
-
-    def test_split_top_level_recovers_segments(self, two_demo_fixture):
-        demos, test_obs = two_demo_fixture
-        bundle = build_single_prompt(demos, test_obs, arm_filter="both")
-        segments = split_top_level(bundle.user_text, ">")
-        assert len(segments) == len(demos) + 2  # trailing empty after final '>'
-        assert segments[-1] == ""
 
     def test_requires_demos(self, two_demo_fixture):
         _, test_obs = two_demo_fixture
@@ -351,3 +345,97 @@ class TestParsePromptRoundTrip:
                         text.replace("Candidate Plan", "Candidate", 1)):
             with pytest.raises(OracleParseError):
                 parse_judge_prompt(garbled)
+
+
+# --- mutated prompts: the parsers raise nothing but OracleParseError, and
+# whatever they accept is byte-identical renderer output
+
+_MUTATION_CHARS = "[]{},>' 0123456789.-\"ab"
+
+
+@st.composite
+def _mutated_prompts(draw):
+    demos, test_obs = draw(_demos), draw(_observations())
+    kind = draw(st.sampled_from(("single", "conditioned", "judge")))
+    if kind == "single":
+        arm = draw(st.sampled_from(("right", "left", "both")))
+        text = build_single_prompt(demos, test_obs, arm_filter=arm).user_text
+    elif kind == "conditioned":
+        target = draw(st.sampled_from(("right", "left")))
+        text = build_conditioned_prompt(
+            demos, test_obs, target_arm=target,
+            partner_arm="left" if target == "right" else "right",
+            partner_key=draw(st.sampled_from(PARTNER_KEYS)),
+            partner_pred=draw(st.lists(_arm_actions, min_size=1, max_size=3)),
+        ).user_text
+    else:
+        candidate = draw(st.lists(_bimanual_actions, min_size=1, max_size=4))
+        text = build_judge_prompt(demos, test_obs, candidate).user_text
+    pos = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(("delete", "insert", "truncate")))
+    if edit == "delete":
+        return text[:pos] + text[pos + 1:]
+    if edit == "insert":
+        return text[:pos] + draw(st.sampled_from(_MUTATION_CHARS)) + text[pos:]
+    return text[:pos]
+
+
+def _render_parsed(entries, partner, actions=None):
+    """Render one parsed observation (and its actions) with the public renderers."""
+    obs = Observation(entries=dict(entries))
+    if partner is not None:
+        obs = obs.with_partner(*partner)
+    text = serialize_observation(obs) + ">"
+    return text if actions is None else text + render_action_list(actions)
+
+
+def _accepted(parse, text):
+    try:
+        return parse(text)
+    except OracleParseError:
+        return None
+
+
+class TestParsersOnMutatedPrompts:
+    @settings(max_examples=300)
+    @given(text=_mutated_prompts())
+    # a row's opening bracket deleted: the rows hold bare integers
+    @example(text="{'ball': [50, 49, 31]}>[[1, 2, 3, 4, 5, 6, 0], 47, 25, 3, 4, 5, 6, 1]], "
+                  "{'ball': [50, 49, 31]}>")
+    def test_raise_only_parse_errors_and_accept_only_rendered_text(self, text):
+        parsed = _accepted(parse_prompt, text)
+        if parsed is not None:
+            demos, test = parsed
+            assert ", ".join([_render_parsed(*d) for d in demos] + [_render_parsed(*test)]) == text
+        parsed = _accepted(lambda t: parse_prompt(t, with_trailing_test=False), text)
+        if parsed is not None:
+            demos, test = parsed
+            assert test is None
+            assert ", ".join(_render_parsed(*d) for d in demos) == text
+        parsed = _accepted(parse_judge_prompt, text)
+        if parsed is not None:
+            refs, candidate = parsed
+            assert (JUDGE_REFS_HEADER + ", ".join(_render_parsed(*d) for d in refs)
+                    + JUDGE_CANDIDATE_HEADER + _render_parsed(*candidate)) == text
+
+    @pytest.mark.parametrize("text", [
+        "{'a': [1,2, 3]}>",
+        "{'a': [1, 2, 3] }>",
+        "{\"a\": [1, 2, 3]}>",
+        "{'a': [1, 2]}>",
+        "{'a': [1, 2, 3.0]}>",
+        "{'a': [1e999, 2, 3]}>",
+        "{'a': [NaN, 2, 3]}>",
+        "{'a': [1, 2, 3]}>[[1, 2, 3, 4, 5, 6, 0]],{'a': [1, 2, 3]}>",
+        "{'leader_arm': [[1, 2, 3, 4, 5, 6, 0]], 'a': [1, 2, 3]}>",
+        ">",
+        "",
+    ])
+    def test_non_canonical_text_rejected(self, text):
+        with pytest.raises(OracleParseError):
+            parse_prompt(text)
+
+    def test_names_holding_unbalanced_brackets_round_trip(self):
+        obs = Observation(entries={"bin[": (1, 2, 3), "lid}": (4, 5, 6)})
+        text = serialize_observation(obs) + ">"
+        assert parse_prompt(text) == ([], (obs.entries, None))

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -98,6 +99,12 @@ class TestRunExperiment:
         {"max_retries": -1},
         {"n_candidates": 0},
         {"leader_arm": "up"},
+        {"judge_mode": "LLM"},
+        {"workers": 0},
+        {"workers": -3},
+        {"tasks": ["lift_sym", "lift_sym"]},
+        {"strategies": ["best_of_n", "best_of_n"]},
+        {"seeds": [0, 0]},
     ])
     def test_strategy_options_fail_before_any_store_is_built(self, monkeypatch, override):
         import bimanual_icl.runner as runner_mod
@@ -107,7 +114,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(runner_mod, "build_store", no_store)
         with pytest.raises(ConfigError):
-            run_experiment(small_config(strategies=["best_of_n"], **override))
+            run_experiment(small_config(**{"strategies": ["best_of_n"], **override}))
 
     def test_workers_do_not_change_summary(self, tmp_path):
         cfg1 = small_config(out_dir=str(tmp_path / "a"))
@@ -141,6 +148,39 @@ class TestReporting:
             ("handover", "dual_agent"), ("handover", "single_agent"),
             ("lift_sym", "dual_agent"), ("lift_sym", "single_agent"),
         ]
+
+    @pytest.mark.parametrize("overrides", [
+        {"seeds": [1, 0]},
+        {"workers": 2, "strategies": ["arms_debate", "single_agent"], "seeds": [0], "episodes": 1},
+    ])
+    def test_report_reproduces_run_summary(self, tmp_path, capsys, monkeypatch, overrides):
+        import bimanual_icl.runner as runner_mod
+
+        run_strategy = runner_mod.run_strategy
+
+        def slow_debate(kind, *args, **kwargs):
+            if kind == "arms_debate":
+                time.sleep(0.05)  # so a concurrent single_agent episode finishes first
+            return run_strategy(kind, *args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "run_strategy", slow_debate)
+        run_experiment(small_config(out_dir=str(tmp_path / "run"), **overrides))
+        assert main(["report", "--log", str(tmp_path / "run" / "episodes.jsonl"),
+                     "--out", str(tmp_path / "report")]) == 0
+        assert ((tmp_path / "report" / "summary.json").read_bytes()
+                == (tmp_path / "run" / "summary.json").read_bytes())
+
+    def test_episode_log_in_grid_order_at_any_worker_count(self, tmp_path):
+        logs = []
+        for workers in (1, 4):
+            out_dir = tmp_path / f"w{workers}"
+            run_experiment(small_config(
+                strategies=["arms_debate", "single_agent", "best_of_n"], n_candidates=2,
+                workers=workers, out_dir=str(out_dir),
+            ))
+            records = load_episode_log(out_dir / "episodes.jsonl")
+            logs.append([{k: v for k, v in r.items() if k != "wall_ms"} for r in records])
+        assert logs[0] == logs[1]
 
     def test_aggregate_from_log_matches_run(self, tmp_path):
         cfg = small_config(out_dir=str(tmp_path / "run"))
@@ -232,6 +272,47 @@ class TestCli:
         ]) == 0
         records = load_episode_log(out_dir / "episodes.jsonl")
         assert len(records) == 2  # config wins over --episodes 9
+
+    @pytest.fixture
+    def captured_config(self, monkeypatch):
+        import bimanual_icl.cli as cli_mod
+
+        seen = []
+
+        def fake_run(cfg):
+            seen.append(cfg)
+            return aggregate([])
+
+        monkeypatch.setattr(cli_mod, "run_experiment", fake_run)
+        return seen
+
+    def test_run_without_flags_uses_run_config_defaults(self, captured_config, capsys):
+        assert main(["run"]) == 0
+        assert captured_config == [RunConfig()]
+
+    def test_each_run_flag_lands_on_its_field(self, captured_config, capsys):
+        assert main([
+            "run", "--task", "handover,lift_sym", "--strategy", "best_of_n,single_agent",
+            "--backend", "http", "--seeds", "3,1", "--episodes", "4", "--n-demos", "6",
+            "--leader-arm", "left", "--n-candidates", "3", "--max-retries", "1",
+            "--data-dir", "data", "--store-size", "50", "--workers", "2",
+            "--http-url", "http://127.0.0.1:9/v1", "--http-model", "m",
+            "--api-key-env", "KEY", "--timeout", "7.5", "--judge-mode", "rubric",
+            "--out", "out",
+        ]) == 0
+        assert captured_config == [RunConfig(
+            tasks=["handover", "lift_sym"], strategies=["best_of_n", "single_agent"],
+            backend="http", seeds=[3, 1], episodes=4, n_demos=6, leader_arm="left",
+            n_candidates=3, max_retries=1, data_dir="data", store_size=50, workers=2,
+            http_url="http://127.0.0.1:9/v1", http_model="m", api_key_env="KEY",
+            timeout=7.5, judge_mode="rubric", out_dir="out",
+        )]
+
+    def test_config_file_with_bad_judge_mode_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"judge_mode": "LLM"}), encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
