@@ -12,7 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.spatial.transform import Rotation
+import numpy as np
 
 from .errors import GimbalWarning, OutOfWorkspace, RangeError
 
@@ -61,7 +61,7 @@ class ContinuousPose:
 
     def __post_init__(self):
         norm = math.sqrt(sum(c * c for c in self.orientation))
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:  # also rejects NaN and inf
             raise ValueError(f"quaternion norm {norm} not within 1e-6 of 1")
         if not 0.0 <= self.gripper <= 1.0:
             raise ValueError(f"gripper aperture {self.gripper} outside [0, 1]")
@@ -156,6 +156,39 @@ def devoxelize(voxel, bounds: WorkspaceBounds = DEFAULT_BOUNDS) -> tuple[float, 
     return tuple(out)
 
 
+def _euler_xyz(x, y, z, w) -> tuple[float, float, float]:
+    """Intrinsic xyz Euler angles in radians, each in [-pi, pi], of a quaternion.
+
+    Bernardes & Plazas (2022), "Quaternion to Euler angles conversion: a
+    direct, general and computationally efficient method", as scipy's
+    ``Rotation.as_euler("XYZ")`` implements it, specialised to that sequence:
+    the intrinsic sequence is handled as extrinsic z-y-x, an odd permutation.
+    Fed scipy's normalized quaternion, it returns scipy's angles bit for bit.
+    It calls np.hypot because that is C's hypot, as in scipy; math.hypot
+    rounds differently in the last bit. In the singular case (pitch within
+    1e-7 rad of +/-90 deg) scipy's convention applies: the yaw is set to 0
+    and the roll carries the whole rotation.
+    """
+    a, b, c, d = w - y, z - x, y + w, -x - z
+    theta = 2.0 * math.atan2(float(np.hypot(c, d)), float(np.hypot(a, b)))  # pitch+pi/2
+    half_sum = math.atan2(b, a)
+    half_diff = math.atan2(d, c)
+    if abs(theta) <= 1e-7:
+        roll, yaw = -2.0 * half_sum, 0.0
+    elif abs(theta - math.pi) <= 1e-7:
+        roll, yaw = -2.0 * half_diff, 0.0
+    else:
+        roll, yaw = -(half_sum + half_diff), half_sum - half_diff
+    angles = []
+    for angle in (roll, theta - math.pi / 2, yaw):
+        if angle < -math.pi:
+            angle += 2.0 * math.pi
+        elif angle > math.pi:
+            angle -= 2.0 * math.pi
+        angles.append(angle)
+    return tuple(angles)
+
+
 def bin_rotation(quaternion) -> tuple[int, int, int]:
     """Bin a unit quaternion into three 5-degree intrinsic-xyz Euler bins.
 
@@ -164,21 +197,19 @@ def bin_rotation(quaternion) -> tuple[int, int, int]:
     1e-3 rad of +/-90 deg, where roll and yaw become degenerate.
     """
     norm = math.sqrt(sum(c * c for c in quaternion))
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:  # also rejects NaN and inf
         raise ValueError(f"quaternion norm {norm} not within 1e-6 of 1")
-    with warnings.catch_warnings():
-        # scipy warns on exact gimbal lock; we emit our own typed flag below.
-        warnings.simplefilter("ignore", UserWarning)
-        angles = Rotation.from_quat(tuple(quaternion)).as_euler("XYZ", degrees=True)
-    if abs(abs(math.radians(angles[1])) - math.pi / 2) < 1e-3:
+    angles = _euler_xyz(*(c / norm for c in quaternion))
+    if abs(abs(angles[1]) - math.pi / 2) < 1e-3:
         warnings.warn(
-            f"pitch {angles[1]:.4f} deg is near gimbal lock; roll/yaw bins unreliable",
+            f"pitch {math.degrees(angles[1]):.4f} deg is near gimbal lock; "
+            "roll/yaw bins unreliable",
             GimbalWarning,
             stacklevel=2,
         )
     bins = []
     for a in angles:
-        a = a % 360.0
+        a = math.degrees(a) % 360.0
         if a >= 360.0:
             a = 0.0
         b = int(math.floor(a / ROTATION_BIN_DEG + _BIN_EPS))
@@ -197,8 +228,13 @@ def unbin_rotation(rot) -> tuple[float, float, float, float]:
     for r in rot:
         if not 0 <= r < ROTATION_BINS:
             raise RangeError(f"rotation bin {r} outside [0, {ROTATION_BINS - 1}]")
-    angles = [(r + 0.5) * ROTATION_BIN_DEG for r in rot]
-    return tuple(Rotation.from_euler("XYZ", angles, degrees=True).as_quat())
+    half = [math.radians((r + 0.5) * ROTATION_BIN_DEG) / 2.0 for r in rot]
+    sx, sy, sz = (math.sin(h) for h in half)
+    cx, cy, cz = (math.cos(h) for h in half)
+    # Hamilton product q_x * q_y * q_z of the three elementary rotations,
+    # multiplied out in the order scipy's from_euler("XYZ") uses.
+    x, y, z, w = sx * cy, cx * sy, sx * sy, cx * cy
+    return (cz * x + y * sz, cz * y - x * sz, w * sz + cz * z, w * cz - z * sz)
 
 
 def discretize_pose(pose: ContinuousPose, bounds: WorkspaceBounds = DEFAULT_BOUNDS) -> DiscreteAction:

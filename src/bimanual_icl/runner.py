@@ -14,7 +14,7 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +27,31 @@ from .judge import JUDGE_MODES, PlanJudge
 from .strategies import StrategyConfig, run_strategy
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list_of(check):
+    return lambda value: isinstance(value, (list, tuple)) and all(check(v) for v in value)
+
+
+# What each RunConfig annotation admits; a --config file can hold any JSON value.
+_ANNOTATION_CHECKS = {
+    "int": _is_int,
+    "float": lambda value: _is_int(value) or isinstance(value, float),
+    "str": lambda value: isinstance(value, str),
+    "str | None": lambda value: value is None or isinstance(value, str),
+    "list[str]": _is_list_of(lambda value: isinstance(value, str)),
+    "list[int]": _is_list_of(_is_int),
+}
+
+
 @dataclass
 class RunConfig:
-    tasks: list = field(default_factory=lambda: ["lift_sym"])
-    strategies: list = field(default_factory=lambda: ["leader_follower"])
+    tasks: list[str] = field(default_factory=lambda: ["lift_sym"])
+    strategies: list[str] = field(default_factory=lambda: ["leader_follower"])
     backend: str = "oracle"
-    seeds: list = field(default_factory=lambda: [0])
+    seeds: list[int] = field(default_factory=lambda: [0])
     episodes: int = 10
     n_demos: int = 10
     leader_arm: str = "right"
@@ -52,6 +71,10 @@ class RunConfig:
     workers: int = 1
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _ANNOTATION_CHECKS[f.type](value):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
         if self.episodes < 1:
             raise ConfigError("episodes must be >= 1")
         if self.n_demos < 1:

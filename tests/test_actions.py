@@ -1,9 +1,19 @@
+import math
+import os
 import random
+import subprocess
+import sys
 import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
+
+import bimanual_icl
 
 from bimanual_icl.actions import (
     BimanualAction,
@@ -11,6 +21,7 @@ from bimanual_icl.actions import (
     DEFAULT_BOUNDS,
     DiscreteAction,
     WorkspaceBounds,
+    _euler_xyz,
     bin_rotation,
     devoxelize,
     discretize_pose,
@@ -24,6 +35,33 @@ IDENTITY_QUAT = (0.0, 0.0, 0.0, 1.0)
 
 def quat_from_euler(x, y, z):
     return tuple(Rotation.from_euler("XYZ", [x, y, z], degrees=True).as_quat())
+
+
+def scipy_bins(quaternion):
+    """Reference binning: scipy's intrinsic-xyz Euler angles, binned as bin_rotation does."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # scipy's own gimbal-lock warning
+        angles = Rotation.from_quat(quaternion).as_euler("XYZ", degrees=True)
+    bins = []
+    for a in angles:
+        a = a % 360.0
+        if a >= 360.0:
+            a = 0.0
+        bins.append(min(int(math.floor(a / 5.0 + 1e-9)), 71))
+    return tuple(bins)
+
+
+def _normalized(q):
+    norm = math.sqrt(sum(c * c for c in q))
+    return tuple(c / norm for c in q)
+
+
+unit_quaternions = (
+    st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 4)
+    .filter(lambda q: sum(c * c for c in q) > 1e-2)
+    .map(_normalized)
+)
+rotation_bins = st.tuples(*[st.integers(0, 71)] * 3)
 
 
 class TestVoxelize:
@@ -116,6 +154,70 @@ class TestRotationBinning:
         with pytest.raises(ValueError):
             bin_rotation((0.0, 0.0, 0.0, 0.9))
 
+    @pytest.mark.parametrize("quaternion", [
+        (math.nan, 0.0, 0.0, 1.0),
+        (0.0, 0.0, 0.0, math.inf),
+        (-math.inf, 0.0, 0.0, 0.0),
+    ])
+    def test_rejects_non_finite_quaternion(self, quaternion):
+        with pytest.raises(ValueError, match="not within 1e-6 of 1"):
+            bin_rotation(quaternion)
+
+    @settings(max_examples=300)
+    @given(unit_quaternions)
+    @example(quat_from_euler(10, 20, 30))
+    @example(tuple(-c for c in quat_from_euler(10, 20, 30)))
+    @example(quat_from_euler(0, 90, 0))
+    @example(quat_from_euler(40, -90, 25))
+    @example((0.0, math.sqrt(0.5), 0.0, math.sqrt(0.5)))
+    @example((0.0, -math.sqrt(0.5), 0.0, math.sqrt(0.5)))
+    @example(quat_from_euler(5, 0, 0))
+    @example(quat_from_euler(5, 10, 15))
+    @example(quat_from_euler(-5, 0, 355))
+    @example(quat_from_euler(180, 85, -180))
+    @example(quat_from_euler(0, 80, 240))  # bins differ unless normalized as scipy does
+    @example(quat_from_euler(20, -90 + math.degrees(5e-8), 30))  # inside scipy's 1e-7 lock band
+    @pytest.mark.filterwarnings("ignore::bimanual_icl.errors.GimbalWarning")
+    def test_bins_match_scipy(self, quaternion):
+        negated = tuple(-c for c in quaternion)
+        assert bin_rotation(quaternion) == scipy_bins(quaternion)
+        assert bin_rotation(negated) == scipy_bins(negated)
+
+    @settings(max_examples=300)
+    @given(unit_quaternions)
+    @example(quat_from_euler(2.5, 7.5, 42.5))  # math.hypot and C's hypot round apart here
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_angles_match_scipy_bit_for_bit(self, quaternion):
+        # Equal bits keep the bins equal even for an angle on a bin edge.
+        norm = math.sqrt(sum(c * c for c in quaternion))
+        expected = Rotation.from_quat(quaternion).as_euler("XYZ")
+        assert _euler_xyz(*(c / norm for c in quaternion)) == tuple(expected)
+
+    def test_concurrent_calls_leave_warning_filters_alone(self):
+        # Muting a warning with warnings.catch_warnings() inside bin_rotation
+        # races between threads and can leave the mute behind for good.
+        quaternions = [quat_from_euler(10 * i, 20, 30) for i in range(8)]
+
+        def work(q):
+            for _ in range(300):
+                bin_rotation(q)
+
+        before = list(warnings.filters)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(q,)) for q in quaternions]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert warnings.filters == before
+        with pytest.warns(GimbalWarning):
+            bin_rotation(quat_from_euler(0, 90, 0))
+
 
 class TestRotationUnbinning:
     def test_bin_centers(self):
@@ -127,6 +229,17 @@ class TestRotationUnbinning:
     def test_rejects_out_of_range(self):
         with pytest.raises(RangeError):
             unbin_rotation((72, 0, 0))
+
+    @given(rotation_bins)
+    @example((0, 0, 0))
+    @example((71, 71, 71))
+    @example((0, 17, 0))
+    @example((0, 18, 0))
+    @example((35, 36, 37))
+    def test_matches_scipy(self, bins):
+        centers = [(r + 0.5) * 5.0 for r in bins]
+        expected = Rotation.from_euler("XYZ", centers, degrees=True).as_quat()
+        assert np.allclose(unbin_rotation(bins), expected, rtol=0.0, atol=1e-15)
 
     def test_round_trip_on_canonical_pitch_band(self):
         # Euler xyz angles are recoverable only when the pitch lies in the
@@ -224,3 +337,23 @@ class TestActionTypes:
             ContinuousPose(position=(0, 0, 0), orientation=(0, 0, 0, 1.1), gripper=0.5)
         with pytest.raises(ValueError):
             ContinuousPose(position=(0, 0, 0), orientation=IDENTITY_QUAT, gripper=1.5)
+
+    @pytest.mark.parametrize("orientation", [
+        (math.nan, 0.0, 0.0, 1.0),
+        (0.0, math.inf, 0.0, 0.0),
+        (0.0, 0.0, -math.inf, 1.0),
+    ])
+    def test_pose_rejects_non_finite_orientation(self, orientation):
+        with pytest.raises(ValueError, match="not within 1e-6 of 1"):
+            ContinuousPose(position=(0, 0, 0), orientation=orientation, gripper=0.5)
+
+
+@pytest.mark.parametrize("module", ["bimanual_icl", "bimanual_icl.cli"])
+def test_import_does_not_load_scipy(module):
+    src = str(Path(bimanual_icl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -95,7 +95,22 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             small_config(backend="carrier-pigeon").validate()
 
+    def test_float_fields_accept_int(self):
+        small_config(temperature=1, judge_temperature=0, timeout=30).validate()
+
     @pytest.mark.parametrize("override", [
+        {"seeds": "0,1"},
+        {"seeds": [0, True]},
+        {"tasks": "lift_sym"},
+        {"strategies": [1]},
+        {"episodes": "2"},
+        {"episodes": 2.0},
+        {"workers": True},
+        {"store_size": None},
+        {"temperature": "hot"},
+        {"timeout": False},
+        {"backend": 1},
+        {"data_dir": 3},
         {"max_retries": -1},
         {"n_candidates": 0},
         {"leader_arm": "up"},
@@ -308,11 +323,18 @@ class TestCli:
             timeout=7.5, judge_mode="rubric", out_dir="out",
         )]
 
-    def test_config_file_with_bad_judge_mode_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("config", [
+        {"judge_mode": "LLM"},
+        {"seeds": "0,1"},
+        {"episodes": "2"},
+        {"workers": True},
+    ])
+    def test_config_file_with_bad_value_exits_2(self, tmp_path, capsys, config):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"judge_mode": "LLM"}), encoding="utf-8")
-        assert main(["run", "--config", str(path)]) == 2
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
