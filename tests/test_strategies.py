@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from bimanual_icl.actions import BimanualAction, DiscreteAction
@@ -185,6 +187,17 @@ class TestArmsDebate:
         assert plan.actions[0].right.voxel == (12, 50, 42)
         assert plan.actions[0].left.voxel == (82, 50, 42)
 
+    def test_mirror_symmetry(self, two_demo_fixture):
+        demos, test_obs = two_demo_fixture
+        gw1, _ = oracle_gateway()
+        plan_right = run_arms_debate(gw1, demos, test_obs,
+                                     StrategyConfig(kind="arms_debate", leader_arm="right"))
+        gw2, _ = oracle_gateway()
+        plan_left = run_arms_debate(gw2, [mirrored(d) for d in demos], test_obs,
+                                    StrategyConfig(kind="arms_debate", leader_arm="left"))
+        assert [a.right for a in plan_left.actions] == [a.left for a in plan_right.actions]
+        assert [a.left for a in plan_left.actions] == [a.right for a in plan_right.actions]
+
     def test_fresh_prompts_have_single_partner_key(self, two_demo_fixture):
         demos, test_obs = two_demo_fixture
         seen = []
@@ -202,6 +215,31 @@ class TestArmsDebate:
             assert keys == len(demos) + 1  # exactly one partner key per observation
             assert not ("'leader_arm':" in user and "'follower_arm':" in user)
         assert "'follower_arm':" in seen[2]
+
+
+class TestChainPromptDigests:
+    """sha256 of every (system, user) pair the conditioned chains send on the
+    two-demo fixture, per leader arm and tag; recorded before the two chains
+    shared one turn loop, so any change to a turn's prompt shows here. Each
+    call is answered with a different plan, so every conditioned prompt
+    also pins which earlier turn it embeds."""
+
+    @pytest.mark.parametrize("leader_arm", ["right", "left"])
+    def test_prompts_are_pinned(self, two_demo_fixture, leader_arm):
+        demos, test_obs = two_demo_fixture
+        digests = {}
+
+        def capture(req):
+            pair = f"{req.system}\0{req.user}".encode("utf-8")
+            digests[req.tag] = hashlib.sha256(pair).hexdigest()
+            k = len(digests)
+            return f"[[{10 + k}, 50, 40, 0, 0, {k}, 1], [{10 + k}, 50, {20 + k}, 0, 0, {k}, 0]]"
+
+        gw = ChatGateway(capture, CallLog())
+        for run, kind in ((run_leader_follower, "leader_follower"),
+                          (run_arms_debate, "arms_debate")):
+            run(gw, demos, test_obs, StrategyConfig(kind=kind, leader_arm=leader_arm))
+        assert digests == CHAIN_PROMPT_DIGESTS[leader_arm]
 
 
 class TestBestOfN:
@@ -350,3 +388,23 @@ class TestRetryBudgets:
             assert log.count() == 3 * logical, kind
             attempts = [r.attempt for r in log.records()]
             assert attempts.count(3) == logical
+
+
+CHAIN_PROMPT_DIGESTS = {
+    "right": {
+        "lf:leader": "a5c67165a36a8023d057594c620b34ba8bc65e04ed176f6dbe21f020be408b3b",
+        "lf:follower": "d6d5985f668a0accb9e35d0ae87f334bb6e06941a52ed13ff57f04973ede09cc",
+        "debate:leader1": "a5c67165a36a8023d057594c620b34ba8bc65e04ed176f6dbe21f020be408b3b",
+        "debate:follower1": "941d06c4216ae83fd4924a84fef02626946f96bc777c112e59b81bf945ece19b",
+        "debate:leader2": "6e7758c4097d56aa2f485a63c35df171b8f9445dd2a225165323cfc55d4eb6dc",
+        "debate:follower2": "4e9f7b85e7d3425fa6e5e107626791bd711aa62495de4cf87adbcec44d3111d2",
+    },
+    "left": {
+        "lf:leader": "55b98f8f2f9043ddb796dfd8cb81da7a09cc432854a5ecf016c46105ee060560",
+        "lf:follower": "a6d1b3693f9a035eef560063b1911836394e2430d13ab537350a4e6279f4015f",
+        "debate:leader1": "55b98f8f2f9043ddb796dfd8cb81da7a09cc432854a5ecf016c46105ee060560",
+        "debate:follower1": "fc605c938486d9c62a65eee2a5fde5f3a65e8ac31264c93f7d9bf6d74d3bcac7",
+        "debate:leader2": "f13e7d260dc69121fff8e71fb8a4014515b22fe79f0233826a44ef6a58dd934f",
+        "debate:follower2": "4b4e90adb5556cd0f2aa8a2e87165b4b59567dccb94806f405f382987ca6c470",
+    },
+}
