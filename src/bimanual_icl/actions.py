@@ -44,9 +44,6 @@ class WorkspaceBounds:
     def span(self) -> tuple[float, float, float]:
         return tuple(hi - lo for lo, hi in zip(self.min, self.max))
 
-    def contains(self, position) -> bool:
-        return all(lo <= p <= hi for p, lo, hi in zip(position, self.min, self.max))
-
 
 DEFAULT_BOUNDS = WorkspaceBounds(min=(-0.3, -0.5, 0.6), max=(0.7, 0.5, 1.6))
 
@@ -67,6 +64,17 @@ class ContinuousPose:
             raise ValueError(f"gripper aperture {self.gripper} outside [0, 1]")
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_integers(values, limit: int, what: str):
+    """Raise RangeError unless every value is an integer (not a bool) in [0, limit)."""
+    for v in values:
+        if not _is_integer(v) or not 0 <= v < limit:
+            raise RangeError(f"{what} {v} outside [0, {limit - 1}]")
+
+
 @dataclass(frozen=True)
 class DiscreteAction:
     """One arm's discretized keyframe command: voxel triple, rotation bins, gripper bit."""
@@ -76,13 +84,9 @@ class DiscreteAction:
     gripper: int
 
     def __post_init__(self):
-        for v in self.voxel:
-            if not 0 <= v < VOXELS_PER_AXIS:
-                raise RangeError(f"voxel component {v} outside [0, {VOXELS_PER_AXIS - 1}]")
-        for r in self.rot:
-            if not 0 <= r < ROTATION_BINS:
-                raise RangeError(f"rotation bin {r} outside [0, {ROTATION_BINS - 1}]")
-        if self.gripper not in (0, 1):
+        _check_integers(self.voxel, VOXELS_PER_AXIS, "voxel component")
+        _check_integers(self.rot, ROTATION_BINS, "rotation bin")
+        if not _is_integer(self.gripper) or self.gripper not in (0, 1):
             raise RangeError(f"gripper bit {self.gripper} not in {{0, 1}}")
 
     def as_tuple(self) -> tuple[int, ...]:
@@ -90,7 +94,7 @@ class DiscreteAction:
 
     @classmethod
     def from_tuple(cls, values) -> "DiscreteAction":
-        values = tuple(int(v) for v in values)
+        values = tuple(values)
         if len(values) != 7:
             raise RangeError(f"expected 7 components, got {len(values)}")
         return cls(voxel=values[0:3], rot=values[3:6], gripper=values[6])
@@ -108,7 +112,7 @@ class BimanualAction:
 
     @classmethod
     def from_tuple(cls, values) -> "BimanualAction":
-        values = tuple(int(v) for v in values)
+        values = tuple(values)
         if len(values) != 14:
             raise RangeError(f"expected 14 components, got {len(values)}")
         return cls(
@@ -148,12 +152,9 @@ def devoxelize(voxel, bounds: WorkspaceBounds = DEFAULT_BOUNDS) -> tuple[float, 
     (v + 50.5)/9900 of the span per axis (under 0.015 everywhere), and
     voxelize(devoxelize(v)) = v holds exactly for v <= 49.
     """
-    out = []
-    for v, lo, hi in zip(voxel, bounds.min, bounds.max):
-        if not 0 <= v < VOXELS_PER_AXIS:
-            raise RangeError(f"voxel component {v} outside [0, {VOXELS_PER_AXIS - 1}]")
-        out.append(lo + (v + 0.5) / VOXELS_PER_AXIS * (hi - lo))
-    return tuple(out)
+    _check_integers(voxel, VOXELS_PER_AXIS, "voxel component")
+    return tuple(lo + (v + 0.5) / VOXELS_PER_AXIS * (hi - lo)
+                 for v, lo, hi in zip(voxel, bounds.min, bounds.max))
 
 
 def _euler_xyz(x, y, z, w) -> tuple[float, float, float]:
@@ -225,9 +226,7 @@ def unbin_rotation(rot) -> tuple[float, float, float, float]:
     in the canonical Euler band [0, 90) or (270, 360) deg, i.e. pitch bins
     0-17 and 54-71; outside it the xyz Euler chart cannot be inverted.
     """
-    for r in rot:
-        if not 0 <= r < ROTATION_BINS:
-            raise RangeError(f"rotation bin {r} outside [0, {ROTATION_BINS - 1}]")
+    _check_integers(rot, ROTATION_BINS, "rotation bin")
     half = [math.radians((r + 0.5) * ROTATION_BIN_DEG) / 2.0 for r in rot]
     sx, sy, sz = (math.sin(h) for h in half)
     cx, cy, cz = (math.cos(h) for h in half)

@@ -62,12 +62,6 @@ class TaskSpec:
     coupling: str  # symmetric | asymmetric | loose
     bimanual_objects: tuple = ()  # objects that move only when held by both arms
 
-    def object(self, name: str) -> ObjectSpec:
-        for spec in self.objects:
-            if spec.name == name:
-                return spec
-        raise KeyError(name)
-
 
 @dataclass
 class World:

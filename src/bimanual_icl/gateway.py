@@ -250,12 +250,8 @@ class ChatGateway:
         self.backend = backend
         self.log = log if log is not None else CallLog()
 
-    def complete(self, req: ChatRequest) -> str:
-        text, _ = self.complete_with_record(req, attempt=1)
-        return text
-
     def complete_with_record(self, req: ChatRequest, attempt: int = 1):
-        """Like complete(), also returning the CallRecord for outcome updates."""
+        """Call the backend once; return its text and the CallRecord for outcome updates."""
         started = time.perf_counter()
         try:
             text = self.backend(req)

@@ -10,7 +10,6 @@ Three fusion strategies are supported:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,45 +142,3 @@ def observation_l1(a, b) -> int:
             continue
         total += sum(abs(x - y) for x, y in zip(va, vb))
     return total
-
-
-def load_point_cloud_file(path):
-    """Read a point-cloud fixture file into per-object camera clouds.
-
-    Format: one record per line, ``camera_id object_name x y z`` (meters),
-    UTF-8, '#' starts a comment. Returns an ordered mapping
-    object_name -> list of MaskedCloud, grouping points per camera.
-    """
-    grouped: dict[str, dict[str, list]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != 5:
-                raise ValueError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
-            camera, name = fields[0], fields[1]
-            try:
-                point = tuple(float(v) for v in fields[2:5])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad coordinate: {exc}") from exc
-            if not all(math.isfinite(v) for v in point):
-                raise ValueError(f"{path}:{lineno}: non-finite coordinate")
-            grouped.setdefault(name, {}).setdefault(camera, []).append(point)
-    return {
-        name: [
-            MaskedCloud(camera_id=camera, object_name=name, points=np.array(pts))
-            for camera, pts in cameras.items()
-        ]
-        for name, cameras in grouped.items()
-    }
-
-
-def save_point_cloud_file(path, object_clouds):
-    """Write per-object camera clouds in the fixture file format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for name, clouds in object_clouds.items():
-            for cloud in clouds:
-                for x, y, z in cloud.points:
-                    fh.write(f"{cloud.camera_id} {name} {float(x)!r} {float(y)!r} {float(z)!r}\n")

@@ -22,8 +22,8 @@ import ast
 import json
 from dataclasses import dataclass
 
-from .actions import BimanualAction, DiscreteAction, ROTATION_BINS, VOXELS_PER_AXIS
-from .errors import ArityMismatch, OracleParseError, ParseFailure, RangeViolation
+from .actions import BimanualAction, DiscreteAction
+from .errors import ArityMismatch, OracleParseError, ParseFailure, RangeError, RangeViolation
 from .perception import Observation
 
 ARM_FILTERS = ("right", "left", "both")
@@ -168,19 +168,17 @@ def build_single_prompt(demos, test_obs: Observation, arm_filter: str = "both",
 
 
 def build_conditioned_prompt(demos, test_obs: Observation, *, target_arm: str,
-                             partner_arm: str, partner_key: str, partner_pred,
-                             role: str = "follower") -> PromptBundle:
+                             partner_key: str, partner_pred) -> PromptBundle:
     """Prompt for one arm conditioned on the other arm's trajectory.
 
     Every demo observation gains a ``partner_key`` entry holding the demo's
     ground-truth partner-arm actions, and the demo actions are reduced to
     the target arm. The test observation embeds the partner's *predicted*
-    trajectory under the same key.
+    trajectory under the same key. The target arm follows when its partner
+    is the leader and leads otherwise.
     """
-    if target_arm not in ("right", "left") or partner_arm not in ("right", "left"):
-        raise ValueError("target_arm and partner_arm must be 'right' or 'left'")
-    if target_arm == partner_arm:
-        raise ValueError("target and partner arm must differ")
+    if target_arm not in ("right", "left"):
+        raise ValueError(f"target_arm must be 'right' or 'left', got {target_arm!r}")
     if partner_key not in PARTNER_KEYS:
         raise ValueError(f"unknown partner key {partner_key!r}")
     partner_pred = tuple(partner_pred)
@@ -189,6 +187,7 @@ def build_conditioned_prompt(demos, test_obs: Observation, *, target_arm: str,
     if not demos:
         raise ValueError("at least one demonstration is required")
 
+    partner_arm = "left" if target_arm == "right" else "right"
     pairs = []
     for demo in demos:
         augmented = demo.observation.with_partner(
@@ -204,7 +203,7 @@ def build_conditioned_prompt(demos, test_obs: Observation, *, target_arm: str,
     return PromptBundle(
         system_text=SINGLE_ARM_SYSTEM.format(arm=target_arm),
         user_text=_demo_pairs(pairs, serialize_observation(test_aug)),
-        role=role,
+        role="follower" if partner_key == "leader_arm" else "leader",
         arm=target_arm,
     )
 
@@ -212,17 +211,9 @@ def build_conditioned_prompt(demos, test_obs: Observation, *, target_arm: str,
 def build_follower_prompt(demos, test_obs: Observation, leader_pred,
                           leader_is_right: bool = True) -> PromptBundle:
     """Follower-phase prompt: demos and test observation carry the leader plan."""
-    leader = "right" if leader_is_right else "left"
-    follower = "left" if leader_is_right else "right"
     return build_conditioned_prompt(
-        demos,
-        test_obs,
-        target_arm=follower,
-        partner_arm=leader,
-        partner_key="leader_arm",
-        partner_pred=leader_pred,
-        role="follower",
-    )
+        demos, test_obs, target_arm="left" if leader_is_right else "right",
+        partner_key="leader_arm", partner_pred=leader_pred)
 
 
 def build_judge_prompt(demos, test_obs: Observation, candidate_actions) -> PromptBundle:
@@ -245,18 +236,11 @@ def validate_action_values(values, arity: int):
         raise ValueError(f"arity must be 7 or 14, got {arity}")
     if len(values) != arity:
         raise ArityMismatch(f"expected {arity} components, got {len(values)}: {values}")
-    for offset in range(0, arity, 7):
-        for i in range(3):
-            v = values[offset + i]
-            if not 0 <= v < VOXELS_PER_AXIS:
-                raise RangeViolation(f"voxel component {v} outside [0, {VOXELS_PER_AXIS - 1}]")
-        for i in range(3, 6):
-            v = values[offset + i]
-            if not 0 <= v < ROTATION_BINS:
-                raise RangeViolation(f"rotation bin {v} outside [0, {ROTATION_BINS - 1}]")
-        g = values[offset + 6]
-        if g not in (0, 1):
-            raise RangeViolation(f"gripper bit {g} not in {{0, 1}}")
+    try:
+        for offset in range(0, arity, 7):
+            DiscreteAction.from_tuple(values[offset:offset + 7])
+    except RangeError as exc:
+        raise RangeViolation(str(exc)) from exc
 
 
 def _balanced_span(text: str, start: int, open_ch: str, close_ch: str):

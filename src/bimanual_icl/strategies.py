@@ -58,27 +58,19 @@ class BimanualPlan:
             raise EmptyTrajectory("a plan needs at least one action")
 
 
-def compose(leader_traj, follower_traj, leader_is_right: bool = True,
-            kind: str = "leader_follower", tags=()) -> BimanualPlan:
-    """Zip two single-arm trajectories to the longer length.
+def compose(right, left, kind: str, tags=()) -> BimanualPlan:
+    """Zip the two arms' trajectories to the longer length.
 
-    The shorter trajectory is padded by repeating its final action; the
-    leader lands in the right-arm slot iff ``leader_is_right``.
+    The shorter trajectory is padded by repeating its final action.
     """
-    leader_traj = tuple(leader_traj)
-    follower_traj = tuple(follower_traj)
-    if not leader_traj or not follower_traj:
+    right, left = tuple(right), tuple(left)
+    if not right or not left:
         raise EmptyTrajectory("both trajectories must be non-empty")
-    length = max(len(leader_traj), len(follower_traj))
-    actions = []
-    for k in range(length):
-        lead = leader_traj[min(k, len(leader_traj) - 1)]
-        follow = follower_traj[min(k, len(follower_traj) - 1)]
-        if leader_is_right:
-            actions.append(BimanualAction(right=lead, left=follow))
-        else:
-            actions.append(BimanualAction(right=follow, left=lead))
-    return BimanualPlan(actions=tuple(actions), kind=kind, tags=tuple(tags))
+    actions = tuple(
+        BimanualAction(right=right[min(k, len(right) - 1)], left=left[min(k, len(left) - 1)])
+        for k in range(max(len(right), len(left)))
+    )
+    return BimanualPlan(actions=actions, kind=kind, tags=tuple(tags))
 
 
 def _call(gateway: ChatGateway, bundle, cfg: StrategyConfig, tag: str, arity: int,
@@ -119,8 +111,32 @@ def run_dual_agent(gateway: ChatGateway, demos, obs: Observation,
         left_future = pool.submit(predict, "left")
         right = right_future.result().to_discrete()
         left = left_future.result().to_discrete()
-    return compose(right, left, leader_is_right=True, kind="dual_agent",
-                   tags=("dual:right", "dual:left"))
+    return compose(right, left, kind="dual_agent", tags=("dual:right", "dual:left"))
+
+
+def _run_turns(gateway: ChatGateway, demos, obs: Observation, cfg: StrategyConfig,
+               kind: str, tag_prefix: str, turns: tuple[str, ...]) -> BimanualPlan:
+    """Sequential single-arm calls, alternating leader and follower arm.
+
+    The first turn sees the demos only; every later turn is conditioned on
+    the previous turn's prediction, filed under that turn's role. Each
+    turn's name is its tag suffix and its failure phase. The plan pairs the
+    last prediction of each arm.
+    """
+    arms = (cfg.leader_arm, "left" if cfg.leader_arm == "right" else "right")
+    latest = {}
+    for k, turn in enumerate(turns):
+        arm = arms[k % 2]
+        if k == 0:
+            bundle = build_single_prompt(demos, obs, arm_filter=arm, role="leader")
+        else:
+            partner_key = "leader_arm" if k % 2 else "follower_arm"
+            bundle = build_conditioned_prompt(demos, obs, target_arm=arm,
+                                              partner_key=partner_key, partner_pred=pred)
+        pred = latest[arm] = _call(gateway, bundle, cfg, tag=f"{tag_prefix}:{turn}", arity=7,
+                                   phase=turn).to_discrete()
+    return compose(latest["right"], latest["left"], kind=kind,
+                   tags=tuple(f"{tag_prefix}:{turn}" for turn in turns))
 
 
 def run_leader_follower(gateway: ChatGateway, demos, obs: Observation,
@@ -128,62 +144,21 @@ def run_leader_follower(gateway: ChatGateway, demos, obs: Observation,
                         tag_prefix: str = "lf") -> BimanualPlan:
     """Leader predicts first; the follower conditions on the leader's plan."""
     cfg = cfg or StrategyConfig(kind="leader_follower")
-    leader_is_right = cfg.leader_arm == "right"
-
-    leader_bundle = build_single_prompt(demos, obs, arm_filter=cfg.leader_arm, role="leader")
-    leader = _call(gateway, leader_bundle, cfg, tag=f"{tag_prefix}:leader", arity=7,
-                   phase="leader").to_discrete()
-
-    follower_bundle = build_follower_prompt(demos, obs, leader, leader_is_right=leader_is_right)
-    follower = _call(gateway, follower_bundle, cfg, tag=f"{tag_prefix}:follower", arity=7,
-                     phase="follower").to_discrete()
-
-    return compose(leader, follower, leader_is_right=leader_is_right,
-                   kind="leader_follower", tags=(f"{tag_prefix}:leader", f"{tag_prefix}:follower"))
+    return _run_turns(gateway, demos, obs, cfg, "leader_follower", tag_prefix,
+                      ("leader", "follower"))
 
 
 def run_arms_debate(gateway: ChatGateway, demos, obs: Observation,
                     cfg: StrategyConfig | None = None,
                     tag_prefix: str = "debate") -> BimanualPlan:
-    """Two leader-follower rounds with reversed conditioning in round two.
+    """The leader-follower chain run for two more turns.
 
     Four strictly sequential single-arm calls, each with a fresh prompt and
     no conversation state; the final plan uses only the round-2 predictions.
     """
     cfg = cfg or StrategyConfig(kind="arms_debate")
-    leader_arm = cfg.leader_arm
-    follower_arm = "left" if leader_arm == "right" else "right"
-    leader_is_right = leader_arm == "right"
-
-    bundle = build_single_prompt(demos, obs, arm_filter=leader_arm, role="leader")
-    leader_r1 = _call(gateway, bundle, cfg, tag=f"{tag_prefix}:leader1", arity=7,
-                      phase="leader_round1").to_discrete()
-
-    bundle = build_conditioned_prompt(
-        demos, obs, target_arm=follower_arm, partner_arm=leader_arm,
-        partner_key="leader_arm", partner_pred=leader_r1, role="follower",
-    )
-    follower_r1 = _call(gateway, bundle, cfg, tag=f"{tag_prefix}:follower1", arity=7,
-                        phase="follower_round1").to_discrete()
-
-    bundle = build_conditioned_prompt(
-        demos, obs, target_arm=leader_arm, partner_arm=follower_arm,
-        partner_key="follower_arm", partner_pred=follower_r1, role="leader",
-    )
-    leader_r2 = _call(gateway, bundle, cfg, tag=f"{tag_prefix}:leader2", arity=7,
-                      phase="leader_round2").to_discrete()
-
-    bundle = build_conditioned_prompt(
-        demos, obs, target_arm=follower_arm, partner_arm=leader_arm,
-        partner_key="leader_arm", partner_pred=leader_r2, role="follower",
-    )
-    follower_r2 = _call(gateway, bundle, cfg, tag=f"{tag_prefix}:follower2", arity=7,
-                        phase="follower_round2").to_discrete()
-
-    return compose(leader_r2, follower_r2, leader_is_right=leader_is_right,
-                   kind="arms_debate",
-                   tags=tuple(f"{tag_prefix}:{p}" for p in
-                              ("leader1", "follower1", "leader2", "follower2")))
+    return _run_turns(gateway, demos, obs, cfg, "arms_debate", tag_prefix,
+                      ("leader1", "follower1", "leader2", "follower2"))
 
 
 def _run_reranked(gateway: ChatGateway, demos, obs: Observation, cfg: StrategyConfig,
@@ -247,6 +222,7 @@ def run_debate_plus_bon(gateway: ChatGateway, demos, obs: Observation,
 
 # Each entry looks its function up in this module at call time, so a
 # rebound module attribute (a tracer's wrapper, a test patch) sees every call.
+# build_follower_prompt is imported above only so such a tracer finds it.
 _STRATEGIES = {
     "single_agent": lambda *args, judge: run_single_agent(*args),
     "dual_agent": lambda *args, judge: run_dual_agent(*args),

@@ -27,6 +27,15 @@ def pytest_configure(config):
     set_hypothesis_home_dir(home.name)
 
 
+def pytest_collection_modifyitems(items):
+    """A leaked socket, file or pipe fails the test that leaked it. Kept here
+    rather than in pyproject.toml so the filter covers this suite only."""
+    for item in items:
+        item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+        item.add_marker(pytest.mark.filterwarnings(
+            "error::pytest.PytestUnraisableExceptionWarning"))
+
+
 def _action(x, y, z, g):
     return DiscreteAction(voxel=(x, y, z), rot=(36, 36, 0), gripper=g)
 
@@ -92,6 +101,7 @@ def stub_server():
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
     thread.join(timeout=2)
 
 

@@ -85,8 +85,8 @@ def test_criterion_2_prompt_grammar(two_demo_fixture):
             "follower_left": build_follower_prompt(demos, test_obs, leader_pred,
                                                    leader_is_right=True),
             "debate_round2_leader": build_conditioned_prompt(
-                demos, test_obs, target_arm="right", partner_arm="left",
-                partner_key="follower_arm", partner_pred=follower_pred, role="leader"),
+                demos, test_obs, target_arm="right",
+                partner_key="follower_arm", partner_pred=follower_pred),
         }
         for name, bundle in built.items():
             golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import random
@@ -107,6 +108,8 @@ class TestDevoxelize:
             devoxelize((100, 0, 0))
         with pytest.raises(RangeError):
             devoxelize((0, -1, 0))
+        with pytest.raises(RangeError):
+            devoxelize((1.5, 0, 0))
 
     def test_round_trip_on_subgrid(self):
         for x in range(10):
@@ -230,6 +233,11 @@ class TestRotationUnbinning:
         with pytest.raises(RangeError):
             unbin_rotation((72, 0, 0))
 
+    @pytest.mark.parametrize("bins", [(3.7, True, 0), (3.7, 0, 0), (0, True, 0), (0, 0, 2.0)])
+    def test_rejects_non_integer_bins(self, bins):
+        with pytest.raises(RangeError):
+            unbin_rotation(bins)
+
     @given(rotation_bins)
     @example((0, 0, 0))
     @example((71, 71, 71))
@@ -320,6 +328,30 @@ class TestActionTypes:
             DiscreteAction(voxel=(0, 0, 0), rot=(72, 0, 0), gripper=1)
         with pytest.raises(RangeError):
             DiscreteAction(voxel=(0, 0, 0), rot=(0, 0, 0), gripper=2)
+
+    @pytest.mark.parametrize("fields", [
+        {"voxel": (1.5, 0, 0)},
+        {"voxel": (True, 0, 0)},
+        {"rot": (0, 2.0, 0)},
+        {"gripper": True},
+        {"gripper": 1.0},
+        {"gripper": np.float64(0.0)},
+    ])
+    def test_discrete_action_rejects_non_integers(self, fields):
+        with pytest.raises(RangeError):
+            DiscreteAction(**{"voxel": (0, 0, 0), "rot": (0, 0, 0), "gripper": 1, **fields})
+
+    def test_numpy_integers_accepted(self):
+        action = DiscreteAction(voxel=(np.int64(1), np.int32(2), 3),
+                                rot=(np.uint8(4), 5, 6), gripper=np.int64(1))
+        assert action == DiscreteAction(voxel=(1, 2, 3), rot=(4, 5, 6), gripper=1)
+
+    def test_from_tuple_does_not_truncate(self):
+        with pytest.raises(RangeError):
+            DiscreteAction.from_tuple((1.9, 0, 0, 0, 0, 0, 1))
+        demo_row = json.loads("[52.7, 49, 40, 36, 36, 0, 1, 20, 60, 40, 36, 36, 0, 1]")
+        with pytest.raises(RangeError):
+            BimanualAction.from_tuple(demo_row)
 
     def test_tuple_round_trip(self):
         action = DiscreteAction(voxel=(1, 2, 3), rot=(4, 5, 6), gripper=1)

@@ -43,7 +43,7 @@ class TestScriptedBackends:
 
     def test_callable_backend(self):
         gw = ChatGateway(lambda r: r.user.upper(), CallLog())
-        assert gw.complete(req("hello")) == "HELLO"
+        assert gw.complete_with_record(req("hello"))[0] == "HELLO"
 
     def test_flaky_backend_is_per_prompt(self):
         inner = lambda r: "[[1,2,3,4,5,6,1]]"
@@ -59,7 +59,7 @@ class TestGatewayAccounting:
     def test_complete_records_ok(self):
         log = CallLog()
         gw = ChatGateway(lambda r: "out", log)
-        text = gw.complete(req("abc", system="sy", tag="leader"))
+        text = gw.complete_with_record(req("abc", system="sy", tag="leader"))[0]
         assert text == "out"
         record = log.records()[0]
         assert record.tag == "leader"
@@ -75,7 +75,7 @@ class TestGatewayAccounting:
         log = CallLog()
         gw = ChatGateway(boom, log)
         with pytest.raises(TransportError):
-            gw.complete(req("x"))
+            gw.complete_with_record(req("x"))
         assert log.records()[0].outcome == "transport_fail"
 
     def test_parsed_first_try(self):

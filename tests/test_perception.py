@@ -12,9 +12,7 @@ from bimanual_icl.perception import (
     build_observation,
     centroid_error,
     extract_centroid,
-    load_point_cloud_file,
     observation_l1,
-    save_point_cloud_file,
 )
 
 
@@ -204,34 +202,3 @@ class TestObservationL1:
         obs = Observation(entries={})
         with pytest.raises(ValueError):
             obs.with_partner("other_arm", [])
-
-
-class TestPointCloudFiles:
-    def test_round_trip(self, tmp_path):
-        clouds = {
-            "ball": [cloud("cam0", "ball", [(0.1, 0.2, 0.9), (0.11, 0.21, 0.91)])],
-            "cup": [cloud("cam0", "cup", [(0.3, -0.1, 1.2)]), cloud("cam1", "cup", [(0.31, -0.09, 1.21)])],
-        }
-        path = tmp_path / "scene.txt"
-        save_point_cloud_file(path, clouds)
-        loaded = load_point_cloud_file(path)
-        assert list(loaded) == ["ball", "cup"]
-        assert len(loaded["cup"]) == 2
-        np.testing.assert_allclose(loaded["ball"][0].points, clouds["ball"][0].points)
-
-    def test_comments_and_blank_lines(self, tmp_path):
-        path = tmp_path / "scene.txt"
-        path.write_text(
-            "# a comment\n"
-            "\n"
-            "cam0 ball 0.1 0.2 0.9  # trailing comment\n",
-            encoding="utf-8",
-        )
-        loaded = load_point_cloud_file(path)
-        assert loaded["ball"][0].points.shape == (1, 3)
-
-    def test_malformed_line(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("cam0 ball 0.1 0.2\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="expected 5 fields"):
-            load_point_cloud_file(path)

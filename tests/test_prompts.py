@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from bimanual_icl.actions import BimanualAction, DiscreteAction
 from bimanual_icl.demos import Demonstration
-from bimanual_icl.errors import ArityMismatch, OracleParseError, ParseFailure, RangeViolation
+from bimanual_icl.errors import (
+    ArityMismatch,
+    OracleParseError,
+    ParseFailure,
+    RangeError,
+    RangeViolation,
+)
 from bimanual_icl.perception import Observation
 from bimanual_icl.prompts import (
     JUDGE_CANDIDATE_HEADER,
@@ -24,6 +30,7 @@ from bimanual_icl.prompts import (
     parse_prompt,
     render_action_list,
     serialize_observation,
+    validate_action_values,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -113,11 +120,29 @@ class TestBuildFollowerPrompt:
         demos, test_obs = two_demo_fixture
         follower_pred = [a.left for a in demos[0].actions]
         bundle = build_conditioned_prompt(
-            demos, test_obs, target_arm="right", partner_arm="left",
+            demos, test_obs, target_arm="right",
             partner_key="follower_arm", partner_pred=follower_pred,
         )
         assert "'follower_arm':" in bundle.user_text
         assert "'leader_arm':" not in bundle.user_text
+        assert (bundle.role, bundle.arm) == ("leader", "right")
+
+    def test_partner_is_the_other_arm(self, two_demo_fixture):
+        demos, test_obs = two_demo_fixture
+        bundle = build_conditioned_prompt(
+            demos, test_obs, target_arm="right",
+            partner_key="leader_arm", partner_pred=[a.left for a in demos[0].actions],
+        )
+        left_actions = render_action_list([a.left for a in demos[0].actions])
+        right_actions = render_action_list([a.right for a in demos[0].actions])
+        assert f"'leader_arm': {left_actions}}}>{right_actions}" in bundle.user_text
+        assert (bundle.role, bundle.arm) == ("follower", "right")
+
+    def test_unknown_target_arm_rejected(self, two_demo_fixture):
+        demos, test_obs = two_demo_fixture
+        with pytest.raises(ValueError):
+            build_conditioned_prompt(demos, test_obs, target_arm="both", partner_key="leader_arm",
+                                     partner_pred=[demos[0].actions[0].left])
 
     def test_empty_leader_prediction_rejected(self, two_demo_fixture):
         demos, test_obs = two_demo_fixture
@@ -140,8 +165,8 @@ class TestGoldenPrompts:
             "follower_left": lambda: build_follower_prompt(demos, test_obs, leader_pred,
                                                            leader_is_right=True),
             "debate_round2_leader": lambda: build_conditioned_prompt(
-                demos, test_obs, target_arm="right", partner_arm="left",
-                partner_key="follower_arm", partner_pred=follower_pred, role="leader"),
+                demos, test_obs, target_arm="right",
+                partner_key="follower_arm", partner_pred=follower_pred),
         }[name]()
         golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
         assert built.system_text == golden["system"]
@@ -185,6 +210,21 @@ class TestParseCompletion:
             parse_completion("[[100,2,3,4,5,6,1]]", arity=7)
         with pytest.raises(RangeViolation):
             parse_completion("[[1,2,3,72,5,6,1]]", arity=7)
+
+    @pytest.mark.parametrize("values", [
+        (1.5, 2, 3, 4, 5, 6, 1),
+        (1, 2, 3, 4, 5.0, 6, 1),
+        (1, 2, 3, 4, 5, 6, True),
+        (True, 2, 3, 4, 5, 6, 1),
+        (1, 2, 3, 4, 5, 6, 1, 100, 2, 3, 4, 5, 6, 1),
+    ])
+    def test_range_violation_matches_the_action_type(self, values):
+        with pytest.raises(RangeViolation) as violation:
+            validate_action_values(values, arity=len(values))
+        with pytest.raises(RangeError) as range_error:
+            for offset in range(0, len(values), 7):
+                DiscreteAction.from_tuple(values[offset:offset + 7])
+        assert str(violation.value) == str(range_error.value)
 
     def test_no_list(self):
         with pytest.raises(ParseFailure):
@@ -316,7 +356,7 @@ class TestParsePromptRoundTrip:
                                 cut):
         partner_arm = "left" if target == "right" else "right"
         text = build_conditioned_prompt(
-            demos, test_obs, target_arm=target, partner_arm=partner_arm,
+            demos, test_obs, target_arm=target,
             partner_key=partner_key, partner_pred=partner_pred,
         ).user_text
         parsed_demos, parsed_test = parse_prompt(text)
@@ -364,7 +404,6 @@ def _mutated_prompts(draw):
         target = draw(st.sampled_from(("right", "left")))
         text = build_conditioned_prompt(
             demos, test_obs, target_arm=target,
-            partner_arm="left" if target == "right" else "right",
             partner_key=draw(st.sampled_from(PARTNER_KEYS)),
             partner_pred=draw(st.lists(_arm_actions, min_size=1, max_size=3)),
         ).user_text

@@ -46,26 +46,21 @@ def mirrored(demo):
 
 class TestCompose:
     def test_equal_lengths_zip(self):
-        plan = compose([act(10), act(11)], [act(90), act(91)])
+        plan = compose([act(10), act(11)], [act(90), act(91)], kind="dual_agent")
         assert len(plan.actions) == 2
         assert plan.actions[0].right == act(10)
         assert plan.actions[0].left == act(90)
 
     def test_shorter_padded_with_last(self):
-        plan = compose([act(10), act(11), act(12)], [act(90)] * 5)
+        plan = compose([act(10), act(11), act(12)], [act(90)] * 5, kind="dual_agent")
         assert len(plan.actions) == 5
         assert plan.actions[3].right == act(12)
         assert plan.actions[4].right == act(12)
         assert [a.left for a in plan.actions] == [act(90)] * 5
 
-    def test_leader_slot_mapping(self):
-        a, b = [act(10)], [act(90)]
-        assert compose(a, b, leader_is_right=True).actions[0].right == act(10)
-        assert compose(a, b, leader_is_right=False).actions[0].right == act(90)
-
     def test_empty_rejected(self):
         with pytest.raises(EmptyTrajectory):
-            compose([], [act(1)])
+            compose([], [act(1)], kind="dual_agent")
 
 
 class TestSingleAgent:
@@ -197,6 +192,25 @@ class TestArmsDebate:
                                     StrategyConfig(kind="arms_debate", leader_arm="left"))
         assert [a.right for a in plan_left.actions] == [a.left for a in plan_right.actions]
         assert [a.left for a in plan_left.actions] == [a.right for a in plan_right.actions]
+
+    @pytest.mark.parametrize("failing_turn, phase", list(enumerate(
+        ("leader1", "follower1", "leader2", "follower2"))))
+    def test_phase_identity_on_failure(self, two_demo_fixture, failing_turn, phase):
+        demos, test_obs = two_demo_fixture
+        tags = []
+
+        def backend(req):
+            if req.tag not in tags:
+                tags.append(req.tag)
+            if len(tags) > failing_turn:
+                return "nope"
+            return OracleBackend()(req)
+
+        gw = ChatGateway(backend, CallLog())
+        with pytest.raises(ExhaustedRetries) as excinfo:
+            run_arms_debate(gw, demos, test_obs, StrategyConfig(kind="arms_debate", max_retries=1))
+        assert excinfo.value.phase == phase
+        assert tags[-1] == f"debate:{phase}"
 
     def test_fresh_prompts_have_single_partner_key(self, two_demo_fixture):
         demos, test_obs = two_demo_fixture
