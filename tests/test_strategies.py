@@ -233,10 +233,9 @@ class TestArmsDebate:
 
 class TestChainPromptDigests:
     """sha256 of every (system, user) pair the conditioned chains send on the
-    two-demo fixture, per leader arm and tag; recorded before the two chains
-    shared one turn loop, so any change to a turn's prompt shows here. Each
-    call is answered with a different plan, so every conditioned prompt
-    also pins which earlier turn it embeds."""
+    two-demo fixture, per leader arm and tag, so any change to a turn's
+    prompt shows here. Each call is answered with a different plan, so
+    every conditioned prompt also pins which earlier turn it embeds."""
 
     @pytest.mark.parametrize("leader_arm", ["right", "left"])
     def test_prompts_are_pinned(self, two_demo_fixture, leader_arm):
