@@ -29,7 +29,7 @@ from .actions import (
 from .demos import Demonstration
 from .perception import MaskedCloud, Observation, build_observation
 
-GRASP_RADIUS_VOXELS = 2.0
+GRASP_RADIUS = 2.0 / 100.0  # 2 voxels, in meters at unit axis span
 NOMINAL_ROT = (36, 36, 0)
 TABLE_Z = 25
 
@@ -72,7 +72,6 @@ class World:
     positions: dict  # name -> np.ndarray(3,) meters
     initial_positions: dict
     observation: Observation
-    grasp_radius: float = GRASP_RADIUS_VOXELS / 100.0  # meters at unit axis span
 
     def voxel_of(self, name: str):
         return voxelize(tuple(self.positions[name]), self.bounds)
@@ -94,7 +93,6 @@ class World:
 @dataclass
 class EpisodeResult:
     success: bool
-    plan: tuple
     final_positions: dict
     reason: str = ""
 
@@ -134,16 +132,15 @@ def _sample_box_surface(rng, center, half_extent, n, sigma, face_weights=None):
     return np.asarray(center) + pts + rng.normal(0.0, sigma, size=(n, 3))
 
 
-def synthetic_clouds(rng, name, center, half_extent,
-                     points_per_camera=OBS_POINTS_PER_CAMERA, sigma=OBS_NOISE_SIGMA):
+def synthetic_clouds(rng, name, center, half_extent):
     """Balanced multi-camera clouds of one object for scene observations."""
     return [
         MaskedCloud(
             camera_id=f"cam{i}",
             object_name=name,
-            points=_sample_box_surface(rng, center, half_extent, n, sigma),
+            points=_sample_box_surface(rng, center, half_extent, n, OBS_NOISE_SIGMA),
         )
-        for i, n in enumerate(points_per_camera)
+        for i, n in enumerate(OBS_POINTS_PER_CAMERA)
     ]
 
 
@@ -170,8 +167,7 @@ def benchmark_clouds(rng, center, half_extent=(0.05, 0.05, 0.05), sigma=0.005):
     ]
 
 
-def spawn(task: TaskSpec, seed: int, bounds: WorkspaceBounds = DEFAULT_BOUNDS,
-          strategy: str = "prune") -> World:
+def spawn(task: TaskSpec, seed: int, bounds: WorkspaceBounds = DEFAULT_BOUNDS) -> World:
     """Place objects uniformly in their spawn regions and observe the scene."""
     rng = np.random.default_rng(seed)
     positions = {}
@@ -189,7 +185,7 @@ def spawn(task: TaskSpec, seed: int, bounds: WorkspaceBounds = DEFAULT_BOUNDS,
         spec.name: synthetic_clouds(rng, spec.name, positions[spec.name], spec.half_extent)
         for spec in task.objects
     }
-    observation = build_observation(clouds, strategy=strategy, bounds=bounds)
+    observation = build_observation(clouds, bounds=bounds)
     return World(
         task=task,
         bounds=bounds,
@@ -296,7 +292,7 @@ def execute(world: World, plan) -> EpisodeResult:
     """Run a keyframe plan through the kinematic model; never raises on failure."""
     plan = tuple(plan)
     if not plan:
-        return EpisodeResult(False, plan, dict(world.initial_positions), reason="empty_plan")
+        return EpisodeResult(False, dict(world.initial_positions), reason="empty_plan")
     actions = [p if isinstance(p, BimanualAction) else BimanualAction.from_tuple(p) for p in plan]
 
     positions = {k: v.copy() for k, v in world.positions.items()}
@@ -334,7 +330,7 @@ def execute(world: World, plan) -> EpisodeResult:
 
     success, reason = _evaluate(world, positions, attach_events)
     final = {name: tuple(pos) for name, pos in positions.items()}
-    return EpisodeResult(success=success, plan=plan, final_positions=final, reason=reason)
+    return EpisodeResult(success=success, final_positions=final, reason=reason)
 
 
 def _nearest_graspable(world: World, positions, gripper_pos):
@@ -348,7 +344,7 @@ def _nearest_graspable(world: World, positions, gripper_pos):
             offset_world = np.asarray(offset) / 100.0 * span
             point = positions[spec.name] + offset_world
             dist = float(np.linalg.norm(point - gripper_pos))
-            if dist <= world.grasp_radius + 1e-9 and (best_dist is None or dist < best_dist):
+            if dist <= GRASP_RADIUS + 1e-9 and (best_dist is None or dist < best_dist):
                 best, best_dist = (spec.name, -offset_world), dist
     return best
 

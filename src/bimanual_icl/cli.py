@@ -133,7 +133,7 @@ def main(argv=None) -> int:
     if args.command == "judge":
         demo = load_demonstration(args.plan)
         demos = load_demo_dir(args.demos)
-        verdict = score_plan(demo.actions, demos, demo.observation, mode="rubric")
+        verdict = score_plan(demo.actions, demos, demo.observation)
         print(json.dumps({
             "check1": verdict.check1,
             "check2": verdict.check2,

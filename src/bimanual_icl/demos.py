@@ -7,8 +7,9 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .actions import BimanualAction, ContinuousPose, DEFAULT_BOUNDS, WorkspaceBounds, discretize_pose
-from .errors import EmptyEpisode, InsufficientDemos
+from .actions import (BimanualAction, ContinuousPose, DEFAULT_BOUNDS, VOXELS_PER_AXIS,
+                      WorkspaceBounds, _check_integers, discretize_pose)
+from .errors import EmptyEpisode, InsufficientDemos, RangeError
 from .perception import Observation
 
 DEFAULT_SPEED_EPS = 1e-3
@@ -108,9 +109,17 @@ def demonstration_to_dict(demo: Demonstration) -> dict:
     }
 
 
+def _voxel_entry(name: str, values) -> tuple[int, int, int]:
+    voxel = tuple(values)
+    if len(voxel) != 3:
+        raise RangeError(f"observation {name!r}: expected 3 voxel components, got {len(voxel)}")
+    _check_integers(voxel, VOXELS_PER_AXIS, "voxel component")
+    return voxel
+
+
 def demonstration_from_dict(payload: dict) -> Demonstration:
     obs = Observation(entries={
-        name: tuple(int(v) for v in voxel) for name, voxel in payload["observation"].items()
+        name: _voxel_entry(name, voxel) for name, voxel in payload["observation"].items()
     })
     actions = tuple(BimanualAction.from_tuple(a) for a in payload["actions"])
     return Demonstration(observation=obs, actions=actions)

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import requests
 
+from .actions import BimanualAction
+from .demos import Demonstration
 from .errors import (
     CompletionError,
     ExhaustedRetries,
@@ -24,7 +26,7 @@ from .errors import (
     RequestTimeoutError,
     TransportError,
 )
-from .perception import observation_l1
+from .perception import Observation, observation_l1
 from .prompts import (
     JUDGE_SYSTEM,
     ParsedCompletion,
@@ -189,10 +191,7 @@ class OracleBackend:
         return oracle_nearest_demo(req)
 
     def _judge(self, req: ChatRequest) -> str:
-        from . import judge as judge_mod
-        from .actions import BimanualAction
-        from .demos import Demonstration
-        from .perception import Observation
+        from . import judge as judge_mod  # judge imports this module
 
         ref_demos, (cand_entries, _, cand_actions) = parse_judge_prompt(req.user)
         demos = [
@@ -203,9 +202,7 @@ class OracleBackend:
             for entries, _, actions in ref_demos
         ]
         plan = tuple(BimanualAction.from_tuple(a) for a in cand_actions)
-        verdict = judge_mod.score_plan(
-            plan, demos, Observation(entries=dict(cand_entries)), mode="rubric"
-        )
+        verdict = judge_mod.score_plan(plan, demos, Observation(entries=dict(cand_entries)))
         return judge_mod.verdict_to_json(verdict)
 
 
@@ -252,29 +249,19 @@ class ChatGateway:
 
     def complete_with_record(self, req: ChatRequest, attempt: int = 1):
         """Call the backend once; return its text and the CallRecord for outcome updates."""
+        record = CallRecord(tag=req.tag, prompt_chars=len(req.system) + len(req.user),
+                            completion_chars=0, wall_ms=0, attempt=attempt,
+                            outcome="transport_fail")
         started = time.perf_counter()
         try:
             text = self.backend(req)
-        except (TransportError, RequestTimeoutError):
-            self.log.append(
-                CallRecord(
-                    tag=req.tag,
-                    prompt_chars=len(req.system) + len(req.user),
-                    completion_chars=0,
-                    wall_ms=_elapsed_ms(started),
-                    attempt=attempt,
-                    outcome="transport_fail",
-                )
-            )
+        except TransportError:
+            record.wall_ms = _elapsed_ms(started)
+            self.log.append(record)
             raise
-        record = CallRecord(
-            tag=req.tag,
-            prompt_chars=len(req.system) + len(req.user),
-            completion_chars=len(text),
-            wall_ms=_elapsed_ms(started),
-            attempt=attempt,
-            outcome="ok",
-        )
+        record.wall_ms = _elapsed_ms(started)
+        record.completion_chars = len(text)
+        record.outcome = "ok"
         self.log.append(record)
         return text, record
 

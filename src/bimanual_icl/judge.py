@@ -1,9 +1,10 @@
 """Scoring candidate bimanual plans against reference demonstrations.
 
-The deterministic rubric implements four checks; the final score starts at
-3, adds each check's delta, and clamps into [1, 5]. The llm mode emits the
-validator prompt instead and parses the JSON verdict, computing the score
-from the reported checks by that same clamp.
+The deterministic rubric (``score_plan``) implements four checks; the final
+score starts at 3, adds each check's delta, and clamps into [1, 5]. A
+``PlanJudge`` in llm mode sends the validator prompt instead and parses the
+JSON verdict, computing the score from the reported checks by that same
+clamp.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ExhaustedRetries, JudgeParseError
+from .gateway import ChatRequest
 from .perception import Observation, observation_l1
 from .prompts import _balanced_span, build_judge_prompt
 
@@ -120,40 +122,23 @@ def check_workspace(plan):
     return 0, "both arms stay in their reachable zones"
 
 
-def score_plan(plan, demos, obs: Observation, mode: str = "rubric", gateway=None,
-               temperature: float = 0.0, max_retries: int = 2) -> JudgeVerdict:
-    """Score a candidate plan; rubric mode is pure, llm mode calls the gateway."""
+def score_plan(plan, demos, obs: Observation) -> JudgeVerdict:
+    """Score a candidate plan with the deterministic rubric."""
     plan = tuple(plan)
     if not plan:
         raise ValueError("cannot score an empty plan")
-    if mode == "rubric":
-        c1, r1 = check_collision(plan)
-        c2, r2 = check_demo_match(plan, demos, obs)
-        c3, r3 = check_gripper(plan, demos, obs)
-        c4, r4 = check_workspace(plan)
-        return JudgeVerdict(
-            check1=c1,
-            check2=c2,
-            check3=c3,
-            check4=c4,
-            score=clamp_score(c1, c2, c3, c4),
-            reasons={"check1": r1, "check2": r2, "check3": r3, "check4": r4},
-        )
-    if mode != "llm":
-        raise ValueError(f"unknown judge mode {mode!r}")
-    if gateway is None:
-        raise ValueError("llm mode requires a gateway")
-
-    from .gateway import ChatRequest  # local import; gateway lazily imports us back
-
-    bundle = build_judge_prompt(demos, obs, plan)
-    req = ChatRequest(
-        system=bundle.system_text, user=bundle.user_text, temperature=temperature, tag="judge"
+    c1, r1 = check_collision(plan)
+    c2, r2 = check_demo_match(plan, demos, obs)
+    c3, r3 = check_gripper(plan, demos, obs)
+    c4, r4 = check_workspace(plan)
+    return JudgeVerdict(
+        check1=c1,
+        check2=c2,
+        check3=c3,
+        check4=c4,
+        score=clamp_score(c1, c2, c3, c4),
+        reasons={"check1": r1, "check2": r2, "check3": r3, "check4": r4},
     )
-    try:
-        return gateway.complete_and_parse(req, parse_verdict, max_retries)
-    except ExhaustedRetries as exc:
-        raise JudgeParseError(str(exc)) from exc
 
 
 def parse_verdict(text: str) -> JudgeVerdict:
@@ -227,20 +212,29 @@ def _extract_json_object(text: str) -> dict:
 
 
 class PlanJudge:
-    """Configured judge: rubric (pure) or llm (through a gateway)."""
+    """Configured judge: the rubric, or the llm validator prompt through a gateway."""
 
     def __init__(self, mode: str = "rubric", gateway=None, temperature: float = 0.0,
                  max_retries: int = 2):
         if mode not in JUDGE_MODES:
             raise ValueError(f"unknown judge mode {mode!r}")
+        if mode == "llm" and gateway is None:
+            raise ValueError("llm mode requires a gateway")
         self.mode = mode
         self.gateway = gateway
         self.temperature = temperature
         self.max_retries = max_retries
 
     def score(self, plan, demos, obs: Observation) -> JudgeVerdict:
-        return score_plan(
-            plan, demos, obs,
-            mode=self.mode, gateway=self.gateway,
-            temperature=self.temperature, max_retries=self.max_retries,
-        )
+        if self.mode == "rubric":
+            return score_plan(plan, demos, obs)
+        plan = tuple(plan)
+        if not plan:
+            raise ValueError("cannot score an empty plan")
+        bundle = build_judge_prompt(demos, obs, plan)
+        req = ChatRequest(system=bundle.system_text, user=bundle.user_text,
+                          temperature=self.temperature, tag="judge")
+        try:
+            return self.gateway.complete_and_parse(req, parse_verdict, self.max_retries)
+        except ExhaustedRetries as exc:
+            raise JudgeParseError(str(exc)) from exc

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import DEFAULT_BOUNDS, DiscreteAction, WorkspaceBounds, voxelize
+from .actions import DEFAULT_BOUNDS, WorkspaceBounds, voxelize
 from .errors import EmptyObject, OutOfWorkspace
 
 STRATEGIES = ("standard", "concat", "prune")
@@ -38,24 +38,9 @@ class MaskedCloud:
 
 @dataclass
 class Observation:
-    """Ordered mapping from object name to voxel triple.
-
-    May carry one partner-arm entry (``leader_arm`` or ``follower_arm``)
-    holding a trajectory of single-arm actions; it always serializes last.
-    """
+    """Ordered mapping from object name to voxel triple."""
 
     entries: dict[str, tuple[int, int, int]] = field(default_factory=dict)
-    partner_key: str | None = None
-    partner_actions: tuple[DiscreteAction, ...] = ()
-
-    def with_partner(self, key: str, actions) -> "Observation":
-        if key not in ("leader_arm", "follower_arm"):
-            raise ValueError(f"unknown partner key {key!r}")
-        return Observation(
-            entries=dict(self.entries),
-            partner_key=key,
-            partner_actions=tuple(actions),
-        )
 
 
 def extract_centroid(clouds, strategy: str = "prune", voxel_size: float = DEFAULT_VOXEL_SIZE):
@@ -130,8 +115,7 @@ def centroid_error(estimated, ground_truth) -> float:
 def observation_l1(a, b) -> int:
     """Summed L1 voxel distance between two observations' shared object entries.
 
-    Partner-arm trajectories never contribute. Used by the nearest-demo
-    oracle and by the judge's nearest-demo selection.
+    Used by the nearest-demo oracle and by the judge's nearest-demo selection.
     """
     entries_a = a.entries if isinstance(a, Observation) else a
     entries_b = b.entries if isinstance(b, Observation) else b

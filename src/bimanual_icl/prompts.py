@@ -93,7 +93,6 @@ class ParsedCompletion:
     """Validated integer action tuples recovered from a raw completion."""
 
     actions: tuple[tuple[int, ...], ...]
-    raw: str
 
     def to_discrete(self) -> tuple[DiscreteAction, ...]:
         return tuple(DiscreteAction.from_tuple(a) for a in self.actions)
@@ -117,11 +116,16 @@ def _components(action):
     return tuple(int(v) for v in action)
 
 
-def serialize_observation(obs: Observation) -> str:
-    """Render an observation in the canonical single-quoted grammar."""
+def serialize_observation(obs: Observation, partner=None) -> str:
+    """Render an observation in the canonical single-quoted grammar.
+
+    ``partner`` is an optional ``(key, actions)`` partner-arm entry, one of
+    ``PARTNER_KEYS`` holding a single-arm trajectory; it renders last.
+    """
     parts = [f"'{name}': {render_action(voxel)}" for name, voxel in obs.entries.items()]
-    if obs.partner_key is not None:
-        parts.append(f"'{obs.partner_key}': {render_action_list(obs.partner_actions)}")
+    if partner is not None:
+        key, actions = partner
+        parts.append(f"'{key}': {render_action_list(actions)}")
     return "{" + ", ".join(parts) + "}"
 
 
@@ -188,21 +192,18 @@ def build_conditioned_prompt(demos, test_obs: Observation, *, target_arm: str,
         raise ValueError("at least one demonstration is required")
 
     partner_arm = "left" if target_arm == "right" else "right"
-    pairs = []
-    for demo in demos:
-        augmented = demo.observation.with_partner(
-            partner_key, [a.arm(partner_arm) for a in demo.actions]
+    pairs = [
+        (
+            serialize_observation(
+                demo.observation, (partner_key, [a.arm(partner_arm) for a in demo.actions])
+            ),
+            render_action_list([a.arm(target_arm).as_tuple() for a in demo.actions]),
         )
-        pairs.append(
-            (
-                serialize_observation(augmented),
-                render_action_list([a.arm(target_arm).as_tuple() for a in demo.actions]),
-            )
-        )
-    test_aug = test_obs.with_partner(partner_key, partner_pred)
+        for demo in demos
+    ]
     return PromptBundle(
         system_text=SINGLE_ARM_SYSTEM.format(arm=target_arm),
-        user_text=_demo_pairs(pairs, serialize_observation(test_aug)),
+        user_text=_demo_pairs(pairs, serialize_observation(test_obs, (partner_key, partner_pred))),
         role="follower" if partner_key == "leader_arm" else "leader",
         arm=target_arm,
     )
@@ -317,7 +318,7 @@ def parse_completion(text: str, arity: int) -> ParsedCompletion:
         values = tuple(int(v) for v in row)
         validate_action_values(values, arity)
         actions.append(values)
-    return ParsedCompletion(actions=tuple(actions), raw=text)
+    return ParsedCompletion(actions=tuple(actions))
 
 
 def _rows(value):
@@ -337,11 +338,6 @@ def _observation_parts(obs):
         else:
             entries[name] = tuple(int(v) for v in value)
     return entries, partner
-
-
-def _render_parts(entries, partner) -> str:
-    key, rows = partner or (None, ())
-    return serialize_observation(Observation(entries, key, tuple(rows)))
 
 
 def parse_prompt(text: str, with_trailing_test: bool = True):
@@ -365,8 +361,9 @@ def parse_prompt(text: str, with_trailing_test: bool = True):
         raise OracleParseError("prompt does not alternate observations and action lists")
     demos = [(*obs, actions) for obs, actions in zip(observations, action_lists)]
     test = observations[-1] if with_trailing_test else None
-    pairs = [(_render_parts(e, p), render_action_list(a)) for e, p, a in demos]
-    if _demo_pairs(pairs, _render_parts(*test) if test else None) != text:
+    rendered = [serialize_observation(Observation(e), p) for e, p in observations]
+    pairs = zip(rendered, map(render_action_list, action_lists))
+    if _demo_pairs(pairs, rendered[-1] if with_trailing_test else None) != text:
         raise OracleParseError("prompt is not byte-identical renderer output")
     return demos, test
 

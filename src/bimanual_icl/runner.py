@@ -107,7 +107,6 @@ class RunConfig:
             n_candidates=self.n_candidates,
             max_retries=self.max_retries,
             temperature=self.temperature,
-            judge_temperature=self.judge_temperature,
         )
 
 
@@ -122,8 +121,8 @@ class StrategyTaskStats:
     calls_sd: float
     prompt_chars_mean: float
     completion_chars_mean: float
-    wall_ms_median: float | None = None
-    wall_ms_iqr: tuple | None = None
+    wall_ms_median: float
+    wall_ms_iqr: tuple
 
 
 @dataclass
@@ -364,9 +363,7 @@ def report_tables(report: AggregateReport) -> str:
         f"{'completion chars':<18}{'wall ms median (IQR)':<24}"
     )
     for row in report.rows:
-        wall = "-"
-        if row.wall_ms_median is not None and row.wall_ms_iqr is not None:
-            wall = f"{row.wall_ms_median:.0f} ({row.wall_ms_iqr[0]:.0f}-{row.wall_ms_iqr[1]:.0f})"
+        wall = f"{row.wall_ms_median:.0f} ({row.wall_ms_iqr[0]:.0f}-{row.wall_ms_iqr[1]:.0f})"
         lines.append(
             f"{row.task:<14}{row.strategy:<18}"
             f"{f'{row.calls_mean:.1f} +/- {row.calls_sd:.1f}':<16}"

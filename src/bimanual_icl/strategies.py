@@ -32,7 +32,6 @@ class StrategyConfig:
     n_candidates: int = 5
     max_retries: int = 2
     temperature: float = 1.0  # candidate sampling; the judge runs at its own temperature
-    judge_temperature: float = 0.0
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
@@ -161,16 +160,16 @@ def run_arms_debate(gateway: ChatGateway, demos, obs: Observation,
                       ("leader1", "follower1", "leader2", "follower2"))
 
 
-def _run_reranked(gateway: ChatGateway, demos, obs: Observation, cfg: StrategyConfig,
-                  judge: PlanJudge | None, kind: str, generate) -> BimanualPlan:
+def _run_reranked(demos, obs: Observation, cfg: StrategyConfig, judge: PlanJudge | None,
+                  kind: str, generate) -> BimanualPlan:
     """Best-of-n: n concurrent tasks, each generating ``generate(j)`` then scoring it.
 
     A candidate whose generation exhausts its retries, or whose judge call
     fails, is skipped; the highest score wins, ties to the lowest index.
     """
+    if judge is None:
+        raise ConfigError(f"{kind} needs a judge")
     n = cfg.n_candidates
-    judge = judge or PlanJudge(mode="llm", gateway=gateway, temperature=cfg.judge_temperature,
-                               max_retries=cfg.max_retries)
 
     def candidate(j: int):
         try:
@@ -198,24 +197,20 @@ def _run_reranked(gateway: ChatGateway, demos, obs: Observation, cfg: StrategyCo
     )
 
 
-def run_best_of_n(gateway: ChatGateway, demos, obs: Observation,
-                  cfg: StrategyConfig | None = None,
-                  judge: PlanJudge | None = None) -> BimanualPlan:
+def run_best_of_n(gateway: ChatGateway, demos, obs: Observation, cfg: StrategyConfig,
+                  judge: PlanJudge | None) -> BimanualPlan:
     """n independent leader-follower candidates, judged, argmax selected."""
-    cfg = cfg or StrategyConfig(kind="best_of_n")
     return _run_reranked(
-        gateway, demos, obs, cfg, judge, "best_of_n",
+        demos, obs, cfg, judge, "best_of_n",
         lambda j: run_leader_follower(gateway, demos, obs, cfg, tag_prefix=f"bon{j}"),
     )
 
 
-def run_debate_plus_bon(gateway: ChatGateway, demos, obs: Observation,
-                        cfg: StrategyConfig | None = None,
-                        judge: PlanJudge | None = None) -> BimanualPlan:
+def run_debate_plus_bon(gateway: ChatGateway, demos, obs: Observation, cfg: StrategyConfig,
+                        judge: PlanJudge | None) -> BimanualPlan:
     """Best-of-n with arms-debate candidates: 4n generation + n judge calls."""
-    cfg = cfg or StrategyConfig(kind="debate_plus_bon")
     return _run_reranked(
-        gateway, demos, obs, cfg, judge, "debate_plus_bon",
+        demos, obs, cfg, judge, "debate_plus_bon",
         lambda j: run_arms_debate(gateway, demos, obs, cfg, tag_prefix=f"dbon{j}"),
     )
 

@@ -150,7 +150,7 @@ def test_criterion_4_judge_rubric():
             ((60, 50, 45, 0), (30, 50, 45, 0)),
         ])
         # worked example: everything favorable -> 5
-        v = score_plan(demo.actions, [demo], demo.observation, mode="rubric")
+        v = score_plan(demo.actions, [demo], demo.observation)
         assert v.score == 5 and (v.check1, v.check2, v.check3, v.check4) == (1, 1, 0, 0)
         # worked example: everything unfavorable -> 1
         bad = make_demo(entries, [
@@ -159,7 +159,7 @@ def test_criterion_4_judge_rubric():
             ((22, 50, 50, 1), (74, 50, 50, 1)),
             ((23, 50, 52, 1), (75, 50, 52, 1)),
         ]).actions
-        v = score_plan(bad, [demo], demo.observation, mode="rubric")
+        v = score_plan(bad, [demo], demo.observation)
         assert v.score == 1 and (v.check1, v.check2, v.check3, v.check4) == (-1, -1, -1, -1)
         # worked example: only the collision check favorable -> 2
         mediocre = make_demo(entries, [
@@ -167,14 +167,13 @@ def test_criterion_4_judge_rubric():
             ((66, 50, 45, 1), (30, 50, 45, 1)),
             ((66, 50, 38, 1), (30, 50, 38, 1)),
         ]).actions
-        v = score_plan(mediocre, [demo], demo.observation, mode="rubric")
+        v = score_plan(mediocre, [demo], demo.observation)
         assert v.score == 2 and (v.check1, v.check2, v.check3, v.check4) == (1, -1, -1, 0)
 
         for name, task in DEFAULT_TASKS.items():
             batch = [scripted_expert(task, spawn(task, seed=s)) for s in range(10)]
             for expert_demo in batch:
-                verdict = score_plan(expert_demo.actions, batch, expert_demo.observation,
-                                     mode="rubric")
+                verdict = score_plan(expert_demo.actions, batch, expert_demo.observation)
                 assert verdict.score == 5, (name, verdict.reasons)
 
 

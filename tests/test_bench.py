@@ -73,7 +73,7 @@ class TestScriptedExpert:
         task = DEFAULT_TASKS[name]
         batch = [scripted_expert(task, spawn(task, seed=s)) for s in range(10)]
         for demo in batch:
-            verdict = score_plan(demo.actions, batch, demo.observation, mode="rubric")
+            verdict = score_plan(demo.actions, batch, demo.observation)
             assert verdict.score == 5, (name, verdict.reasons)
 
 
@@ -141,9 +141,9 @@ class TestExecute:
 
     def test_result_invariants(self):
         with pytest.raises(ValueError):
-            EpisodeResult(success=True, plan=(), final_positions={}, reason="oops")
+            EpisodeResult(success=True, final_positions={}, reason="oops")
         with pytest.raises(ValueError):
-            EpisodeResult(success=False, plan=(), final_positions={}, reason="")
+            EpisodeResult(success=False, final_positions={}, reason="")
 
 
 class TestDrawerSequencing:

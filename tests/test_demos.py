@@ -16,8 +16,9 @@ from bimanual_icl.demos import (
     save_demonstration,
     load_demonstration,
 )
-from bimanual_icl.errors import EmptyEpisode, InsufficientDemos
+from bimanual_icl.errors import EmptyEpisode, InsufficientDemos, RangeError
 from bimanual_icl.perception import Observation
+from bimanual_icl.runner import generate_dataset
 
 IDENTITY = (0.0, 0.0, 0.0, 1.0)
 
@@ -161,6 +162,25 @@ class TestDemoFiles:
         save_demo_dir(tmp_path / "set", demos)
         loaded = load_demo_dir(tmp_path / "set")
         assert loaded == demos
+
+    @pytest.mark.parametrize("observation", [
+        {"ball": [52.7, 49, 31]},
+        {"cup": [True, 300, -4]},
+        {"cup": [1, 300, 4]},
+        {"cup": [1, 2, -4]},
+        {"cup": [1, 2]},
+        {"cup": [1, 2, 3, 4]},
+    ])
+    def test_observation_voxels_checked(self, observation):
+        payload = {"observation": observation,
+                   "actions": [[1, 2, 3, 4, 5, 6, 1, 7, 8, 9, 10, 11, 12, 0]]}
+        with pytest.raises(RangeError):
+            demonstration_from_dict(payload)
+
+    def test_generated_store_round_trip(self, tmp_path):
+        demos = generate_dataset("handover", 3, seed=5)
+        save_demo_dir(tmp_path / "set", demos)
+        assert load_demo_dir(tmp_path / "set") == demos
 
     def test_demonstration_requires_actions(self):
         with pytest.raises(ValueError):

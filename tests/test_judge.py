@@ -168,7 +168,7 @@ class TestScorePlan:
 
     def test_all_favorable_is_five(self):
         demo = base_demo()
-        verdict = score_plan(demo.actions, [demo], demo.observation, mode="rubric")
+        verdict = score_plan(demo.actions, [demo], demo.observation)
         assert (verdict.check1, verdict.check2, verdict.check3, verdict.check4) == (1, 1, 0, 0)
         assert verdict.score == 5
 
@@ -181,7 +181,7 @@ class TestScorePlan:
             ((22, 50, 50, 1), (74, 50, 50, 1)),
             ((23, 50, 52, 1), (75, 50, 52, 1)),
         ])
-        verdict = score_plan(plan, [base_demo()], base_demo().observation, mode="rubric")
+        verdict = score_plan(plan, [base_demo()], base_demo().observation)
         assert (verdict.check1, verdict.check2) == (-1, -1)
         assert verdict.check3 == -1 and verdict.check4 == -1
         assert verdict.score == 1
@@ -194,7 +194,7 @@ class TestScorePlan:
             ((66, 50, 45, 1), (30, 50, 45, 1)),
             ((66, 50, 38, 1), (30, 50, 38, 1)),
         ])
-        verdict = score_plan(plan, [demo], demo.observation, mode="rubric")
+        verdict = score_plan(plan, [demo], demo.observation)
         assert (verdict.check1, verdict.check2, verdict.check3, verdict.check4) == (1, -1, -1, 0)
         assert verdict.score == 2
 
@@ -212,8 +212,8 @@ class TestScorePlan:
             {"o": (10, 10, 10)},
             [((60, 50, 40, 1), (30, 50, 40, 1)), ((60, 50, 31, 0), (30, 50, 31, 0))],
         )
-        v1 = score_plan(demo.actions, [demo, far], demo.observation, mode="rubric")
-        v2 = score_plan(demo.actions, [far, demo], demo.observation, mode="rubric")
+        v1 = score_plan(demo.actions, [demo, far], demo.observation)
+        v2 = score_plan(demo.actions, [far, demo], demo.observation)
         assert v1.score == v2.score == 5
 
 
@@ -302,3 +302,7 @@ class TestLlmModeJudge:
         gw = ChatGateway(backend, CallLog())
         judge = PlanJudge(mode="llm", gateway=gw, max_retries=2)
         assert judge.score(demo.actions, [demo], demo.observation).score == 5
+
+    def test_llm_mode_requires_gateway(self):
+        with pytest.raises(ValueError):
+            PlanJudge(mode="llm")

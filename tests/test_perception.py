@@ -196,9 +196,4 @@ class TestObservationL1:
         a = Observation(entries={"x": (1, 2, 3), "y": (5, 5, 5)})
         b = Observation(entries={"x": (2, 2, 3), "y": (5, 8, 5)})
         assert observation_l1(a, b) == 1 + 3
-        assert observation_l1(a.with_partner("leader_arm", []), b) == 4
-
-    def test_partner_key_validation(self):
-        obs = Observation(entries={})
-        with pytest.raises(ValueError):
-            obs.with_partner("other_arm", [])
+        assert observation_l1(a.entries, b) == 4

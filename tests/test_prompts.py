@@ -57,13 +57,8 @@ class TestSerializeObservation:
 
     def test_partner_entry_renders_last(self):
         obs = Observation(entries={"ball": (50, 49, 31)})
-        augmented = obs.with_partner(
-            "leader_arm",
-            [__import__("bimanual_icl.actions", fromlist=["DiscreteAction"]).DiscreteAction(
-                voxel=(50, 49, 40), rot=(36, 36, 0), gripper=1
-            )],
-        )
-        assert serialize_observation(augmented) == (
+        partner = ("leader_arm", [DiscreteAction(voxel=(50, 49, 40), rot=(36, 36, 0), gripper=1)])
+        assert serialize_observation(obs, partner) == (
             "{'ball': [50, 49, 31], 'leader_arm': [[50, 49, 40, 36, 36, 0, 1]]}"
         )
 
@@ -142,6 +137,12 @@ class TestBuildFollowerPrompt:
         demos, test_obs = two_demo_fixture
         with pytest.raises(ValueError):
             build_conditioned_prompt(demos, test_obs, target_arm="both", partner_key="leader_arm",
+                                     partner_pred=[demos[0].actions[0].left])
+
+    def test_unknown_partner_key_rejected(self, two_demo_fixture):
+        demos, test_obs = two_demo_fixture
+        with pytest.raises(ValueError):
+            build_conditioned_prompt(demos, test_obs, target_arm="right", partner_key="other_arm",
                                      partner_pred=[demos[0].actions[0].left])
 
     def test_empty_leader_prediction_rejected(self, two_demo_fixture):
@@ -274,30 +275,17 @@ _names = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8).filter(
 )
 
 
-@st.composite
-def _observations(draw):
-    obs = Observation(entries=draw(st.dictionaries(_names, _triples, max_size=4)))
-    if draw(st.booleans()):
-        obs = obs.with_partner(draw(st.sampled_from(PARTNER_KEYS)),
-                               draw(st.lists(_arm_actions, min_size=1, max_size=3)))
-    return obs
-
+_observations = st.builds(Observation, entries=st.dictionaries(_names, _triples, max_size=4))
 
 _demos = st.lists(
-    st.builds(Demonstration, observation=_observations(),
+    st.builds(Demonstration, observation=_observations,
               actions=st.lists(_bimanual_actions, min_size=1, max_size=4)),
     min_size=1, max_size=3,
 )
 
 
-def _partner(obs):
-    if obs.partner_key is None:
-        return None
-    return obs.partner_key, [a.as_tuple() for a in obs.partner_actions]
-
-
 def _parsed_pair(obs, actions):
-    return obs.entries, _partner(obs), actions
+    return obs.entries, None, actions
 
 
 def _arm_tuples(actions, arm):
@@ -331,7 +319,7 @@ def _assert_garbles_rejected(text):
 
 class TestParsePromptRoundTrip:
     @settings(max_examples=60, deadline=None)
-    @given(demos=_demos, test_obs=_observations(),
+    @given(demos=_demos, test_obs=_observations,
            arm=st.sampled_from(("right", "left", "both")), cut=st.integers(min_value=0))
     def test_single_prompt(self, demos, test_obs, arm, cut):
         text = build_single_prompt(demos, test_obs, arm_filter=arm).user_text
@@ -339,7 +327,7 @@ class TestParsePromptRoundTrip:
         assert parsed_demos == [
             _parsed_pair(d.observation, _arm_tuples(d.actions, arm)) for d in demos
         ]
-        assert parsed_test == (test_obs.entries, _partner(test_obs))
+        assert parsed_test == (test_obs.entries, None)
         assert {len(a) for _, _, acts in parsed_demos for a in acts} == {
             14 if arm == "both" else 7
         }
@@ -347,7 +335,7 @@ class TestParsePromptRoundTrip:
         _assert_garbles_rejected(text)
 
     @settings(max_examples=60, deadline=None)
-    @given(demos=_demos, test_obs=_observations(),
+    @given(demos=_demos, test_obs=_observations,
            target=st.sampled_from(("right", "left")),
            partner_key=st.sampled_from(PARTNER_KEYS),
            partner_pred=st.lists(_arm_actions, min_size=1, max_size=3),
@@ -372,7 +360,7 @@ class TestParsePromptRoundTrip:
         _assert_garbles_rejected(text)
 
     @settings(max_examples=60, deadline=None)
-    @given(demos=_demos, test_obs=_observations(),
+    @given(demos=_demos, test_obs=_observations,
            candidate=st.lists(_bimanual_actions, min_size=1, max_size=4),
            cut=st.integers(min_value=0))
     def test_judge_prompt(self, demos, test_obs, candidate, cut):
@@ -395,7 +383,7 @@ _MUTATION_CHARS = "[]{},>' 0123456789.-\"ab"
 
 @st.composite
 def _mutated_prompts(draw):
-    demos, test_obs = draw(_demos), draw(_observations())
+    demos, test_obs = draw(_demos), draw(_observations)
     kind = draw(st.sampled_from(("single", "conditioned", "judge")))
     if kind == "single":
         arm = draw(st.sampled_from(("right", "left", "both")))
@@ -421,10 +409,7 @@ def _mutated_prompts(draw):
 
 def _render_parsed(entries, partner, actions=None):
     """Render one parsed observation (and its actions) with the public renderers."""
-    obs = Observation(entries=dict(entries))
-    if partner is not None:
-        obs = obs.with_partner(*partner)
-    text = serialize_observation(obs) + ">"
+    text = serialize_observation(Observation(entries=dict(entries)), partner) + ">"
     return text if actions is None else text + render_action_list(actions)
 
 

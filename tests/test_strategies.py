@@ -335,6 +335,14 @@ class TestBestOfN:
         assert [j for j, _ in excinfo.value.failures] == [0, 1, 2]
         assert log.count() == 6  # every candidate was generated before its judge failed
 
+    @pytest.mark.parametrize("kind", ["best_of_n", "debate_plus_bon"])
+    def test_rerank_without_judge_rejected_before_any_call(self, two_demo_fixture, kind):
+        demos, test_obs = two_demo_fixture
+        gw, log = oracle_gateway()
+        with pytest.raises(ConfigError):
+            run_strategy(kind, gw, demos, test_obs, judge=None)
+        assert log.count() == 0
+
     def test_judge_bug_propagates(self, two_demo_fixture):
         demos, test_obs = two_demo_fixture
         gw, _ = oracle_gateway()

@@ -13,25 +13,29 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
-SPEC = {
-    "run": {
-        "tasks": ["handover"],
-        "strategies": ["leader_follower", "best_of_n"],
-        "episodes": 1,
-        "store_size": 12,
-        "n_demos": 4,
-        "n_candidates": 2,
-        "judge_mode": "llm",
-    },
-    "trace": True,
-}
+def _spec(judge_mode):
+    return {
+        "run": {
+            "tasks": ["handover"],
+            "strategies": ["leader_follower", "best_of_n"],
+            "episodes": 1,
+            "store_size": 12,
+            "n_demos": 4,
+            "n_candidates": 2,
+            "judge_mode": judge_mode,
+        },
+        "trace": True,
+    }
 
 
-def test_traced_pass_finds_every_rebound_name(tmp_path):
+@pytest.mark.parametrize("judge_mode", ["llm", "rubric"])
+def test_traced_pass_finds_every_rebound_name(tmp_path, judge_mode):
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(SPEC), encoding="utf-8")
+    spec.write_text(json.dumps(_spec(judge_mode)), encoding="utf-8")
     out = tmp_path / "out"
     out.mkdir()
     env = dict(os.environ)
@@ -45,9 +49,15 @@ def test_traced_pass_finds_every_rebound_name(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
 
     layers = json.loads((out / "pass.json").read_text(encoding="utf-8"))["layers"]
-    # leader_follower: 2 calls; best_of_n at n=2: 2 x 2 generation + 2 judge calls
-    assert layers["gateway.calls.ok"] == 8
+    # leader_follower: 2 calls; best_of_n at n=2: 2 x 2 generation calls, and
+    # in llm mode 2 judge calls; the rubric judge scores in-process
     assert layers["judge.score.calls"] == 2
-    for name in ("prompts.parse_completion.busy_ms", "gateway.oracle_predict.busy_ms",
-                 "gateway.oracle_judge.busy_ms"):
-        assert layers[name] > 0, name
+    assert layers["prompts.parse_completion.busy_ms"] > 0
+    assert layers["gateway.oracle_predict.busy_ms"] > 0
+    if judge_mode == "llm":
+        assert layers["gateway.calls.ok"] == 8
+        assert layers["gateway.oracle_judge.busy_ms"] > 0
+    else:
+        assert layers["gateway.calls.ok"] == 6
+        assert layers["judge.rubric.busy_ms"] > 0
+        assert layers["gateway.oracle_judge.busy_ms"] == 0
