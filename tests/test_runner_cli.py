@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -196,6 +197,21 @@ class TestReporting:
             records = load_episode_log(out_dir / "episodes.jsonl")
             logs.append([{k: v for k, v in r.items() if k != "wall_ms"} for r in records])
         assert logs[0] == logs[1]
+
+    def test_summary_json_is_pinned(self):
+        report = run_experiment(RunConfig(
+            tasks=["lift_sym", "handover", "dual_targets", "drawer_item"],
+            strategies=["single_agent", "dual_agent", "leader_follower", "arms_debate",
+                        "best_of_n", "debate_plus_bon"],
+            seeds=[0], episodes=2, n_candidates=2, store_size=20, judge_mode="llm",
+        ))
+        text = render_summary_json(report)
+        assert set(json.loads(text)["rows"][0]) == {
+            "task", "strategy", "episodes", "success_mean", "success_sd",
+            "calls_mean", "calls_sd", "prompt_chars_mean", "completion_chars_mean",
+        }
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+            "995bf28ae0aa1cfab712ae864e089789eb325cce1ad9519879af3e845c2d5098")
 
     def test_aggregate_from_log_matches_run(self, tmp_path):
         cfg = small_config(out_dir=str(tmp_path / "run"))
