@@ -13,9 +13,7 @@ experts in ``bench``; the experiment runner and CLI in ``runner``/``cli``.
 from .actions import (
     BimanualAction,
     ContinuousPose,
-    DEFAULT_BOUNDS,
     DiscreteAction,
-    WorkspaceBounds,
     bin_rotation,
     devoxelize,
     discretize_pose,
@@ -34,7 +32,7 @@ from .gateway import (
     oracle_nearest_demo,
 )
 from .judge import JudgeVerdict, PlanJudge, score_plan
-from .perception import MaskedCloud, Observation, build_observation, centroid_error, extract_centroid
+from .perception import MaskedCloud, build_observation, centroid_error, extract_centroid
 from .prompts import (
     ParsedCompletion,
     PromptBundle,

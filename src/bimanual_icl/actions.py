@@ -26,26 +26,9 @@ ROTATION_BIN_DEG = 5.0
 _BIN_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class WorkspaceBounds:
-    """Axis-aligned box bounding reachable end-effector positions, in meters."""
-
-    min: tuple[float, float, float]
-    max: tuple[float, float, float]
-
-    def __post_init__(self):
-        if len(self.min) != 3 or len(self.max) != 3:
-            raise ValueError("bounds need exactly three axes")
-        for lo, hi in zip(self.min, self.max):
-            if not lo < hi:
-                raise ValueError(f"degenerate bounds: min {self.min} max {self.max}")
-
-    @property
-    def span(self) -> tuple[float, float, float]:
-        return tuple(hi - lo for lo, hi in zip(self.min, self.max))
-
-
-DEFAULT_BOUNDS = WorkspaceBounds(min=(-0.3, -0.5, 0.6), max=(0.7, 0.5, 1.6))
+# Axis-aligned box bounding reachable end-effector positions, in meters.
+WORKSPACE_MIN = (-0.3, -0.5, 0.6)
+WORKSPACE_MAX = (0.7, 0.5, 1.6)
 
 
 @dataclass(frozen=True)
@@ -128,7 +111,7 @@ class BimanualAction:
         raise ValueError(f"unknown arm {name!r}")
 
 
-def voxelize(position, bounds: WorkspaceBounds = DEFAULT_BOUNDS) -> tuple[int, int, int]:
+def voxelize(position) -> tuple[int, int, int]:
     """Map a continuous in-bounds position to its voxel index triple.
 
     Each axis maps via floor((p - min) / (max - min) * 99); only the exact
@@ -137,14 +120,14 @@ def voxelize(position, bounds: WorkspaceBounds = DEFAULT_BOUNDS) -> tuple[int, i
     clamped demo would corrupt the in-context pattern.
     """
     out = []
-    for p, lo, hi in zip(position, bounds.min, bounds.max):
+    for p, lo, hi in zip(position, WORKSPACE_MIN, WORKSPACE_MAX):
         if not lo <= p <= hi:
             raise OutOfWorkspace(f"position {tuple(position)} outside bounds on axis [{lo}, {hi}]")
         out.append(int(math.floor((p - lo) / (hi - lo) * (VOXELS_PER_AXIS - 1))))
     return tuple(out)
 
 
-def devoxelize(voxel, bounds: WorkspaceBounds = DEFAULT_BOUNDS) -> tuple[float, float, float]:
+def devoxelize(voxel) -> tuple[float, float, float]:
     """Return the cell-center position for a voxel triple.
 
     Centers advance in steps of span/100 while the quantizer's cells are
@@ -154,7 +137,7 @@ def devoxelize(voxel, bounds: WorkspaceBounds = DEFAULT_BOUNDS) -> tuple[float, 
     """
     _check_integers(voxel, VOXELS_PER_AXIS, "voxel component")
     return tuple(lo + (v + 0.5) / VOXELS_PER_AXIS * (hi - lo)
-                 for v, lo, hi in zip(voxel, bounds.min, bounds.max))
+                 for v, lo, hi in zip(voxel, WORKSPACE_MIN, WORKSPACE_MAX))
 
 
 def _euler_xyz(x, y, z, w) -> tuple[float, float, float]:
@@ -236,10 +219,10 @@ def unbin_rotation(rot) -> tuple[float, float, float, float]:
     return (cz * x + y * sz, cz * y - x * sz, w * sz + cz * z, w * cz - z * sz)
 
 
-def discretize_pose(pose: ContinuousPose, bounds: WorkspaceBounds = DEFAULT_BOUNDS) -> DiscreteAction:
+def discretize_pose(pose: ContinuousPose) -> DiscreteAction:
     """Discretize a full pose; the gripper bit is 1 (open) iff aperture >= 0.5."""
     return DiscreteAction(
-        voxel=voxelize(pose.position, bounds),
+        voxel=voxelize(pose.position),
         rot=bin_rotation(pose.orientation),
         gripper=1 if pose.gripper >= 0.5 else 0,
     )

@@ -18,16 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import (
-    BimanualAction,
-    DEFAULT_BOUNDS,
-    DiscreteAction,
-    WorkspaceBounds,
-    devoxelize,
-    voxelize,
-)
+from .actions import WORKSPACE_MAX, WORKSPACE_MIN, BimanualAction, DiscreteAction, devoxelize
 from .demos import Demonstration
-from .perception import MaskedCloud, Observation, build_observation
+from .perception import MaskedCloud, build_observation
 
 GRASP_RADIUS = 2.0 / 100.0  # 2 voxels, in meters at unit axis span
 NOMINAL_ROT = (36, 36, 0)
@@ -68,13 +61,9 @@ class World:
     """Per-episode mutable scene state; create via spawn()."""
 
     task: TaskSpec
-    bounds: WorkspaceBounds
     positions: dict  # name -> np.ndarray(3,) meters
     initial_positions: dict
-    observation: Observation
-
-    def voxel_of(self, name: str):
-        return voxelize(tuple(self.positions[name]), self.bounds)
+    observation: dict  # name -> voxel triple, as build_observation returns it
 
     def action_voxel_of(self, name: str):
         """Voxel whose devoxelized center is nearest the object's true position.
@@ -84,7 +73,7 @@ class World:
         target; the floor-based observation quantizer is biased low.
         """
         out = []
-        for p, lo, hi in zip(self.positions[name], self.bounds.min, self.bounds.max):
+        for p, lo, hi in zip(self.positions[name], WORKSPACE_MIN, WORKSPACE_MAX):
             frac = (p - lo) / (hi - lo)
             out.append(min(99, max(0, int(round(frac * 100.0 - 0.5)))))
         return tuple(out)
@@ -167,13 +156,13 @@ def benchmark_clouds(rng, center, half_extent=(0.05, 0.05, 0.05), sigma=0.005):
     ]
 
 
-def spawn(task: TaskSpec, seed: int, bounds: WorkspaceBounds = DEFAULT_BOUNDS) -> World:
+def spawn(task: TaskSpec, seed: int) -> World:
     """Place objects uniformly in their spawn regions and observe the scene."""
     rng = np.random.default_rng(seed)
     positions = {}
     for spec in task.objects:
         coords = []
-        for (vlo, vhi), lo, hi in zip(spec.region, bounds.min, bounds.max):
+        for (vlo, vhi), lo, hi in zip(spec.region, WORKSPACE_MIN, WORKSPACE_MAX):
             # Uniform over the region's continuous extent: the quantizer's
             # cell v covers [v/99, (v+1)/99) of the axis span.
             span = hi - lo
@@ -185,13 +174,11 @@ def spawn(task: TaskSpec, seed: int, bounds: WorkspaceBounds = DEFAULT_BOUNDS) -
         spec.name: synthetic_clouds(rng, spec.name, positions[spec.name], spec.half_extent)
         for spec in task.objects
     }
-    observation = build_observation(clouds, bounds=bounds)
     return World(
         task=task,
-        bounds=bounds,
         positions=positions,
         initial_positions={k: v.copy() for k, v in positions.items()},
-        observation=observation,
+        observation=build_observation(clouds),
     )
 
 
@@ -303,7 +290,7 @@ def execute(world: World, plan) -> EpisodeResult:
 
     for step, action in enumerate(actions):
         for arm in ("right", "left"):
-            grippers[arm] = np.asarray(devoxelize(action.arm(arm).voxel, world.bounds))
+            grippers[arm] = np.asarray(devoxelize(action.arm(arm).voxel))
         for name, held in holders.items():
             if not held:
                 continue
@@ -336,7 +323,7 @@ def execute(world: World, plan) -> EpisodeResult:
 def _nearest_graspable(world: World, positions, gripper_pos):
     """Closest (object, centroid-anchor offset) within the grasp radius, or None."""
     best, best_dist = None, None
-    span = np.asarray(world.bounds.span)
+    span = np.asarray([hi - lo for lo, hi in zip(WORKSPACE_MIN, WORKSPACE_MAX)])
     for spec in world.task.objects:
         if not spec.graspable:
             continue

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .bench import DEFAULT_TASKS
@@ -102,7 +103,14 @@ def _run_config_from_args(args) -> RunConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run_command(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run_command(args) -> int:
     if args.command == "gen-data":
         demos = generate_dataset(args.task, args.episodes, args.seed)
         out = Path(args.out) / args.task
@@ -112,11 +120,7 @@ def main(argv=None) -> int:
 
     if args.command == "run":
         cfg = _run_config_from_args(args)
-        try:
-            report = run_experiment(cfg)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        report = run_experiment(cfg)
         sys.stdout.write(report_tables(report))
         if cfg.out_dir:
             print(f"logs and summary written to {cfg.out_dir}")
@@ -134,14 +138,7 @@ def main(argv=None) -> int:
         demo = load_demonstration(args.plan)
         demos = load_demo_dir(args.demos)
         verdict = score_plan(demo.actions, demos, demo.observation)
-        print(json.dumps({
-            "check1": verdict.check1,
-            "check2": verdict.check2,
-            "check3": verdict.check3,
-            "check4": verdict.check4,
-            "score": verdict.score,
-            "reasons": verdict.reasons,
-        }, indent=2))
+        print(json.dumps(asdict(verdict), indent=2))
         return 0
 
     raise SystemExit(f"unknown command {args.command!r}")

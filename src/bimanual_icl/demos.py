@@ -7,12 +7,11 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .actions import (BimanualAction, ContinuousPose, DEFAULT_BOUNDS, VOXELS_PER_AXIS,
-                      WorkspaceBounds, _check_integers, discretize_pose)
-from .errors import EmptyEpisode, InsufficientDemos, RangeError
-from .perception import Observation
+from .actions import (BimanualAction, ContinuousPose, VOXELS_PER_AXIS, _check_integers,
+                      discretize_pose)
+from .errors import ConfigError, EmptyEpisode, InsufficientDemos, RangeError
 
-DEFAULT_SPEED_EPS = 1e-3
+SPEED_EPS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,7 @@ class EpisodeStep:
 class Demonstration:
     """Initial observation plus the keyframed bimanual action sequence."""
 
-    observation: Observation
+    observation: dict[str, tuple[int, int, int]]
     actions: tuple[BimanualAction, ...]
 
     def __post_init__(self):
@@ -44,13 +43,12 @@ class Demonstration:
             raise ValueError("a demonstration needs at least one action")
 
 
-def extract_keyframes(steps, speed_eps: float = DEFAULT_SPEED_EPS,
-                      bounds: WorkspaceBounds = DEFAULT_BOUNDS) -> tuple[BimanualAction, ...]:
+def extract_keyframes(steps) -> tuple[BimanualAction, ...]:
     """Select and discretize the salient steps of an episode.
 
     A step is a keyframe if any of:
       a. either arm's discretized gripper bit changed from the previous step,
-      b. both arms' joint speeds dropped below ``speed_eps`` and the previous
+      b. both arms' joint speeds dropped below ``SPEED_EPS`` and the previous
          step was not already below it (rising edge only, so a long pause
          emits one keyframe),
       c. the step is terminal.
@@ -63,17 +61,14 @@ def extract_keyframes(steps, speed_eps: float = DEFAULT_SPEED_EPS,
         raise EmptyEpisode("cannot extract keyframes from an empty episode")
 
     discretized = [
-        BimanualAction(
-            right=discretize_pose(s.right, bounds),
-            left=discretize_pose(s.left, bounds),
-        )
+        BimanualAction(right=discretize_pose(s.right), left=discretize_pose(s.left))
         for s in steps
     ]
 
     keyframes = []
     prev_below = False
     for i, (step, action) in enumerate(zip(steps, discretized)):
-        below = step.right_joint_speed < speed_eps and step.left_joint_speed < speed_eps
+        below = step.right_joint_speed < SPEED_EPS and step.left_joint_speed < SPEED_EPS
         gripper_change = i > 0 and (
             action.right.gripper != discretized[i - 1].right.gripper
             or action.left.gripper != discretized[i - 1].left.gripper
@@ -104,7 +99,7 @@ def sample_batch(store, n: int, seed: int) -> list[Demonstration]:
 
 def demonstration_to_dict(demo: Demonstration) -> dict:
     return {
-        "observation": {name: list(voxel) for name, voxel in demo.observation.entries.items()},
+        "observation": {name: list(voxel) for name, voxel in demo.observation.items()},
         "actions": [list(a.as_tuple()) for a in demo.actions],
     }
 
@@ -118,9 +113,7 @@ def _voxel_entry(name: str, values) -> tuple[int, int, int]:
 
 
 def demonstration_from_dict(payload: dict) -> Demonstration:
-    obs = Observation(entries={
-        name: _voxel_entry(name, voxel) for name, voxel in payload["observation"].items()
-    })
+    obs = {name: _voxel_entry(name, voxel) for name, voxel in payload["observation"].items()}
     actions = tuple(BimanualAction.from_tuple(a) for a in payload["actions"])
     return Demonstration(observation=obs, actions=actions)
 
@@ -132,8 +125,14 @@ def save_demonstration(path, demo: Demonstration):
 
 
 def load_demonstration(path) -> Demonstration:
+    """Read one demonstration file; a malformed one is a ConfigError naming it."""
     with open(path, encoding="utf-8") as fh:
-        return demonstration_from_dict(json.load(fh))
+        try:
+            return demonstration_from_dict(json.load(fh))
+        except KeyError as exc:
+            raise ConfigError(f"demonstration {path}: missing key {exc}") from exc
+        except (ValueError, TypeError, AttributeError) as exc:  # JSON, RangeError, shapes
+            raise ConfigError(f"demonstration {path}: {exc}") from exc
 
 
 def load_demo_dir(directory) -> list[Demonstration]:

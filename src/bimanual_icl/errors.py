@@ -97,7 +97,6 @@ EPISODE_ERRORS = (
     AllCandidatesFailed,
     CompletionError,
     ExhaustedRetries,
-    JudgeParseError,
     OracleParseError,
     TransportError,
 )

@@ -26,7 +26,7 @@ from .errors import (
     RequestTimeoutError,
     TransportError,
 )
-from .perception import Observation, observation_l1
+from .perception import observation_l1
 from .prompts import (
     JUDGE_SYSTEM,
     ParsedCompletion,
@@ -195,14 +195,12 @@ class OracleBackend:
 
         ref_demos, (cand_entries, _, cand_actions) = parse_judge_prompt(req.user)
         demos = [
-            Demonstration(
-                observation=Observation(entries=dict(entries)),
-                actions=tuple(BimanualAction.from_tuple(a) for a in actions),
-            )
+            Demonstration(observation=entries,
+                          actions=tuple(BimanualAction.from_tuple(a) for a in actions))
             for entries, _, actions in ref_demos
         ]
         plan = tuple(BimanualAction.from_tuple(a) for a in cand_actions)
-        verdict = judge_mod.score_plan(plan, demos, Observation(entries=dict(cand_entries)))
+        verdict = judge_mod.score_plan(plan, demos, cand_entries)
         return judge_mod.verdict_to_json(verdict)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import ExhaustedRetries, JudgeParseError
 from .gateway import ChatRequest
-from .perception import Observation, observation_l1
+from .perception import observation_l1
 from .prompts import _balanced_span, build_judge_prompt
 
 COLLISION_DISTANCE = 10.0
@@ -45,7 +45,7 @@ def clamp_score(check1: int, check2: int, check3: int, check4: int) -> int:
     return min(5, max(1, 3 + check1 + check2 + check3 + check4))
 
 
-def nearest_demo_index(demos, obs: Observation) -> int:
+def nearest_demo_index(demos, obs: dict) -> int:
     """Demo with minimal summed L1 observation distance; lowest index wins ties."""
     if not demos:
         raise ValueError("at least one demonstration is required")
@@ -81,7 +81,7 @@ def _z_shape(actions, arm: str):
     return tuple(signs)
 
 
-def check_demo_match(plan, demos, obs: Observation):
+def check_demo_match(plan, demos, obs: dict):
     """+1 iff first actions land near the nearest demo's and z shapes agree."""
     idx = nearest_demo_index(demos, obs)
     demo = demos[idx]
@@ -101,7 +101,7 @@ def _gripper_transitions(actions, arm: str):
     return tuple((prev, cur) for prev, cur in zip(bits, bits[1:]) if prev != cur)
 
 
-def check_gripper(plan, demos, obs: Observation):
+def check_gripper(plan, demos, obs: dict):
     """-1 iff either arm's gripper transition sequence differs from the nearest demo's."""
     idx = nearest_demo_index(demos, obs)
     demo = demos[idx]
@@ -122,7 +122,7 @@ def check_workspace(plan):
     return 0, "both arms stay in their reachable zones"
 
 
-def score_plan(plan, demos, obs: Observation) -> JudgeVerdict:
+def score_plan(plan, demos, obs: dict) -> JudgeVerdict:
     """Score a candidate plan with the deterministic rubric."""
     plan = tuple(plan)
     if not plan:
@@ -225,7 +225,7 @@ class PlanJudge:
         self.temperature = temperature
         self.max_retries = max_retries
 
-    def score(self, plan, demos, obs: Observation) -> JudgeVerdict:
+    def score(self, plan, demos, obs: dict) -> JudgeVerdict:
         if self.mode == "rubric":
             return score_plan(plan, demos, obs)
         plan = tuple(plan)

@@ -10,11 +10,11 @@ Three fusion strategies are supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import DEFAULT_BOUNDS, WorkspaceBounds, voxelize
+from .actions import voxelize
 from .errors import EmptyObject, OutOfWorkspace
 
 STRATEGIES = ("standard", "concat", "prune")
@@ -34,13 +34,6 @@ class MaskedCloud:
         if pts.size and not np.isfinite(pts).all():
             raise ValueError(f"non-finite points in cloud {self.camera_id}/{self.object_name}")
         self.points = pts
-
-
-@dataclass
-class Observation:
-    """Ordered mapping from object name to voxel triple."""
-
-    entries: dict[str, tuple[int, int, int]] = field(default_factory=dict)
 
 
 def extract_centroid(clouds, strategy: str = "prune", voxel_size: float = DEFAULT_VOXEL_SIZE):
@@ -86,21 +79,15 @@ def _voxel_downsample(points: np.ndarray, voxel_size: float) -> np.ndarray:
     return sums / counts[:, None]
 
 
-def build_observation(
-    object_clouds,
-    strategy: str = "prune",
-    bounds: WorkspaceBounds = DEFAULT_BOUNDS,
-    voxel_size: float = DEFAULT_VOXEL_SIZE,
-) -> Observation:
-    """Fuse and voxelize every object's clouds, preserving input name order."""
-    entries: dict[str, tuple[int, int, int]] = {}
+def build_observation(object_clouds) -> dict[str, tuple[int, int, int]]:
+    """Voxelize each object's ``prune``-fused centroid, in input name order."""
+    entries = {}
     for name, clouds in object_clouds.items():
         try:
-            centroid = extract_centroid(clouds, strategy=strategy, voxel_size=voxel_size)
-            entries[name] = voxelize(centroid, bounds)
+            entries[name] = voxelize(extract_centroid(clouds))
         except (EmptyObject, OutOfWorkspace) as exc:
             raise type(exc)(f"object {name!r}: {exc}") from exc
-    return Observation(entries=entries)
+    return entries
 
 
 def centroid_error(estimated, ground_truth) -> float:
@@ -112,16 +99,14 @@ def centroid_error(estimated, ground_truth) -> float:
     return float(np.linalg.norm(est - gt) * 100.0)
 
 
-def observation_l1(a, b) -> int:
+def observation_l1(a: dict, b: dict) -> int:
     """Summed L1 voxel distance between two observations' shared object entries.
 
     Used by the nearest-demo oracle and by the judge's nearest-demo selection.
     """
-    entries_a = a.entries if isinstance(a, Observation) else a
-    entries_b = b.entries if isinstance(b, Observation) else b
     total = 0
-    for name, va in entries_a.items():
-        vb = entries_b.get(name)
+    for name, va in a.items():
+        vb = b.get(name)
         if vb is None:
             continue
         total += sum(abs(x - y) for x, y in zip(va, vb))

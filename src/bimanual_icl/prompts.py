@@ -22,9 +22,8 @@ import ast
 import json
 from dataclasses import dataclass
 
-from .actions import BimanualAction, DiscreteAction
+from .actions import BimanualAction, DiscreteAction, _is_integer
 from .errors import ArityMismatch, OracleParseError, ParseFailure, RangeError, RangeViolation
-from .perception import Observation
 
 ARM_FILTERS = ("right", "left", "both")
 PARTNER_KEYS = ("leader_arm", "follower_arm")
@@ -116,13 +115,13 @@ def _components(action):
     return tuple(int(v) for v in action)
 
 
-def serialize_observation(obs: Observation, partner=None) -> str:
-    """Render an observation in the canonical single-quoted grammar.
+def serialize_observation(obs: dict, partner=None) -> str:
+    """Render an object-name -> voxel dict in the canonical single-quoted grammar.
 
     ``partner`` is an optional ``(key, actions)`` partner-arm entry, one of
     ``PARTNER_KEYS`` holding a single-arm trajectory; it renders last.
     """
-    parts = [f"'{name}': {render_action(voxel)}" for name, voxel in obs.entries.items()]
+    parts = [f"'{name}': {render_action(voxel)}" for name, voxel in obs.items()]
     if partner is not None:
         key, actions = partner
         parts.append(f"'{key}': {render_action_list(actions)}")
@@ -143,7 +142,7 @@ def _demo_pairs(rendered_pairs, test_obs_text=None) -> str:
     return ", ".join(segments)
 
 
-def build_single_prompt(demos, test_obs: Observation, arm_filter: str = "both",
+def build_single_prompt(demos, test_obs: dict, arm_filter: str = "both",
                         role: str | None = None) -> PromptBundle:
     """Serialize demos and the test observation into one continuation prompt.
 
@@ -171,7 +170,7 @@ def build_single_prompt(demos, test_obs: Observation, arm_filter: str = "both",
     )
 
 
-def build_conditioned_prompt(demos, test_obs: Observation, *, target_arm: str,
+def build_conditioned_prompt(demos, test_obs: dict, *, target_arm: str,
                              partner_key: str, partner_pred) -> PromptBundle:
     """Prompt for one arm conditioned on the other arm's trajectory.
 
@@ -209,7 +208,7 @@ def build_conditioned_prompt(demos, test_obs: Observation, *, target_arm: str,
     )
 
 
-def build_follower_prompt(demos, test_obs: Observation, leader_pred,
+def build_follower_prompt(demos, test_obs: dict, leader_pred,
                           leader_is_right: bool = True) -> PromptBundle:
     """Follower-phase prompt: demos and test observation carry the leader plan."""
     return build_conditioned_prompt(
@@ -217,7 +216,7 @@ def build_follower_prompt(demos, test_obs: Observation, leader_pred,
         partner_key="leader_arm", partner_pred=leader_pred)
 
 
-def build_judge_prompt(demos, test_obs: Observation, candidate_actions) -> PromptBundle:
+def build_judge_prompt(demos, test_obs: dict, candidate_actions) -> PromptBundle:
     """Validator prompt: reference demos plus the candidate bimanual plan."""
     if not demos:
         raise ValueError("at least one demonstration is required")
@@ -258,10 +257,6 @@ def _balanced_span(text: str, start: int, open_ch: str, close_ch: str):
     return None
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _try_literal_rows(snippet: str):
     """Parse a bracketed snippet into (rows, is_nested), or None.
 
@@ -274,11 +269,11 @@ def _try_literal_rows(snippet: str):
         return None
     if not isinstance(value, list) or not value:
         return None
-    if all(_is_int(v) for v in value):
+    if all(_is_integer(v) for v in value):
         return [value], False
     rows = []
     for row in value:
-        if not isinstance(row, list) or not row or not all(_is_int(v) for v in row):
+        if not isinstance(row, list) or not row or not all(_is_integer(v) for v in row):
             return None
         rows.append(row)
     return rows, True
@@ -291,7 +286,7 @@ def parse_completion(text: str, arity: int) -> ParsedCompletion:
     a flat integer list is accepted as a single action when the completion
     contains no nested list at all. Raises ParseFailure when nothing can be
     extracted, ArityMismatch or RangeViolation when the extracted tuples
-    are malformed; the gateway distinguishes these to decide on a retry.
+    are malformed. All three are CompletionErrors, on which the gateway retries.
     """
     rows = None
     flat_fallback = None
@@ -361,7 +356,7 @@ def parse_prompt(text: str, with_trailing_test: bool = True):
         raise OracleParseError("prompt does not alternate observations and action lists")
     demos = [(*obs, actions) for obs, actions in zip(observations, action_lists)]
     test = observations[-1] if with_trailing_test else None
-    rendered = [serialize_observation(Observation(e), p) for e, p in observations]
+    rendered = [serialize_observation(e, p) for e, p in observations]
     pairs = zip(rendered, map(render_action_list, action_lists))
     if _demo_pairs(pairs, rendered[-1] if with_trailing_test else None) != text:
         raise OracleParseError("prompt is not byte-identical renderer output")

@@ -14,21 +14,18 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from .actions import _is_integer
 from .bench import DEFAULT_TASKS, execute, scripted_expert, spawn
 from .demos import load_demo_dir, sample_batch
 from .errors import EPISODE_ERRORS, ConfigError
 from .gateway import CallLog, ChatGateway, HttpBackend, OracleBackend
 from .judge import JUDGE_MODES, PlanJudge
-from .strategies import StrategyConfig, run_strategy
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+from .strategies import STRATEGY_KINDS, StrategyConfig, run_strategy
 
 
 def _is_list_of(check):
@@ -37,12 +34,12 @@ def _is_list_of(check):
 
 # What each RunConfig annotation admits; a --config file can hold any JSON value.
 _ANNOTATION_CHECKS = {
-    "int": _is_int,
-    "float": lambda value: _is_int(value) or isinstance(value, float),
+    "int": _is_integer,
+    "float": lambda value: _is_integer(value) or isinstance(value, float),
     "str": lambda value: isinstance(value, str),
     "str | None": lambda value: value is None or isinstance(value, str),
     "list[str]": _is_list_of(lambda value: isinstance(value, str)),
-    "list[int]": _is_list_of(_is_int),
+    "list[int]": _is_list_of(_is_integer),
 }
 
 
@@ -95,14 +92,15 @@ class RunConfig:
             if task not in DEFAULT_TASKS:
                 raise ConfigError(f"unknown task {task!r}; available: {sorted(DEFAULT_TASKS)}")
         for strategy in self.strategies:
-            self.strategy_config(strategy)  # StrategyConfig owns the strategy checks
+            if strategy not in STRATEGY_KINDS:
+                raise ConfigError(f"unknown strategy {strategy!r}; available: {STRATEGY_KINDS}")
+        self.strategy_config()  # StrategyConfig owns the checks of the strategy settings
         if self.store_size < self.n_demos:
             raise ConfigError("store_size must be at least n_demos")
 
-    def strategy_config(self, kind: str) -> StrategyConfig:
-        """The strategy settings every ``kind`` episode of this run uses."""
+    def strategy_config(self) -> StrategyConfig:
+        """The strategy settings every episode of this run uses."""
         return StrategyConfig(
-            kind=kind,
             leader_arm=self.leader_arm,
             n_candidates=self.n_candidates,
             max_retries=self.max_retries,
@@ -176,7 +174,7 @@ def _run_episode(cfg: RunConfig, backend, store, task_name: str, strategy: str,
 
     log = CallLog()
     gateway = ChatGateway(backend, log)
-    strategy_cfg = cfg.strategy_config(strategy)
+    strategy_cfg = cfg.strategy_config()
     judge = PlanJudge(mode=cfg.judge_mode, gateway=gateway,
                       temperature=cfg.judge_temperature, max_retries=cfg.max_retries)
 
@@ -256,9 +254,9 @@ def aggregate(records) -> AggregateReport:
     grid-order records of a run aggregate exactly as that run did.
     """
     records = list(records)
-    tasks = _first_appearance(r["task"] for r in records)
-    strategies = _first_appearance(r["strategy"] for r in records)
-    seeds = _first_appearance(r["seed"] for r in records)
+    tasks = list(dict.fromkeys(r["task"] for r in records))
+    strategies = list(dict.fromkeys(r["strategy"] for r in records))
+    seeds = list(dict.fromkeys(r["seed"] for r in records))
     episodes = max((r["episode"] + 1 for r in records), default=0)
 
     rows = []
@@ -291,16 +289,8 @@ def aggregate(records) -> AggregateReport:
                     wall_ms_iqr=(float(np.percentile(walls, 25)), float(np.percentile(walls, 75))),
                 )
             )
-    return AggregateReport(tasks=list(tasks), strategies=list(strategies),
-                           seeds=list(seeds), episodes=episodes, rows=rows)
-
-
-def _first_appearance(sequence):
-    seen = []
-    for item in sequence:
-        if item not in seen:
-            seen.append(item)
-    return seen
+    return AggregateReport(tasks=tasks, strategies=strategies, seeds=seeds,
+                           episodes=episodes, rows=rows)
 
 
 def report_to_summary(report: AggregateReport) -> dict:
@@ -311,17 +301,7 @@ def report_to_summary(report: AggregateReport) -> dict:
         "seeds": report.seeds,
         "episodes": report.episodes,
         "rows": [
-            {
-                "task": row.task,
-                "strategy": row.strategy,
-                "episodes": row.episodes,
-                "success_mean": row.success_mean,
-                "success_sd": row.success_sd,
-                "calls_mean": row.calls_mean,
-                "calls_sd": row.calls_sd,
-                "prompt_chars_mean": row.prompt_chars_mean,
-                "completion_chars_mean": row.completion_chars_mean,
-            }
+            {k: v for k, v in asdict(row).items() if not k.startswith("wall_ms")}
             for row in report.rows
         ],
     }

@@ -9,7 +9,7 @@ best_of_n=3n, debate_plus_bon=5n.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .actions import BimanualAction
 from .errors import (
@@ -21,21 +21,17 @@ from .errors import (
 )
 from .gateway import ChatRequest, ChatGateway
 from .judge import PlanJudge
-from .perception import Observation
 from .prompts import build_conditioned_prompt, build_follower_prompt, build_single_prompt
 
 
 @dataclass(frozen=True)
 class StrategyConfig:
-    kind: str = "leader_follower"
     leader_arm: str = "right"
     n_candidates: int = 5
     max_retries: int = 2
     temperature: float = 1.0  # candidate sampling; the judge runs at its own temperature
 
     def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise ConfigError(f"unknown strategy kind {self.kind!r}")
         if self.leader_arm not in ("right", "left"):
             raise ConfigError(f"leader_arm must be 'right' or 'left', got {self.leader_arm!r}")
         if self.n_candidates < 1:
@@ -87,19 +83,19 @@ def _call(gateway: ChatGateway, bundle, cfg: StrategyConfig, tag: str, arity: in
         raise
 
 
-def run_single_agent(gateway: ChatGateway, demos, obs: Observation,
+def run_single_agent(gateway: ChatGateway, demos, obs: dict,
                      cfg: StrategyConfig | None = None) -> BimanualPlan:
     """One arity-14 call predicting both arms jointly."""
-    cfg = cfg or StrategyConfig(kind="single_agent")
+    cfg = cfg or StrategyConfig()
     bundle = build_single_prompt(demos, obs, arm_filter="both", role="single")
     parsed = _call(gateway, bundle, cfg, tag="single", arity=14, phase="single")
     return BimanualPlan(actions=parsed.to_bimanual(), kind="single_agent", tags=("single",))
 
 
-def run_dual_agent(gateway: ChatGateway, demos, obs: Observation,
+def run_dual_agent(gateway: ChatGateway, demos, obs: dict,
                    cfg: StrategyConfig | None = None) -> BimanualPlan:
     """Two concurrent independent arity-7 calls, one per arm, no sharing."""
-    cfg = cfg or StrategyConfig(kind="dual_agent")
+    cfg = cfg or StrategyConfig()
 
     def predict(arm: str):
         bundle = build_single_prompt(demos, obs, arm_filter=arm, role="single")
@@ -113,7 +109,7 @@ def run_dual_agent(gateway: ChatGateway, demos, obs: Observation,
     return compose(right, left, kind="dual_agent", tags=("dual:right", "dual:left"))
 
 
-def _run_turns(gateway: ChatGateway, demos, obs: Observation, cfg: StrategyConfig,
+def _run_turns(gateway: ChatGateway, demos, obs: dict, cfg: StrategyConfig,
                kind: str, tag_prefix: str, turns: tuple[str, ...]) -> BimanualPlan:
     """Sequential single-arm calls, alternating leader and follower arm.
 
@@ -138,16 +134,16 @@ def _run_turns(gateway: ChatGateway, demos, obs: Observation, cfg: StrategyConfi
                    tags=tuple(f"{tag_prefix}:{turn}" for turn in turns))
 
 
-def run_leader_follower(gateway: ChatGateway, demos, obs: Observation,
+def run_leader_follower(gateway: ChatGateway, demos, obs: dict,
                         cfg: StrategyConfig | None = None,
                         tag_prefix: str = "lf") -> BimanualPlan:
     """Leader predicts first; the follower conditions on the leader's plan."""
-    cfg = cfg or StrategyConfig(kind="leader_follower")
+    cfg = cfg or StrategyConfig()
     return _run_turns(gateway, demos, obs, cfg, "leader_follower", tag_prefix,
                       ("leader", "follower"))
 
 
-def run_arms_debate(gateway: ChatGateway, demos, obs: Observation,
+def run_arms_debate(gateway: ChatGateway, demos, obs: dict,
                     cfg: StrategyConfig | None = None,
                     tag_prefix: str = "debate") -> BimanualPlan:
     """The leader-follower chain run for two more turns.
@@ -155,12 +151,12 @@ def run_arms_debate(gateway: ChatGateway, demos, obs: Observation,
     Four strictly sequential single-arm calls, each with a fresh prompt and
     no conversation state; the final plan uses only the round-2 predictions.
     """
-    cfg = cfg or StrategyConfig(kind="arms_debate")
+    cfg = cfg or StrategyConfig()
     return _run_turns(gateway, demos, obs, cfg, "arms_debate", tag_prefix,
                       ("leader1", "follower1", "leader2", "follower2"))
 
 
-def _run_reranked(demos, obs: Observation, cfg: StrategyConfig, judge: PlanJudge | None,
+def _run_reranked(demos, obs: dict, cfg: StrategyConfig, judge: PlanJudge | None,
                   kind: str, generate) -> BimanualPlan:
     """Best-of-n: n concurrent tasks, each generating ``generate(j)`` then scoring it.
 
@@ -197,7 +193,7 @@ def _run_reranked(demos, obs: Observation, cfg: StrategyConfig, judge: PlanJudge
     )
 
 
-def run_best_of_n(gateway: ChatGateway, demos, obs: Observation, cfg: StrategyConfig,
+def run_best_of_n(gateway: ChatGateway, demos, obs: dict, cfg: StrategyConfig,
                   judge: PlanJudge | None) -> BimanualPlan:
     """n independent leader-follower candidates, judged, argmax selected."""
     return _run_reranked(
@@ -206,7 +202,7 @@ def run_best_of_n(gateway: ChatGateway, demos, obs: Observation, cfg: StrategyCo
     )
 
 
-def run_debate_plus_bon(gateway: ChatGateway, demos, obs: Observation, cfg: StrategyConfig,
+def run_debate_plus_bon(gateway: ChatGateway, demos, obs: dict, cfg: StrategyConfig,
                         judge: PlanJudge | None) -> BimanualPlan:
     """Best-of-n with arms-debate candidates: 4n generation + n judge calls."""
     return _run_reranked(
@@ -229,9 +225,10 @@ _STRATEGIES = {
 STRATEGY_KINDS = tuple(_STRATEGIES)
 
 
-def run_strategy(kind: str, gateway: ChatGateway, demos, obs: Observation,
+def run_strategy(kind: str, gateway: ChatGateway, demos, obs: dict,
                  cfg: StrategyConfig | None = None,
                  judge: PlanJudge | None = None) -> BimanualPlan:
     """Dispatch by strategy kind; the experiment runner's single entry point."""
-    cfg = replace(cfg, kind=kind) if cfg is not None else StrategyConfig(kind=kind)
-    return _STRATEGIES[kind](gateway, demos, obs, cfg, judge=judge)
+    if kind not in _STRATEGIES:
+        raise ConfigError(f"unknown strategy kind {kind!r}")
+    return _STRATEGIES[kind](gateway, demos, obs, cfg or StrategyConfig(), judge=judge)

@@ -10,7 +10,6 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from bimanual_icl.actions import BimanualAction, DiscreteAction
 from bimanual_icl.demos import Demonstration
-from bimanual_icl.perception import Observation
 
 
 # Property tests draw the same examples on every run and write no example
@@ -45,7 +44,7 @@ def make_demo(entries, arm_waypoints):
     actions = tuple(
         BimanualAction(right=_action(*r), left=_action(*l)) for r, l in arm_waypoints
     )
-    return Demonstration(observation=Observation(entries=dict(entries)), actions=actions)
+    return Demonstration(observation=dict(entries), actions=actions)
 
 
 class StubChatHandler(BaseHTTPRequestHandler):
@@ -123,5 +122,5 @@ def two_demo_fixture():
             ((57, 45, 45, 0), (22, 58, 45, 0)),
         ],
     )
-    test_obs = Observation(entries={"ball": (52, 47, 31), "cup": (21, 59, 31)})
+    test_obs = {"ball": (52, 47, 31), "cup": (21, 59, 31)}
     return [demo_a, demo_b], test_obs

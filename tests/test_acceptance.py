@@ -132,7 +132,7 @@ def test_criterion_3_call_budgets(two_demo_fixture):
             log = CallLog()
             gateway = ChatGateway(FlakyBackend(OracleBackend(), failures=2), log)
             run_strategy(kind, gateway, demos, test_obs,
-                         StrategyConfig(kind=kind, max_retries=2))
+                         StrategyConfig(max_retries=2))
             assert log.count() == 3 * logical, kind
             assert sum(1 for r in log.records() if r.outcome == "parse_fail") == 2 * logical
 

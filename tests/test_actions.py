@@ -19,9 +19,9 @@ import bimanual_icl
 from bimanual_icl.actions import (
     BimanualAction,
     ContinuousPose,
-    DEFAULT_BOUNDS,
     DiscreteAction,
-    WorkspaceBounds,
+    WORKSPACE_MAX,
+    WORKSPACE_MIN,
     _euler_xyz,
     bin_rotation,
     devoxelize,
@@ -84,16 +84,11 @@ class TestVoxelize:
     def test_range_and_monotonicity(self):
         rng = random.Random(7)
         for _ in range(2000)        :
-            p = [rng.uniform(lo, hi) for lo, hi in zip(DEFAULT_BOUNDS.min, DEFAULT_BOUNDS.max)]
+            p = [rng.uniform(lo, hi) for lo, hi in zip(WORKSPACE_MIN, WORKSPACE_MAX)]
             v = voxelize(p)
             assert all(0 <= c <= 99 for c in v)
-            bumped = [min(hi, c + 1e-4) for c, hi in zip(p, DEFAULT_BOUNDS.max)]
+            bumped = [min(hi, c + 1e-4) for c, hi in zip(p, WORKSPACE_MAX)]
             assert all(a <= b for a, b in zip(v, voxelize(bumped)))
-
-    def test_custom_bounds(self):
-        bounds = WorkspaceBounds(min=(0.0, 0.0, 0.0), max=(1.0, 2.0, 4.0))
-        assert voxelize((1.0, 2.0, 4.0), bounds) == (99, 99, 99)
-        assert voxelize((0.5, 1.0, 2.0), bounds) == (49, 49, 49)
 
 
 class TestDevoxelize:
@@ -129,10 +124,10 @@ class TestDevoxelize:
         # peaking just under 0.015 at the top of the grid.
         rng = random.Random(3)
         for _ in range(5000):
-            p = [rng.uniform(lo, hi) for lo, hi in zip(DEFAULT_BOUNDS.min, DEFAULT_BOUNDS.max)]
+            p = [rng.uniform(lo, hi) for lo, hi in zip(WORKSPACE_MIN, WORKSPACE_MAX)]
             back = devoxelize(voxelize(p))
             for orig, rec, cell, lo, hi in zip(
-                p, back, voxelize(p), DEFAULT_BOUNDS.min, DEFAULT_BOUNDS.max
+                p, back, voxelize(p), WORKSPACE_MIN, WORKSPACE_MAX
             ):
                 frac_err = abs(rec - orig) / (hi - lo)
                 assert frac_err <= (cell + 50.5) / 9900 + 1e-12
@@ -359,10 +354,6 @@ class TestActionTypes:
         pair = BimanualAction(right=action, left=DiscreteAction.from_tuple((9, 8, 7, 6, 5, 4, 0)))
         assert BimanualAction.from_tuple(pair.as_tuple()) == pair
         assert pair.as_tuple()[:7] == action.as_tuple()
-
-    def test_bounds_invariant(self):
-        with pytest.raises(ValueError):
-            WorkspaceBounds(min=(0.0, 0.0, 1.0), max=(1.0, 1.0, 1.0))
 
     def test_pose_invariants(self):
         with pytest.raises(ValueError):

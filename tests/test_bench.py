@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bimanual_icl.actions import BimanualAction, DiscreteAction
+from bimanual_icl.actions import BimanualAction, DiscreteAction, voxelize
 from bimanual_icl.bench import (
     DEFAULT_TASKS,
     EpisodeResult,
@@ -31,7 +31,7 @@ class TestSpawn:
         w1, w2 = spawn(task, seed=7), spawn(task, seed=7)
         for obj in w1.positions:
             np.testing.assert_array_equal(w1.positions[obj], w2.positions[obj])
-        assert w1.observation.entries == w2.observation.entries
+        assert w1.observation == w2.observation
 
     @pytest.mark.parametrize("name", sorted(DEFAULT_TASKS))
     def test_objects_within_spawn_regions(self, name):
@@ -39,7 +39,7 @@ class TestSpawn:
         for seed in range(20):
             world = spawn(task, seed=seed)
             for spec in task.objects:
-                voxel = world.voxel_of(spec.name)
+                voxel = voxelize(world.positions[spec.name])
                 for v, (lo, hi) in zip(voxel, spec.region):
                     assert lo <= v <= hi
 
@@ -47,7 +47,7 @@ class TestSpawn:
     def test_observation_names_in_spec_order(self, name):
         task = DEFAULT_TASKS[name]
         world = spawn(task, seed=0)
-        assert list(world.observation.entries) == [o.name for o in task.objects]
+        assert list(world.observation) == [o.name for o in task.objects]
 
 
 class TestScriptedExpert:
@@ -188,7 +188,7 @@ class TestSpawnOutputPinned:
         for name in sorted(DEFAULT_TASKS):
             for seed in range(100):
                 world = spawn(DEFAULT_TASKS[name], seed=seed)
-                entries = [[k, list(v)] for k, v in world.observation.entries.items()]
+                entries = [[k, list(v)] for k, v in world.observation.items()]
                 h.update(json.dumps([name, seed, entries]).encode())
         assert h.hexdigest() == SPAWN_DIGEST
 

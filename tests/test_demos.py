@@ -17,7 +17,6 @@ from bimanual_icl.demos import (
     load_demonstration,
 )
 from bimanual_icl.errors import EmptyEpisode, InsufficientDemos, RangeError
-from bimanual_icl.perception import Observation
 from bimanual_icl.runner import generate_dataset
 
 IDENTITY = (0.0, 0.0, 0.0, 1.0)
@@ -102,7 +101,7 @@ class TestSampleBatch:
     def make_store(self, size):
         demos = []
         for i in range(size):
-            obs = Observation(entries={"obj": (i % 100, 0, 0)})
+            obs = {"obj": (i % 100, 0, 0)}
             demos.append(demonstration_from_dict({
                 "observation": {"obj": [i % 100, 0, 0]},
                 "actions": [[i % 100, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1]],
@@ -141,11 +140,11 @@ class TestDemoFiles:
             "actions": [[1, 2, 3, 4, 5, 6, 1, 7, 8, 9, 10, 11, 12, 0]],
         }
         demo = demonstration_from_dict(payload)
-        assert list(demo.observation.entries) == ["zebra", "apple"]
+        assert list(demo.observation) == ["zebra", "apple"]
         path = tmp_path / "demo.json"
         save_demonstration(path, demo)
         loaded = load_demonstration(path)
-        assert list(loaded.observation.entries) == ["zebra", "apple"]
+        assert list(loaded.observation) == ["zebra", "apple"]
         assert demonstration_to_dict(loaded) == payload
         # the on-disk document uses the demo-store schema
         raw = json.loads(path.read_text())
@@ -184,4 +183,4 @@ class TestDemoFiles:
 
     def test_demonstration_requires_actions(self):
         with pytest.raises(ValueError):
-            Demonstration(observation=Observation(entries={}), actions=())
+            Demonstration(observation={}, actions=())

@@ -19,7 +19,6 @@ from bimanual_icl.gateway import (
     oracle_nearest_demo,
     request_fingerprint,
 )
-from bimanual_icl.perception import Observation
 from bimanual_icl.prompts import build_single_prompt, parse_completion
 from bimanual_icl.testing import FlakyBackend, ScriptedBackend
 
@@ -143,9 +142,7 @@ class TestOraclePolicy:
     def test_offset_translation(self, two_demo_fixture):
         demos, _ = two_demo_fixture
         base = demos[0].observation
-        shifted = Observation(entries={
-            name: (v[0] + 2, v[1], v[2]) for name, v in base.entries.items()
-        })
+        shifted = {name: (v[0] + 2, v[1], v[2]) for name, v in base.items()}
         request = single_arm_prompt(demos[:1], shifted, arm="right")
         completion = oracle_nearest_demo(request)
         got = parse_completion(completion, 7).actions
@@ -178,9 +175,7 @@ class TestOraclePolicy:
     def test_clamps_to_valid_range(self, two_demo_fixture):
         demos, _ = two_demo_fixture
         base = demos[1].observation
-        shifted = Observation(entries={
-            name: (min(99, v[0] + 45), v[1], v[2]) for name, v in base.entries.items()
-        })
+        shifted = {name: (min(99, v[0] + 45), v[1], v[2]) for name, v in base.items()}
         request = single_arm_prompt(demos, shifted, arm="right")
         completion = oracle_nearest_demo(request)
         for action in parse_completion(completion, 7).actions:
@@ -193,9 +188,7 @@ class TestOraclePolicy:
     def test_bimanual_arity_translation(self, two_demo_fixture):
         demos, _ = two_demo_fixture
         base = demos[0].observation
-        shifted = Observation(entries={
-            name: (v[0], v[1] + 3, v[2]) for name, v in base.entries.items()
-        })
+        shifted = {name: (v[0], v[1] + 3, v[2]) for name, v in base.items()}
         bundle = build_single_prompt(demos[:1], shifted, arm_filter="both")
         completion = oracle_nearest_demo(
             ChatRequest(system=bundle.system_text, user=bundle.user_text, tag="sa")

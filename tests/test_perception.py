@@ -7,7 +7,6 @@ from bimanual_icl.bench import benchmark_clouds
 from bimanual_icl.errors import EmptyObject, OutOfWorkspace
 from bimanual_icl.perception import (
     MaskedCloud,
-    Observation,
     _voxel_downsample,
     build_observation,
     centroid_error,
@@ -124,19 +123,19 @@ class TestVoxelDownsampleMatchesUnique:
 class TestBuildObservation:
     def test_empty_mapping(self):
         obs = build_observation({})
-        assert obs.entries == {}
+        assert obs == {}
 
     def test_midpoint_object(self):
         clouds = {"box": [cloud("a", "box", [(0.2, 0.0, 1.1)])]}
         obs = build_observation(clouds)
-        assert obs.entries == {"box": (49, 49, 49)}
+        assert obs == {"box": (49, 49, 49)}
 
     def test_order_follows_input(self):
         mk = lambda name, x: [cloud("a", name, [(x, 0.0, 1.1)])]
         names = ["zeta", "alpha", "mid"]
         clouds = {n: mk(n, 0.1 + 0.05 * i) for i, n in enumerate(names)}
         obs = build_observation(clouds)
-        assert list(obs.entries) == names
+        assert list(obs) == names
 
     def test_permutation_equivariance(self):
         mk = lambda name, x: [cloud("a", name, [(x, 0.0, 1.1)])]
@@ -144,8 +143,8 @@ class TestBuildObservation:
         obs = build_observation(clouds)
         reordered = {k: clouds[k] for k in reversed(list(clouds))}
         obs_r = build_observation(reordered)
-        assert list(obs_r.entries) == list(reversed(list(obs.entries)))
-        assert obs_r.entries == {k: obs.entries[k] for k in obs_r.entries}
+        assert list(obs_r) == list(reversed(list(obs)))
+        assert obs_r == {k: obs[k] for k in obs_r}
 
     def test_errors_carry_object_name(self):
         with pytest.raises(EmptyObject, match="ghost"):
@@ -159,8 +158,8 @@ class TestBuildObservation:
         for _ in range(100):
             center = rng.uniform((0.1, -0.2, 0.9), (0.4, 0.2, 1.3))
             clouds = {"obj": benchmark_clouds(rng, center, sigma=0.005)}
-            obs = build_observation(clouds, strategy="prune")
-            voxel_err = np.abs(np.array(obs.entries["obj"]) - np.array([
+            obs = build_observation(clouds)
+            voxel_err = np.abs(np.array(obs["obj"]) - np.array([
                 np.floor((c - lo) / (hi - lo) * 99)
                 for c, lo, hi in zip(center, (-0.3, -0.5, 0.6), (0.7, 0.5, 1.6))
             ]))
@@ -193,7 +192,7 @@ class TestCentroidError:
 
 class TestObservationL1:
     def test_partner_excluded_and_sum(self):
-        a = Observation(entries={"x": (1, 2, 3), "y": (5, 5, 5)})
-        b = Observation(entries={"x": (2, 2, 3), "y": (5, 8, 5)})
+        a = {"x": (1, 2, 3), "y": (5, 5, 5)}
+        b = {"x": (2, 2, 3), "y": (5, 8, 5)}
         assert observation_l1(a, b) == 1 + 3
-        assert observation_l1(a.entries, b) == 4
+        assert observation_l1(a, b) == 4

@@ -15,7 +15,6 @@ from bimanual_icl.errors import (
     RangeError,
     RangeViolation,
 )
-from bimanual_icl.perception import Observation
 from bimanual_icl.prompts import (
     JUDGE_CANDIDATE_HEADER,
     JUDGE_REFS_HEADER,
@@ -49,23 +48,23 @@ def random_action(rng, arity):
 
 class TestSerializeObservation:
     def test_empty(self):
-        assert serialize_observation(Observation(entries={})) == "{}"
+        assert serialize_observation({}) == "{}"
 
     def test_single_entry(self):
-        obs = Observation(entries={"ball": (50, 49, 31)})
+        obs = {"ball": (50, 49, 31)}
         assert serialize_observation(obs) == "{'ball': [50, 49, 31]}"
 
     def test_partner_entry_renders_last(self):
-        obs = Observation(entries={"ball": (50, 49, 31)})
+        obs = {"ball": (50, 49, 31)}
         partner = ("leader_arm", [DiscreteAction(voxel=(50, 49, 40), rot=(36, 36, 0), gripper=1)])
         assert serialize_observation(obs, partner) == (
             "{'ball': [50, 49, 31], 'leader_arm': [[50, 49, 40, 36, 36, 0, 1]]}"
         )
 
     def test_injective_on_distinct_entries(self):
-        a = Observation(entries={"x": (1, 2, 3)})
-        b = Observation(entries={"x": (1, 2, 4)})
-        c = Observation(entries={"y": (1, 2, 3)})
+        a = {"x": (1, 2, 3)}
+        b = {"x": (1, 2, 4)}
+        c = {"y": (1, 2, 3)}
         rendered = {serialize_observation(o) for o in (a, b, c)}
         assert len(rendered) == 3
 
@@ -275,7 +274,7 @@ _names = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8).filter(
 )
 
 
-_observations = st.builds(Observation, entries=st.dictionaries(_names, _triples, max_size=4))
+_observations = st.dictionaries(_names, _triples, max_size=4)
 
 _demos = st.lists(
     st.builds(Demonstration, observation=_observations,
@@ -285,7 +284,7 @@ _demos = st.lists(
 
 
 def _parsed_pair(obs, actions):
-    return obs.entries, None, actions
+    return obs, None, actions
 
 
 def _arm_tuples(actions, arm):
@@ -327,7 +326,7 @@ class TestParsePromptRoundTrip:
         assert parsed_demos == [
             _parsed_pair(d.observation, _arm_tuples(d.actions, arm)) for d in demos
         ]
-        assert parsed_test == (test_obs.entries, None)
+        assert parsed_test == (test_obs, None)
         assert {len(a) for _, _, acts in parsed_demos for a in acts} == {
             14 if arm == "both" else 7
         }
@@ -349,12 +348,12 @@ class TestParsePromptRoundTrip:
         ).user_text
         parsed_demos, parsed_test = parse_prompt(text)
         assert parsed_demos == [
-            (d.observation.entries,
+            (d.observation,
              (partner_key, _arm_tuples(d.actions, partner_arm)),
              _arm_tuples(d.actions, target))
             for d in demos
         ]
-        assert parsed_test == (test_obs.entries,
+        assert parsed_test == (test_obs,
                                (partner_key, [a.as_tuple() for a in partner_pred]))
         _assert_truncations_rejected(text, cut)
         _assert_garbles_rejected(text)
@@ -409,7 +408,7 @@ def _mutated_prompts(draw):
 
 def _render_parsed(entries, partner, actions=None):
     """Render one parsed observation (and its actions) with the public renderers."""
-    text = serialize_observation(Observation(entries=dict(entries)), partner) + ">"
+    text = serialize_observation(entries, partner) + ">"
     return text if actions is None else text + render_action_list(actions)
 
 
@@ -460,6 +459,6 @@ class TestParsersOnMutatedPrompts:
             parse_prompt(text)
 
     def test_names_holding_unbalanced_brackets_round_trip(self):
-        obs = Observation(entries={"bin[": (1, 2, 3), "lid}": (4, 5, 6)})
+        obs = {"bin[": (1, 2, 3), "lid}": (4, 5, 6)}
         text = serialize_observation(obs) + ">"
-        assert parse_prompt(text) == ([], (obs.entries, None))
+        assert parse_prompt(text) == ([], (obs, None))

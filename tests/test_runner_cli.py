@@ -291,6 +291,39 @@ class TestCli:
         records = load_episode_log(tmp_path / "run" / "episodes.jsonl")
         assert len(records) == 2
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda d: d["observation"].update(tray=[300, 1, 1]),
+         "voxel component 300 outside [0, 99]"),
+        (lambda d: d.pop("actions"), "missing key 'actions'"),
+        (None, "Expecting value"),
+    ])
+    def test_malformed_demo_file_exits_2_naming_it(self, tmp_path, capsys, corrupt, message):
+        assert main(["gen-data", "--task", "lift_sym", "--episodes", "12",
+                     "--seed", "3", "--out", str(tmp_path / "data")]) == 0
+        path = tmp_path / "data" / "lift_sym" / "demo_00004.json"
+        if corrupt is None:
+            path.write_text("not json", encoding="utf-8")
+        else:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            corrupt(payload)
+            path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["run", "--task", "lift_sym", "--seeds", "0", "--episodes", "1",
+                     "--data-dir", str(tmp_path / "data")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: demonstration {path}: " in err
+        assert message in err
+
+    def test_judge_plan_with_invalid_json_exits_2_naming_it(self, tmp_path, capsys):
+        assert main(["gen-data", "--task", "lift_sym", "--episodes", "2",
+                     "--seed", "3", "--out", str(tmp_path / "data")]) == 0
+        plan = tmp_path / "plan.json"
+        plan.write_text('{"observation": {}, "actions": [', encoding="utf-8")
+        capsys.readouterr()
+        assert main(["judge", "--plan", str(plan),
+                     "--demos", str(tmp_path / "data" / "lift_sym")]) == 2
+        assert f"error: demonstration {plan}: " in capsys.readouterr().err
+
     def test_config_file_overrides_flags(self, tmp_path, capsys):
         config = {"episodes": 2, "store_size": 15}
         path = tmp_path / "cfg.json"

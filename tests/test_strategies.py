@@ -14,7 +14,6 @@ from bimanual_icl.errors import (
 )
 from bimanual_icl.gateway import CallLog, ChatGateway, OracleBackend
 from bimanual_icl.judge import PlanJudge
-from bimanual_icl.perception import Observation
 from bimanual_icl.strategies import (
     StrategyConfig,
     compose,
@@ -39,7 +38,7 @@ def oracle_gateway():
 
 
 def mirrored(demo):
-    obs = Observation(entries=dict(demo.observation.entries))
+    obs = dict(demo.observation)
     actions = tuple(BimanualAction(right=a.left, left=a.right) for a in demo.actions)
     return Demonstration(observation=obs, actions=actions)
 
@@ -132,8 +131,7 @@ class TestLeaderFollower:
             return OracleBackend()(req)
 
         gw = ChatGateway(capture, CallLog())
-        run_leader_follower(gw, demos, test_obs, StrategyConfig(kind="leader_follower",
-                                                                leader_arm="left"))
+        run_leader_follower(gw, demos, test_obs, StrategyConfig(leader_arm="left"))
         assert "the left arm" in captured[0].system
         assert "the right arm" in captured[1].system
         assert "'leader_arm':" in captured[1].user
@@ -142,10 +140,10 @@ class TestLeaderFollower:
         demos, test_obs = two_demo_fixture
         gw1, _ = oracle_gateway()
         plan_right = run_leader_follower(gw1, demos, test_obs,
-                                         StrategyConfig(kind="leader_follower", leader_arm="right"))
+                                         StrategyConfig(leader_arm="right"))
         gw2, _ = oracle_gateway()
         plan_left = run_leader_follower(gw2, [mirrored(d) for d in demos], test_obs,
-                                        StrategyConfig(kind="leader_follower", leader_arm="left"))
+                                        StrategyConfig(leader_arm="left"))
         assert [a.right for a in plan_left.actions] == [a.left for a in plan_right.actions]
         assert [a.left for a in plan_left.actions] == [a.right for a in plan_right.actions]
 
@@ -154,7 +152,7 @@ class TestLeaderFollower:
         gw = ChatGateway(lambda r: "nope", CallLog())
         with pytest.raises(ExhaustedRetries) as excinfo:
             run_leader_follower(gw, demos, test_obs,
-                                StrategyConfig(kind="leader_follower", max_retries=1))
+                                StrategyConfig(max_retries=1))
         assert excinfo.value.phase == "leader"
 
 
@@ -186,10 +184,10 @@ class TestArmsDebate:
         demos, test_obs = two_demo_fixture
         gw1, _ = oracle_gateway()
         plan_right = run_arms_debate(gw1, demos, test_obs,
-                                     StrategyConfig(kind="arms_debate", leader_arm="right"))
+                                     StrategyConfig(leader_arm="right"))
         gw2, _ = oracle_gateway()
         plan_left = run_arms_debate(gw2, [mirrored(d) for d in demos], test_obs,
-                                    StrategyConfig(kind="arms_debate", leader_arm="left"))
+                                    StrategyConfig(leader_arm="left"))
         assert [a.right for a in plan_left.actions] == [a.left for a in plan_right.actions]
         assert [a.left for a in plan_left.actions] == [a.right for a in plan_right.actions]
 
@@ -208,7 +206,7 @@ class TestArmsDebate:
 
         gw = ChatGateway(backend, CallLog())
         with pytest.raises(ExhaustedRetries) as excinfo:
-            run_arms_debate(gw, demos, test_obs, StrategyConfig(kind="arms_debate", max_retries=1))
+            run_arms_debate(gw, demos, test_obs, StrategyConfig(max_retries=1))
         assert excinfo.value.phase == phase
         assert tags[-1] == f"debate:{phase}"
 
@@ -251,7 +249,7 @@ class TestChainPromptDigests:
         gw = ChatGateway(capture, CallLog())
         for run, kind in ((run_leader_follower, "leader_follower"),
                           (run_arms_debate, "arms_debate")):
-            run(gw, demos, test_obs, StrategyConfig(kind=kind, leader_arm=leader_arm))
+            run(gw, demos, test_obs, StrategyConfig(leader_arm=leader_arm))
         assert digests == CHAIN_PROMPT_DIGESTS[leader_arm]
 
 
@@ -260,7 +258,7 @@ class TestBestOfN:
         demos, test_obs = two_demo_fixture
         gw, log = oracle_gateway()
         judge = PlanJudge(mode="llm", gateway=gw)
-        run_best_of_n(gw, demos, test_obs, StrategyConfig(kind="best_of_n"), judge)
+        run_best_of_n(gw, demos, test_obs, StrategyConfig(), judge)
         assert log.count() == 15
         assert log.count("judge") == 5
 
@@ -269,7 +267,7 @@ class TestBestOfN:
         gw, log = oracle_gateway()
         judge = PlanJudge(mode="llm", gateway=gw)
         run_best_of_n(gw, demos, test_obs,
-                      StrategyConfig(kind="best_of_n", n_candidates=1), judge)
+                      StrategyConfig(n_candidates=1), judge)
         assert log.count() == 3
 
     def test_first_maximal_score_selected(self, two_demo_fixture):
@@ -289,7 +287,7 @@ class TestBestOfN:
             return f"[[{10 + j}, 50, 40, 0, 0, 0, 1]]"
 
         gw = ChatGateway(backend, CallLog())
-        plan = run_best_of_n(gw, demos, test_obs, StrategyConfig(kind="best_of_n"), FakeJudge())
+        plan = run_best_of_n(gw, demos, test_obs, StrategyConfig(), FakeJudge())
         assert "selected:1" in plan.tags
         assert "score:5" in plan.tags
 
@@ -307,7 +305,7 @@ class TestBestOfN:
         judge = PlanJudge(mode="llm", gateway=gw)
         plan = run_best_of_n(
             gw, demos, test_obs,
-            StrategyConfig(kind="best_of_n", n_candidates=3, max_retries=0), judge,
+            StrategyConfig(n_candidates=3, max_retries=0), judge,
         )
         assert any(tag.startswith("selected:") for tag in plan.tags)
         assert not any(tag == "selected:0" for tag in plan.tags)
@@ -318,7 +316,7 @@ class TestBestOfN:
         judge = PlanJudge(mode="llm", gateway=gw)
         with pytest.raises(AllCandidatesFailed):
             run_best_of_n(gw, demos, test_obs,
-                          StrategyConfig(kind="best_of_n", n_candidates=2, max_retries=0), judge)
+                          StrategyConfig(n_candidates=2, max_retries=0), judge)
 
     @pytest.mark.parametrize("error", [JudgeParseError, TransportError])
     def test_named_judge_errors_skip_the_candidate(self, two_demo_fixture, error):
@@ -331,7 +329,7 @@ class TestBestOfN:
 
         with pytest.raises(AllCandidatesFailed) as excinfo:
             run_strategy("best_of_n", gw, demos, test_obs,
-                         StrategyConfig(kind="best_of_n", n_candidates=3), FailingJudge())
+                         StrategyConfig(n_candidates=3), FailingJudge())
         assert [j for j, _ in excinfo.value.failures] == [0, 1, 2]
         assert log.count() == 6  # every candidate was generated before its judge failed
 
@@ -360,7 +358,7 @@ class TestDebatePlusBon:
         demos, test_obs = two_demo_fixture
         gw, log = oracle_gateway()
         judge = PlanJudge(mode="llm", gateway=gw)
-        run_debate_plus_bon(gw, demos, test_obs, StrategyConfig(kind="debate_plus_bon"), judge)
+        run_debate_plus_bon(gw, demos, test_obs, StrategyConfig(), judge)
         assert log.count() == 25
 
     def test_degenerate_n1_is_five_calls(self, two_demo_fixture):
@@ -368,7 +366,7 @@ class TestDebatePlusBon:
         gw, log = oracle_gateway()
         judge = PlanJudge(mode="llm", gateway=gw)
         run_debate_plus_bon(gw, demos, test_obs,
-                            StrategyConfig(kind="debate_plus_bon", n_candidates=1), judge)
+                            StrategyConfig(n_candidates=1), judge)
         assert log.count() == 5
 
 
@@ -395,6 +393,8 @@ class TestDispatch:
         gw, _ = oracle_gateway()
         with pytest.raises(ConfigError):
             run_strategy("taco", gw, demos, test_obs)
+        with pytest.raises(ConfigError):
+            run_strategy("taco", gw, demos, test_obs, StrategyConfig())
 
 
 class TestRetryBudgets:
@@ -405,7 +405,7 @@ class TestRetryBudgets:
             log = CallLog()
             gw = ChatGateway(backend, log)
             run_strategy(kind, gw, demos, test_obs,
-                         StrategyConfig(kind=kind, max_retries=2))
+                         StrategyConfig(max_retries=2))
             assert log.count() == 3 * logical, kind
             attempts = [r.attempt for r in log.records()]
             assert attempts.count(3) == logical
