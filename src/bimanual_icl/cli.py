@@ -91,13 +91,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_config_from_args(args) -> RunConfig:
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-    overrides = {}
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            overrides = json.load(fh)
+    path, overrides = getattr(args, "config", None), {}
+    if path:  # any fault of the file is a ConfigError naming it
+        try:
+            with open(path, encoding="utf-8") as fh:
+                overrides = json.load(fh)
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, not JSON
+            raise ConfigError(f"config {path}: {exc}") from exc
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"config {path}: a JSON {type(overrides).__name__}, not an object")
         unknown = set(overrides) - set(RunConfig.__dataclass_fields__)
         if unknown:
-            raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"config {path}: unknown config keys: {sorted(unknown)}")
     return RunConfig(**{**flags, **overrides})
 
 
@@ -137,6 +142,8 @@ def _run_command(args) -> int:
     if args.command == "judge":
         demo = load_demonstration(args.plan)
         demos = load_demo_dir(args.demos)
+        if not demos:
+            raise ConfigError(f"no demonstrations (*.json) in {args.demos}")
         verdict = score_plan(demo.actions, demos, demo.observation)
         print(json.dumps(asdict(verdict), indent=2))
         return 0

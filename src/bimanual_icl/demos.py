@@ -5,11 +5,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .actions import (BimanualAction, ContinuousPose, VOXELS_PER_AXIS, _check_integers,
                       discretize_pose)
 from .errors import ConfigError, EmptyEpisode, InsufficientDemos, RangeError
+from .prompts import demo_texts
 
 SPEED_EPS = 1e-3
 
@@ -30,7 +32,7 @@ class EpisodeStep:
                 raise ValueError(f"joint speed {speed} must be finite and non-negative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Demonstration:
     """Initial observation plus the keyframed bimanual action sequence."""
 
@@ -38,9 +40,14 @@ class Demonstration:
     actions: tuple[BimanualAction, ...]
 
     def __post_init__(self):
-        self.actions = tuple(self.actions)
+        object.__setattr__(self, "actions", tuple(self.actions))
         if not self.actions:
             raise ValueError("a demonstration needs at least one action")
+
+    @cached_property
+    def texts(self) -> dict[str, str]:
+        """``prompts.demo_texts``, rendered on first use; do not mutate ``observation``."""
+        return demo_texts(self)
 
 
 def extract_keyframes(steps) -> tuple[BimanualAction, ...]:

@@ -19,6 +19,7 @@ through them.
 from __future__ import annotations
 
 import ast
+import functools
 import json
 from dataclasses import dataclass
 
@@ -100,19 +101,14 @@ class ParsedCompletion:
         return tuple(BimanualAction.from_tuple(a) for a in self.actions)
 
 
-def render_action(values) -> str:
-    return "[" + ", ".join(str(int(v)) for v in values) + "]"
-
-
 def render_action_list(actions) -> str:
-    """Render a sequence of action tuples as the canonical list-of-lists."""
-    return "[" + ", ".join(render_action(_components(a)) for a in actions) + "]"
+    """Render a sequence of action tuples as the canonical list-of-lists: Python's
+    list repr, after int() so numpy integers stay decimal, not '[np.int64(5)]'."""
+    return str([list(map(int, _components(a))) for a in actions])
 
 
 def _components(action):
-    if isinstance(action, (DiscreteAction, BimanualAction)):
-        return action.as_tuple()
-    return tuple(int(v) for v in action)
+    return action.as_tuple() if isinstance(action, (DiscreteAction, BimanualAction)) else action
 
 
 def serialize_observation(obs: dict, partner=None) -> str:
@@ -121,17 +117,25 @@ def serialize_observation(obs: dict, partner=None) -> str:
     ``partner`` is an optional ``(key, actions)`` partner-arm entry, one of
     ``PARTNER_KEYS`` holding a single-arm trajectory; it renders last.
     """
-    parts = [f"'{name}': {render_action(voxel)}" for name, voxel in obs.items()]
+    text = "{" + ", ".join(f"'{name}': {list(map(int, xyz))}" for name, xyz in obs.items()) + "}"
     if partner is not None:
-        key, actions = partner
-        parts.append(f"'{key}': {render_action_list(actions)}")
-    return "{" + ", ".join(parts) + "}"
+        text = _with_partner(text, partner[0], render_action_list(partner[1]))
+    return text
 
 
-def _filter_action(action: BimanualAction, arm_filter: str):
-    if arm_filter == "both":
-        return action.as_tuple()
-    return action.arm(arm_filter).as_tuple()
+def _with_partner(obs_text: str, key: str, actions_text: str) -> str:
+    """Splice the partner entry in before an observation text's closing '}'."""
+    entry = f"'{key}': {actions_text}}}"
+    return "{" + entry if obs_text == "{}" else f"{obs_text[:-1]}, {entry}"
+
+
+def demo_texts(demo) -> dict[str, str]:
+    """A demo's observation text and its action-list text per arm filter;
+    ``Demonstration.texts`` memoizes them, so each demo is rendered once."""
+    texts = {arm: render_action_list([a.arm(arm) for a in demo.actions])
+             for arm in ("right", "left")}
+    return {"observation": serialize_observation(demo.observation),
+            "both": render_action_list(demo.actions), **texts}
 
 
 def _demo_pairs(rendered_pairs, test_obs_text=None) -> str:
@@ -154,13 +158,7 @@ def build_single_prompt(demos, test_obs: dict, arm_filter: str = "both",
         raise ValueError(f"unknown arm filter {arm_filter!r}")
     if not demos:
         raise ValueError("at least one demonstration is required")
-    pairs = [
-        (
-            serialize_observation(demo.observation),
-            render_action_list([_filter_action(a, arm_filter) for a in demo.actions]),
-        )
-        for demo in demos
-    ]
+    pairs = [(demo.texts["observation"], demo.texts[arm_filter]) for demo in demos]
     system = BOTH_ARMS_SYSTEM if arm_filter == "both" else SINGLE_ARM_SYSTEM.format(arm=arm_filter)
     return PromptBundle(
         system_text=system,
@@ -192,12 +190,8 @@ def build_conditioned_prompt(demos, test_obs: dict, *, target_arm: str,
 
     partner_arm = "left" if target_arm == "right" else "right"
     pairs = [
-        (
-            serialize_observation(
-                demo.observation, (partner_key, [a.arm(partner_arm) for a in demo.actions])
-            ),
-            render_action_list([a.arm(target_arm).as_tuple() for a in demo.actions]),
-        )
+        (_with_partner(demo.texts["observation"], partner_key, demo.texts[partner_arm]),
+         demo.texts[target_arm])
         for demo in demos
     ]
     return PromptBundle(
@@ -220,12 +214,8 @@ def build_judge_prompt(demos, test_obs: dict, candidate_actions) -> PromptBundle
     """Validator prompt: reference demos plus the candidate bimanual plan."""
     if not demos:
         raise ValueError("at least one demonstration is required")
-    refs = _demo_pairs(
-        (serialize_observation(d.observation), render_action_list(d.actions)) for d in demos
-    )
-    candidate = _demo_pairs(
-        [(serialize_observation(test_obs), render_action_list(candidate_actions))]
-    )
+    refs = _demo_pairs((d.texts["observation"], d.texts["both"]) for d in demos)
+    candidate = f"{serialize_observation(test_obs)}>{render_action_list(candidate_actions)}"
     user = f"{JUDGE_REFS_HEADER}{refs}{JUDGE_CANDIDATE_HEADER}{candidate}"
     return PromptBundle(system_text=JUDGE_SYSTEM, user_text=user, role="judge", arm="both")
 
@@ -317,7 +307,7 @@ def parse_completion(text: str, arity: int) -> ParsedCompletion:
 
 
 def _rows(value):
-    return [tuple(int(v) for v in row) for row in value]
+    return tuple(tuple(int(v) for v in row) for row in value)
 
 
 def _observation_parts(obs):
@@ -335,32 +325,48 @@ def _observation_parts(obs):
     return entries, partner
 
 
+def _parse_segment(segment: str, pair: bool):
+    """Decode one ``obs>actions`` pair, or the open ``obs>`` when not ``pair``, into
+    tuples ``(entries, partner, actions)``; it must render back byte for byte."""
+    body = segment if pair else segment[:-1]  # the open observation's '>'
+    try:
+        items = json.loads("[" + body.replace("'", '"').replace(">", ", ") + "]")
+        obs, actions = items if pair else (*items, ())  # ValueError unless they alternate
+        entries, partner = _observation_parts(obs)
+        actions = _rows(actions)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise OracleParseError(f"prompt outside the grammar: {exc}") from exc
+    tail = render_action_list(actions) if pair else ""
+    if f"{serialize_observation(entries, partner)}>{tail}" != segment:
+        raise OracleParseError("prompt is not byte-identical renderer output")
+    return tuple(entries.items()), partner, actions
+
+
+@functools.lru_cache(maxsize=256)
+def _parse_pair(segment: str):
+    """``_parse_segment`` of a demo pair; prompts of one episode share their demos."""
+    return _parse_segment(segment, pair=True)
+
+
+def _fresh(entries, partner, actions):
+    """Mutable copies of a cached parse, so no caller can change the cache."""
+    return dict(entries), partner and (partner[0], list(partner[1])), list(actions)
+
+
 def parse_prompt(text: str, with_trailing_test: bool = True):
     """Invert a rendered ``obs>actions, ..., obs>`` prompt body.
 
     Returns ``(demos, test)``: each demo is ``(entries, partner, actions)``
     and ``test`` is ``(entries, partner)``, where ``partner`` is ``None`` or
     ``(key, action tuples)``; with ``with_trailing_test=False`` the body ends
-    after its last action list and ``test`` is ``None``. The body is decoded
-    as one JSON array and rendered again, and OracleParseError is raised
-    unless that render equals ``text`` byte for byte.
+    after its last action list and ``test`` is ``None``. The body is split
+    before each ``{``, which opens only an observation; each segment must
+    render back byte for byte, and demo pairs go through a bounded cache.
     """
-    body = text[:-1] if with_trailing_test else text  # the test observation's '>'
-    try:
-        items = json.loads("[" + body.replace("'", '"').replace(">", ", ") + "]")
-        observations = [_observation_parts(obs) for obs in items[0::2]]
-        action_lists = [_rows(actions) for actions in items[1::2]]
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise OracleParseError(f"prompt outside the grammar: {exc}") from exc
-    if not observations or len(observations) != len(action_lists) + with_trailing_test:
-        raise OracleParseError("prompt does not alternate observations and action lists")
-    demos = [(*obs, actions) for obs, actions in zip(observations, action_lists)]
-    test = observations[-1] if with_trailing_test else None
-    rendered = [serialize_observation(e, p) for e, p in observations]
-    pairs = zip(rendered, map(render_action_list, action_lists))
-    if _demo_pairs(pairs, rendered[-1] if with_trailing_test else None) != text:
-        raise OracleParseError("prompt is not byte-identical renderer output")
-    return demos, test
+    segments = text.split(", {")
+    segments[1:] = ["{" + segment for segment in segments[1:]]
+    test = _fresh(*_parse_segment(segments.pop(), pair=False))[:2] if with_trailing_test else None
+    return [_fresh(*_parse_pair(segment)) for segment in segments], test
 
 
 def parse_judge_prompt(text: str):

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 
 import pytest
@@ -17,6 +19,7 @@ from bimanual_icl.demos import (
     load_demonstration,
 )
 from bimanual_icl.errors import EmptyEpisode, InsufficientDemos, RangeError
+from bimanual_icl.prompts import build_judge_prompt, build_single_prompt, demo_texts
 from bimanual_icl.runner import generate_dataset
 
 IDENTITY = (0.0, 0.0, 0.0, 1.0)
@@ -184,3 +187,27 @@ class TestDemoFiles:
     def test_demonstration_requires_actions(self):
         with pytest.raises(ValueError):
             Demonstration(observation={}, actions=())
+
+
+class TestDemonstrationMemo:
+    def test_fields_are_frozen(self):
+        demo = generate_dataset("handover", 1, seed=5)[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            demo.actions = demo.actions[:1]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            demo.observation = {}
+
+    def test_renders_once_and_like_a_fresh_copy(self):
+        demos = generate_dataset("handover", 3, seed=5)
+        obs = demos[0].observation
+        first = build_single_prompt(demos, obs, arm_filter="left").user_text
+        texts = [d.texts for d in demos]
+        assert build_single_prompt(demos, obs, arm_filter="left").user_text == first
+        assert [d.texts for d in demos] == texts
+        assert all(d.texts is t for d, t in zip(demos, texts))
+        fresh = [Demonstration(observation=dict(d.observation), actions=d.actions)
+                 for d in demos]
+        assert [demo_texts(d) for d in fresh] == texts
+        assert build_single_prompt(fresh, obs, arm_filter="left").user_text == first
+        assert (build_judge_prompt(copy.deepcopy(demos), obs, demos[0].actions).user_text
+                == build_judge_prompt(demos, obs, demos[0].actions).user_text)

@@ -1,7 +1,10 @@
 import json
 import random
+import sys
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from bimanual_icl.errors import (
     RangeError,
     RangeViolation,
 )
+from bimanual_icl import prompts
 from bimanual_icl.prompts import (
     JUDGE_CANDIDATE_HEADER,
     JUDGE_REFS_HEADER,
@@ -59,6 +63,16 @@ class TestSerializeObservation:
         partner = ("leader_arm", [DiscreteAction(voxel=(50, 49, 40), rot=(36, 36, 0), gripper=1)])
         assert serialize_observation(obs, partner) == (
             "{'ball': [50, 49, 31], 'leader_arm': [[50, 49, 40, 36, 36, 0, 1]]}"
+        )
+
+    def test_numpy_integers_render_as_plain_decimals(self):
+        obs = {"ball": np.array([50, 49, 31], dtype=np.int64)}
+        partner = ("leader_arm", [np.arange(7, dtype=np.int32)])
+        assert serialize_observation(obs, partner) == (
+            "{'ball': [50, 49, 31], 'leader_arm': [[0, 1, 2, 3, 4, 5, 6]]}"
+        )
+        assert render_action_list([tuple(np.int64(v) for v in range(14))]) == (
+            str([list(range(14))])
         )
 
     def test_injective_on_distinct_entries(self):
@@ -131,6 +145,14 @@ class TestBuildFollowerPrompt:
         right_actions = render_action_list([a.right for a in demos[0].actions])
         assert f"'leader_arm': {left_actions}}}>{right_actions}" in bundle.user_text
         assert (bundle.role, bundle.arm) == ("follower", "right")
+
+    def test_partner_entry_alone_in_empty_observation(self, two_demo_fixture):
+        demos, _ = two_demo_fixture
+        bare = Demonstration(observation={}, actions=demos[0].actions)
+        bundle = build_follower_prompt([bare], {}, [a.right for a in bare.actions])
+        right_actions = render_action_list([a.right for a in bare.actions])
+        assert bundle.user_text.startswith(f"{{'leader_arm': {right_actions}}}>")
+        assert bundle.user_text.endswith(f", {{'leader_arm': {right_actions}}}>")
 
     def test_unknown_target_arm_rejected(self, two_demo_fixture):
         demos, test_obs = two_demo_fixture
@@ -462,3 +484,52 @@ class TestParsersOnMutatedPrompts:
         obs = {"bin[": (1, 2, 3), "lid}": (4, 5, 6)}
         text = serialize_observation(obs) + ">"
         assert parse_prompt(text) == ([], (obs, None))
+
+
+class TestParsePromptCache:
+    def _prompts(self, demos, test_obs):
+        return [
+            build_single_prompt(demos, test_obs, arm_filter="right").user_text,
+            build_follower_prompt(demos, test_obs, [a.right for a in demos[0].actions]).user_text,
+            build_judge_prompt(demos, test_obs, demos[1].actions).user_text,
+        ]
+
+    def test_pair_cache_is_bounded_at_256(self):
+        assert prompts._parse_pair.cache_info().maxsize == 256
+
+    def test_mutating_a_parse_leaves_the_next_one_unchanged(self, two_demo_fixture):
+        text = build_follower_prompt(*two_demo_fixture, [(1, 2, 3, 4, 5, 6, 1)]).user_text
+        expected = parse_prompt(text)
+        demos, (entries, partner) = parse_prompt(text)
+        for demo_entries, demo_partner, actions in demos:
+            demo_entries["ball"] = (0, 0, 0)
+            demo_partner[1].clear()
+            actions.append((9,) * 7)
+        entries.clear()
+        partner[1].clear()
+        assert parse_prompt(text) == expected
+
+    def test_threads_agree_with_a_serial_parse(self, two_demo_fixture):
+        texts = self._prompts(*two_demo_fixture)
+        parsers = [parse_prompt, parse_prompt, parse_judge_prompt]
+        prompts._parse_pair.cache_clear()
+        serial = [parse(t) for parse, t in zip(parsers, texts)]
+        prompts._parse_pair.cache_clear()
+        results, barrier = [None] * 8, threading.Barrier(8, timeout=10)
+
+        def work(i):
+            barrier.wait()
+            results[i] = [[parse(t) for parse, t in zip(parsers, texts)] for _ in range(20)]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(run == serial for result in results for run in result)

@@ -385,8 +385,38 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def _assert_config_exits_2(self, path, message, capsys):
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: config {path}: " in err
+        assert message in err
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"episodez": 1}), encoding="utf-8")
-        with pytest.raises(SystemExit):
-            main(["run", "--config", str(path)])
+        self._assert_config_exits_2(path, "unknown config keys: ['episodez']", capsys)
+
+    def test_config_file_not_json_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("not json", encoding="utf-8")
+        self._assert_config_exits_2(path, "Expecting value", capsys)
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        self._assert_config_exits_2(tmp_path / "absent.json", "No such file", capsys)
+
+    def test_config_file_holding_a_list_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        self._assert_config_exits_2(path, "a JSON list, not an object", capsys)
+
+    @pytest.mark.parametrize("make_dir", [True, False])
+    def test_judge_without_demos_exits_2_naming_the_directory(self, tmp_path, capsys, make_dir):
+        assert main(["gen-data", "--task", "lift_sym", "--episodes", "1",
+                     "--seed", "3", "--out", str(tmp_path / "data")]) == 0
+        plan = tmp_path / "data" / "lift_sym" / "demo_00000.json"
+        demos = tmp_path / "empty"
+        if make_dir:
+            demos.mkdir()
+        capsys.readouterr()
+        assert main(["judge", "--plan", str(plan), "--demos", str(demos)]) == 2
+        assert f"error: no demonstrations (*.json) in {demos}" in capsys.readouterr().err
