@@ -14,10 +14,11 @@ import math
 import re
 from dataclasses import dataclass, field
 
+from .actions import _is_integer
 from .errors import ExhaustedRetries, JudgeParseError
 from .gateway import ChatRequest
 from .perception import observation_l1
-from .prompts import _balanced_span, build_judge_prompt
+from .prompts import build_judge_prompt, json_values
 
 COLLISION_DISTANCE = 10.0
 FIRST_ACTION_TOLERANCE = 5
@@ -26,7 +27,7 @@ ZONE_LIMIT_LEFT = 70  # left arm should keep x strictly below this
 ZONE_VIOLATION_STEPS = 3
 JUDGE_MODES = ("rubric", "llm")
 
-_CHECK_VALUE = re.compile(r"^\s*([+-]?\d+)")
+_CHECK_VALUE = re.compile(r"^\s*([+-]?\d+)(?!\.\d)")
 
 
 @dataclass(frozen=True)
@@ -142,12 +143,15 @@ def score_plan(plan, demos, obs: dict) -> JudgeVerdict:
 
 
 def parse_verdict(text: str) -> JudgeVerdict:
-    """Parse the judge's JSON verdict, tolerating surrounding prose.
+    """Parse the first JSON object of the judge's reply, tolerating surrounding prose.
 
-    The score is clamp(3 + sum(checks), 1, 5) over the reported check
-    values; a reported score is not trusted.
+    Each check value is an integer, or a string that starts with one and not
+    with a decimal fraction (the reason follows its ':'). The score is clamp(3
+    + sum(checks), 1, 5) over the reported checks; a reported score is not trusted.
     """
-    payload = _extract_json_object(text)
+    payload = next((value for value in json_values(text) if isinstance(value, dict)), None)
+    if payload is None:
+        raise JudgeParseError(f"no JSON object found in verdict: {text[:120]!r}")
     checks = []
     reasons = {}
     for key, allowed in (
@@ -159,14 +163,13 @@ def parse_verdict(text: str) -> JudgeVerdict:
         raw = payload.get(key)
         if raw is None:
             raise JudgeParseError(f"verdict missing {key}")
-        if isinstance(raw, (int, float)):
-            value, reason = int(raw), ""
-        else:
-            match = _CHECK_VALUE.match(str(raw))
-            if not match:
-                raise JudgeParseError(f"cannot read {key} from {raw!r}")
+        if _is_integer(raw):
+            value, reason = raw, ""
+        elif isinstance(raw, str) and (match := _CHECK_VALUE.match(raw)):
             value = int(match.group(1))
-            reason = str(raw).split(":", 1)[1].strip() if ":" in str(raw) else ""
+            reason = raw.split(":", 1)[1].strip() if ":" in raw else ""
+        else:
+            raise JudgeParseError(f"cannot read {key} from {raw!r}")
         if value not in allowed:
             raise JudgeParseError(f"{key} value {value} not in {allowed}")
         checks.append(value)
@@ -194,21 +197,6 @@ def verdict_to_json(verdict: JudgeVerdict) -> str:
             "score": verdict.score,
         }
     )
-
-
-def _extract_json_object(text: str) -> dict:
-    start = text.find("{")
-    while start != -1:
-        end = _balanced_span(text, start, "{", "}")
-        if end is not None:
-            try:
-                value = json.loads(text[start:end])
-            except ValueError:
-                value = None
-            if isinstance(value, dict):
-                return value
-        start = text.find("{", start + 1)
-    raise JudgeParseError(f"no JSON object found in verdict: {text[:120]!r}")
 
 
 class PlanJudge:

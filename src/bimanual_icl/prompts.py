@@ -8,8 +8,11 @@ pinned by golden files:
 * action sequence: ``[[v, v, v, r, r, r, g], ...]`` (7 or 14 integers each)
 * prompt body: ``obs_1>actions_1, obs_2>actions_2, ..., obs_test>``
 
-Completion parsing is tolerant (prose, code fences, trailing commas) while
-rendering is strict; backends routinely wrap their answer in chatter.
+Rendering is strict, reply parsing is tolerant: backends wrap answers in
+chatter. ``json_values`` yields each JSON value starting at a ``[`` or ``{``;
+``parse_completion`` takes the first list of integer lists (trailing commas
+allowed) and ``judge.parse_verdict`` the first object. Reply numbers are JSON
+integers: ``+1``, ``0x1``, ``1_0``, tuples and ``#`` comments are not read.
 ``parse_prompt`` and ``parse_judge_prompt`` accept exactly the renderers'
 output: they decode a prompt, render the result again and reject any text
 that does not come back byte for byte. The scripted oracle reads prompts
@@ -18,9 +21,9 @@ through them.
 
 from __future__ import annotations
 
-import ast
 import functools
 import json
+import re
 from dataclasses import dataclass
 
 from .actions import BimanualAction, DiscreteAction, _is_integer
@@ -30,6 +33,10 @@ ARM_FILTERS = ("right", "left", "both")
 PARTNER_KEYS = ("leader_arm", "follower_arm")
 JUDGE_REFS_HEADER = "Reference Demos\n"
 JUDGE_CANDIDATE_HEADER = "\n\nCandidate Plan\n"
+
+_DECODER = json.JSONDecoder()
+_OPENING = re.compile(r"[\[{]")
+_TRAILING_COMMA = re.compile(r",\s*]")
 
 SINGLE_ARM_SYSTEM = (
     "You are the {arm} arm of a bimanual Franka Panda robot with parallel grippers.\n"
@@ -233,77 +240,49 @@ def validate_action_values(values, arity: int):
         raise RangeViolation(str(exc)) from exc
 
 
-def _balanced_span(text: str, start: int, open_ch: str, close_ch: str):
-    """Index one past the bracket closing text[start], or None if unbalanced."""
-    depth = 0
-    for i in range(start, len(text)):
-        c = text[i]
-        if c == open_ch:
-            depth += 1
-        elif c == close_ch:
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return None
+def json_values(text: str):
+    """Yield each JSON value that decodes at an opening ``[`` or ``{`` of text, in order.
 
-
-def _try_literal_rows(snippet: str):
-    """Parse a bracketed snippet into (rows, is_nested), or None.
-
-    Nested means a proper list of integer lists; a flat integer list is
-    accepted only as a fallback when no nested list exists anywhere.
+    Brackets inside a value already yielded start values too, so a caller
+    that rejects a value still sees the values nested in it; a bracket where
+    no JSON value starts is skipped.
     """
-    try:
-        value = ast.literal_eval(snippet)
-    except (ValueError, SyntaxError):
-        return None
-    if not isinstance(value, list) or not value:
-        return None
-    if all(_is_integer(v) for v in value):
-        return [value], False
-    rows = []
-    for row in value:
-        if not isinstance(row, list) or not row or not all(_is_integer(v) for v in row):
-            return None
-        rows.append(row)
-    return rows, True
+    for match in _OPENING.finditer(text):
+        try:
+            yield _DECODER.raw_decode(text, match.start())[0]
+        except (ValueError, RecursionError):  # not JSON here, or nested too deep
+            pass
+
+
+def _is_row(value) -> bool:
+    return isinstance(value, list) and bool(value) and all(map(_is_integer, value))
 
 
 def parse_completion(text: str, arity: int) -> ParsedCompletion:
-    """Extract the first maximal integer list-of-lists from a completion.
+    """Extract the first non-empty JSON list of integer lists from a completion.
 
-    Surrounding prose, markdown fences, and trailing commas are tolerated;
-    a flat integer list is accepted as a single action when the completion
-    contains no nested list at all. Raises ParseFailure when nothing can be
-    extracted, ArityMismatch or RangeViolation when the extracted tuples
-    are malformed. All three are CompletionErrors, on which the gateway retries.
+    Surrounding prose, markdown fences, and trailing commas inside a list are
+    tolerated; a flat integer list is accepted as a single action when the
+    completion contains no nested list at all. Numbers are JSON integers:
+    bools, floats, ``+1``, ``0x1``, ``1_0``, tuples and comments are not
+    actions. Raises ParseFailure when nothing can be extracted, ArityMismatch
+    or RangeViolation when the extracted tuples are malformed. All three are
+    CompletionErrors, on which the gateway retries.
     """
-    rows = None
-    flat_fallback = None
-    pos = text.find("[")
-    while pos != -1:
-        end = _balanced_span(text, pos, "[", "]")
-        if end is not None:
-            parsed = _try_literal_rows(text[pos:end])
-            if parsed is not None:
-                candidate, nested = parsed
-                if nested:
-                    rows = candidate
-                    break
-                if flat_fallback is None:
-                    flat_fallback = candidate
-                pos = end - 1  # skip past the flat list's interior
-        pos = text.find("[", pos + 1)
-    if rows is None:
-        rows = flat_fallback
+    rows = flat = None
+    for value in json_values(_TRAILING_COMMA.sub("]", text)):
+        if _is_row(value):
+            flat = flat or [value]
+        elif isinstance(value, list) and value and all(map(_is_row, value)):
+            rows = value
+            break
+    rows = rows or flat
     if rows is None:
         raise ParseFailure(f"no integer action list found in completion: {text[:120]!r}")
-    actions = []
-    for row in rows:
-        values = tuple(int(v) for v in row)
+    actions = tuple(map(tuple, rows))
+    for values in actions:
         validate_action_values(values, arity)
-        actions.append(values)
-    return ParsedCompletion(actions=tuple(actions))
+    return ParsedCompletion(actions=actions)
 
 
 def _rows(value):

@@ -10,6 +10,7 @@ episode log, never in the summary.
 from __future__ import annotations
 
 import json
+import math
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -84,6 +85,8 @@ class RunConfig:
             raise ConfigError(f"unknown judge mode {self.judge_mode!r}; available: {JUDGE_MODES}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if not 0 < self.timeout < math.inf:  # NaN fails both comparisons
+            raise ConfigError(f"timeout must be a positive finite number, got {self.timeout}")
         for name in ("tasks", "strategies", "seeds"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -247,6 +250,11 @@ def run_experiment(cfg: RunConfig) -> AggregateReport:
     return report
 
 
+# The fields of an episode record that aggregate reads.
+EPISODE_KEYS = ("task", "strategy", "seed", "episode", "success", "calls", "prompt_chars",
+                "completion_chars", "wall_ms")
+
+
 def aggregate(records) -> AggregateReport:
     """Group episode records into per-(task, strategy) statistics.
 
@@ -360,10 +368,22 @@ def write_report(report: AggregateReport, out_dir):
 
 
 def load_episode_log(path):
+    """Read an episodes.jsonl; any fault of it is a ConfigError naming the file and line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, ValueError) as exc:  # missing, unreadable, not UTF-8
+        raise ConfigError(f"episode log {path}: {exc}") from exc
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise ConfigError(f"episode log {path}, line {number}: {exc}") from exc
+        missing = [key for key in EPISODE_KEYS if not isinstance(record, dict) or key not in record]
+        if missing:
+            raise ConfigError(f"episode log {path}, line {number}: missing keys {missing}")
+        records.append(record)
     return records

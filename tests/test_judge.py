@@ -242,13 +242,27 @@ class TestVerdictParsing:
         }) + "\nThat is all."
         assert parse_verdict(text).score == 2
 
-    def test_invalid_check_value(self):
+    @pytest.mark.parametrize("key, value", [
+        ("check1", "+2: eh"), ("check3", 0.7), ("check1", -1.9), ("check1", True),
+        ("check3", "0.7: hedged"),
+    ])
+    def test_invalid_check_value(self, key, value):
         text = json.dumps({
-            "check1": "+2: eh", "check2": "-1: b", "check3": "0: c",
-            "check4": "0: d", "score": 4,
+            "check1": "+1: a", "check2": "-1: b", "check3": "0: c",
+            "check4": "0: d", "score": 4, key: value,
         })
         with pytest.raises(JudgeParseError):
             parse_verdict(text)
+
+    @pytest.mark.parametrize("reason", ["arms } apart", "arms { apart"])
+    def test_brace_inside_a_reason(self, reason):
+        text = "Verdict: " + json.dumps({
+            "check1": f"+1: {reason}", "check2": "-1: b", "check3": "0: c",
+            "check4": "0: d", "score": 3,
+        })
+        verdict = parse_verdict(text)
+        assert (verdict.check1, verdict.score) == (1, 3)
+        assert verdict.reasons["check1"] == reason
 
     def test_missing_key(self):
         with pytest.raises(JudgeParseError):

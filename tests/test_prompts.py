@@ -261,6 +261,23 @@ class TestParseCompletion:
         parsed = parse_completion("[1, 2, 3, 4, 5, 6, 0]", arity=7)
         assert parsed.actions == ((1, 2, 3, 4, 5, 6, 0),)
 
+    @pytest.mark.parametrize("text", [
+        "[[1, 2, 3, 4, 5, 6, 1],\n [1, 2, 9, 4, 5, 6, 0],\n]",
+        "[\n  [1, 2, 3, 4, 5, 6, 1],\n  [1, 2, 9, 4, 5, 6, 0]\n]",
+        "Plan [draft: [[1, 2, 3, 4, 5, 6, 1], [1, 2, 9, 4, 5, 6, 0]]",
+    ])
+    def test_every_row_survives_commas_newlines_and_stray_brackets(self, text):
+        assert parse_completion(text, arity=7).actions == (
+            (1, 2, 3, 4, 5, 6, 1), (1, 2, 9, 4, 5, 6, 0))
+
+    @pytest.mark.parametrize("text", [
+        "[[+1, 2, 3, 4, 5, 6, 1]]",  # reply numbers are JSON integers
+        "[" * 1100 + "]" * 1100,  # deeper than the decoder recurses
+    ])
+    def test_not_an_action_list(self, text):
+        with pytest.raises(ParseFailure):
+            parse_completion(text, arity=7)
+
     def test_round_trip_identity_both_arities(self):
         rng = random.Random(99)
         for arity in (7, 14):

@@ -118,6 +118,9 @@ class TestRunExperiment:
         {"judge_mode": "LLM"},
         {"workers": 0},
         {"workers": -3},
+        {"timeout": 0},
+        {"timeout": -1},
+        {"timeout": float("nan")},
         {"tasks": ["lift_sym", "lift_sym"]},
         {"strategies": ["best_of_n", "best_of_n"]},
         {"seeds": [0, 0]},
@@ -323,6 +326,21 @@ class TestCli:
         assert main(["judge", "--plan", str(plan),
                      "--demos", str(tmp_path / "data" / "lift_sym")]) == 2
         assert f"error: demonstration {plan}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "No such file"),
+        ('{"task": "lift_sym"\n', ", line 1: Expecting"),
+        ("\n" + json.dumps({"task": "lift_sym", "seed": 0}),
+         ", line 2: missing keys ['strategy', 'episode'"),
+    ])
+    def test_bad_episode_log_exits_2_naming_it(self, tmp_path, capsys, content, message):
+        path = tmp_path / "episodes.jsonl"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        assert main(["report", "--log", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: episode log {path}" in err
+        assert message in err
 
     def test_config_file_overrides_flags(self, tmp_path, capsys):
         config = {"episodes": 2, "store_size": 15}
