@@ -11,10 +11,9 @@ experts in ``bench``; the experiment runner and CLI in ``runner``/``cli``.
 """
 
 from .actions import (
-    BimanualAction,
     ContinuousPose,
-    DiscreteAction,
     bin_rotation,
+    check_action,
     devoxelize,
     discretize_pose,
     unbin_rotation,
@@ -34,7 +33,6 @@ from .gateway import (
 from .judge import JudgeVerdict, PlanJudge, score_plan
 from .perception import MaskedCloud, build_observation, centroid_error, extract_centroid
 from .prompts import (
-    ParsedCompletion,
     PromptBundle,
     build_follower_prompt,
     build_judge_prompt,

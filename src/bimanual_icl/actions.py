@@ -1,9 +1,12 @@
 """Conversion between continuous end-effector states and the integer action space.
 
-A single-arm action lives in Z^7: three voxel indices in [0, 99], three
-5-degree rotation bins in [0, 71], and a binary gripper bit (0=closed,
-1=open). A bimanual action concatenates right then left, giving Z^14.
-All functions here are pure and safe for concurrent use.
+An action is a plain tuple of ints. One arm's lives in Z^7: three voxel
+indices in [0, 99], three 5-degree rotation bins in [0, 71], and a binary
+gripper bit (0=closed, 1=open). A bimanual action concatenates right then
+left, giving Z^14; ``ARM_OFFSET`` and ``GRIPPER`` name that layout.
+``check_action`` validates a tuple where values enter the program (reply
+parsing, demo files); ``discretize_pose`` yields in-range tuples by
+construction. All functions here are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -29,6 +32,12 @@ _BIN_EPS = 1e-9
 # Axis-aligned box bounding reachable end-effector positions, in meters.
 WORKSPACE_MIN = (-0.3, -0.5, 0.6)
 WORKSPACE_MAX = (0.7, 0.5, 1.6)
+
+# Layout of an action tuple: per arm 3 voxel indices, 3 rotation bins, then
+# the gripper bit; a bimanual action holds the right arm, then the left.
+ARM_DIM = 7
+GRIPPER = 6
+ARM_OFFSET = {"right": 0, "left": ARM_DIM}
 
 
 @dataclass(frozen=True)
@@ -58,57 +67,20 @@ def _check_integers(values, limit: int, what: str):
             raise RangeError(f"{what} {v} outside [0, {limit - 1}]")
 
 
-@dataclass(frozen=True)
-class DiscreteAction:
-    """One arm's discretized keyframe command: voxel triple, rotation bins, gripper bit."""
-
-    voxel: tuple[int, int, int]
-    rot: tuple[int, int, int]
-    gripper: int
-
-    def __post_init__(self):
-        _check_integers(self.voxel, VOXELS_PER_AXIS, "voxel component")
-        _check_integers(self.rot, ROTATION_BINS, "rotation bin")
-        if not _is_integer(self.gripper) or self.gripper not in (0, 1):
-            raise RangeError(f"gripper bit {self.gripper} not in {{0, 1}}")
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return (*self.voxel, *self.rot, self.gripper)
-
-    @classmethod
-    def from_tuple(cls, values) -> "DiscreteAction":
-        values = tuple(values)
-        if len(values) != 7:
-            raise RangeError(f"expected 7 components, got {len(values)}")
-        return cls(voxel=values[0:3], rot=values[3:6], gripper=values[6])
-
-
-@dataclass(frozen=True)
-class BimanualAction:
-    """Joint command for both arms; serializes right arm first."""
-
-    right: DiscreteAction
-    left: DiscreteAction
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return self.right.as_tuple() + self.left.as_tuple()
-
-    @classmethod
-    def from_tuple(cls, values) -> "BimanualAction":
-        values = tuple(values)
-        if len(values) != 14:
-            raise RangeError(f"expected 14 components, got {len(values)}")
-        return cls(
-            right=DiscreteAction.from_tuple(values[0:7]),
-            left=DiscreteAction.from_tuple(values[7:14]),
-        )
-
-    def arm(self, name: str) -> DiscreteAction:
-        if name == "right":
-            return self.right
-        if name == "left":
-            return self.left
-        raise ValueError(f"unknown arm {name!r}")
+def check_action(values, arity: int = 14) -> tuple:
+    """Return values as a tuple; raise RangeError unless it is one action of
+    ``arity`` components (7: one arm, 14: right arm then left) whose every
+    voxel, rotation bin and gripper bit is an integer in its range."""
+    values = tuple(values)
+    if len(values) != arity:
+        raise RangeError(f"expected {arity} components, got {len(values)}")
+    for base in range(0, arity, ARM_DIM):
+        _check_integers(values[base:base + 3], VOXELS_PER_AXIS, "voxel component")
+        _check_integers(values[base + 3:base + GRIPPER], ROTATION_BINS, "rotation bin")
+        bit = values[base + GRIPPER]
+        if not _is_integer(bit) or bit not in (0, 1):
+            raise RangeError(f"gripper bit {bit} not in {{0, 1}}")
+    return values
 
 
 def voxelize(position) -> tuple[int, int, int]:
@@ -219,10 +191,8 @@ def unbin_rotation(rot) -> tuple[float, float, float, float]:
     return (cz * x + y * sz, cz * y - x * sz, w * sz + cz * z, w * cz - z * sz)
 
 
-def discretize_pose(pose: ContinuousPose) -> DiscreteAction:
-    """Discretize a full pose; the gripper bit is 1 (open) iff aperture >= 0.5."""
-    return DiscreteAction(
-        voxel=voxelize(pose.position),
-        rot=bin_rotation(pose.orientation),
-        gripper=1 if pose.gripper >= 0.5 else 0,
-    )
+def discretize_pose(pose: ContinuousPose) -> tuple[int, ...]:
+    """Discretize a full pose into one arm's 7 components, in range by construction;
+    the gripper bit is 1 (open) iff aperture >= 0.5."""
+    return (*voxelize(pose.position), *bin_rotation(pose.orientation),
+            1 if pose.gripper >= 0.5 else 0)

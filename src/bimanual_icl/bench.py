@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import WORKSPACE_MAX, WORKSPACE_MIN, BimanualAction, DiscreteAction, devoxelize
+from .actions import ARM_OFFSET, GRIPPER, WORKSPACE_MAX, WORKSPACE_MIN, devoxelize
 from .demos import Demonstration
 from .perception import MaskedCloud, build_observation
 
@@ -92,7 +92,7 @@ class EpisodeResult:
             raise ValueError("failed episodes need a reason tag")
 
 
-def _sample_box_surface(rng, center, half_extent, n, sigma, face_weights=None):
+def sample_box_surface(rng, center, half_extent, n, sigma, face_weights=None):
     """n points over an axis-aligned box surface, plus Gaussian noise.
 
     Faces are drawn by area unless ``face_weights`` (6 values, order
@@ -127,32 +127,9 @@ def synthetic_clouds(rng, name, center, half_extent):
         MaskedCloud(
             camera_id=f"cam{i}",
             object_name=name,
-            points=_sample_box_surface(rng, center, half_extent, n, OBS_NOISE_SIGMA),
+            points=sample_box_surface(rng, center, half_extent, n, OBS_NOISE_SIGMA),
         )
         for i, n in enumerate(OBS_POINTS_PER_CAMERA)
-    ]
-
-
-def benchmark_clouds(rng, center, half_extent=(0.05, 0.05, 0.05), sigma=0.005):
-    """Perception-benchmark rig: one dense uneven camera, one sparse skewed one.
-
-    The dense camera covers the full surface with a strong +x density bias
-    (a close viewpoint); the sparse camera sees only a small +y patch. This
-    is the regime where per-camera averaging is hurt most by the skewed
-    view, pooled points inherit the density bias, and voxel downsampling
-    recovers an even surface coverage.
-    """
-    dense = _sample_box_surface(
-        rng, center, half_extent, n=1000, sigma=sigma,
-        face_weights=(0.45, 0.05, 0.2, 0.1, 0.1, 0.1),
-    )
-    sparse = _sample_box_surface(
-        rng, center, half_extent, n=15, sigma=sigma,
-        face_weights=(0.0, 0.0, 1.0, 0.0, 0.0, 0.0),
-    )
-    return [
-        MaskedCloud(camera_id="dense", object_name="object", points=dense),
-        MaskedCloud(camera_id="sparse", object_name="object", points=sparse),
     ]
 
 
@@ -183,15 +160,12 @@ def spawn(task: TaskSpec, seed: int) -> World:
 
 
 # --- scripted experts ------------------------------------------------------
+# Each keyframe is the right arm's 7-int action followed by the left arm's.
 
 
 def _act(voxel, gripper):
-    clamped = tuple(min(99, max(0, int(v))) for v in voxel)
-    return DiscreteAction(voxel=clamped, rot=NOMINAL_ROT, gripper=gripper)
-
-
-def _pair(right, left):
-    return BimanualAction(right=right, left=left)
+    """One arm's 7-int action: the voxel clamped into the grid, nominal rotation."""
+    return (*(min(99, max(0, int(v))) for v in voxel), *NOMINAL_ROT, gripper)
 
 
 def _shift(voxel, dx=0, dy=0, dz=0):
@@ -203,10 +177,10 @@ def _expert_lift_sym(world: World):
     w = 12  # grasp-face offset; keeps the arms at 24 voxels separation
     rp, lp = _shift(c, dx=w), _shift(c, dx=-w)
     return [
-        _pair(_act(_shift(rp, dz=8), 1), _act(_shift(lp, dz=8), 1)),
-        _pair(_act(rp, 1), _act(lp, 1)),
-        _pair(_act(rp, 0), _act(lp, 0)),
-        _pair(_act(_shift(rp, dz=15), 0), _act(_shift(lp, dz=15), 0)),
+        _act(_shift(rp, dz=8), 1) + _act(_shift(lp, dz=8), 1),
+        _act(rp, 1) + _act(lp, 1),
+        _act(rp, 0) + _act(lp, 0),
+        _act(_shift(rp, dz=15), 0) + _act(_shift(lp, dz=15), 0),
     ]
 
 
@@ -217,15 +191,15 @@ def _expert_handover(world: World):
     hold = _act(meet, 0)
     wait_open = _act(meet, 1)
     return [
-        _pair(_act(_shift(p, dz=8), 1), wait_open),
-        _pair(_act(p, 1), wait_open),
-        _pair(_act(p, 0), wait_open),
-        _pair(hold, wait_open),  # right carries the item to the meeting point
-        _pair(hold, _act(meet, 0)),  # left closes on the item
-        _pair(_act(meet, 1), hold),  # right releases
-        _pair(_act(meet, 1), _act(_shift(d, dz=8), 0)),
-        _pair(_act(meet, 1), _act(d, 0)),
-        _pair(_act(meet, 1), _act(d, 1)),
+        _act(_shift(p, dz=8), 1) + wait_open,
+        _act(p, 1) + wait_open,
+        _act(p, 0) + wait_open,
+        hold + wait_open,  # right carries the item to the meeting point
+        hold + _act(meet, 0),  # left closes on the item
+        _act(meet, 1) + hold,  # right releases
+        _act(meet, 1) + _act(_shift(d, dz=8), 0),
+        _act(meet, 1) + _act(d, 0),
+        _act(meet, 1) + _act(d, 1),
     ]
 
 
@@ -233,13 +207,13 @@ def _expert_dual_targets(world: World):
     rb, rt = world.action_voxel_of("red_block"), world.action_voxel_of("red_target")
     bb, bt = world.action_voxel_of("blue_block"), world.action_voxel_of("blue_target")
     return [
-        _pair(_act(_shift(rb, dz=8), 1), _act(_shift(bb, dz=8), 1)),
-        _pair(_act(rb, 1), _act(bb, 1)),
-        _pair(_act(rb, 0), _act(bb, 0)),
-        _pair(_act(_shift(rb, dz=8), 0), _act(_shift(bb, dz=8), 0)),
-        _pair(_act(_shift(rt, dz=8), 0), _act(_shift(bt, dz=8), 0)),
-        _pair(_act(rt, 0), _act(bt, 0)),
-        _pair(_act(rt, 1), _act(bt, 1)),
+        _act(_shift(rb, dz=8), 1) + _act(_shift(bb, dz=8), 1),
+        _act(rb, 1) + _act(bb, 1),
+        _act(rb, 0) + _act(bb, 0),
+        _act(_shift(rb, dz=8), 0) + _act(_shift(bb, dz=8), 0),
+        _act(_shift(rt, dz=8), 0) + _act(_shift(bt, dz=8), 0),
+        _act(rt, 0) + _act(bt, 0),
+        _act(rt, 1) + _act(bt, 1),
     ]
 
 
@@ -248,13 +222,13 @@ def _expert_drawer_item(world: World):
     i = world.action_voxel_of("item")
     ho = _shift(h, dy=-12)  # handle position once the drawer is pulled open
     return [
-        _pair(_act(_shift(i, dz=8), 1), _act(_shift(h, dz=6), 1)),
-        _pair(_act(i, 1), _act(h, 1)),
-        _pair(_act(i, 0), _act(h, 0)),
-        _pair(_act(_shift(i, dz=10), 0), _act(ho, 0)),  # left pulls, right lifts
-        _pair(_act(_shift(ho, dz=8), 0), _act(ho, 0)),
-        _pair(_act(_shift(ho, dz=2), 0), _act(ho, 0)),
-        _pair(_act(_shift(ho, dz=2), 1), _act(ho, 0)),  # right drops the item in
+        _act(_shift(i, dz=8), 1) + _act(_shift(h, dz=6), 1),
+        _act(i, 1) + _act(h, 1),
+        _act(i, 0) + _act(h, 0),
+        _act(_shift(i, dz=10), 0) + _act(ho, 0),  # left pulls, right lifts
+        _act(_shift(ho, dz=8), 0) + _act(ho, 0),
+        _act(_shift(ho, dz=2), 0) + _act(ho, 0),
+        _act(_shift(ho, dz=2), 1) + _act(ho, 0),  # right drops the item in
     ]
 
 
@@ -280,7 +254,6 @@ def execute(world: World, plan) -> EpisodeResult:
     plan = tuple(plan)
     if not plan:
         return EpisodeResult(False, dict(world.initial_positions), reason="empty_plan")
-    actions = [p if isinstance(p, BimanualAction) else BimanualAction.from_tuple(p) for p in plan]
 
     positions = {k: v.copy() for k, v in world.positions.items()}
     grippers = {}
@@ -288,9 +261,9 @@ def execute(world: World, plan) -> EpisodeResult:
     holders = {name: {} for name in positions}  # object -> {arm: offset}
     attach_events = []
 
-    for step, action in enumerate(actions):
-        for arm in ("right", "left"):
-            grippers[arm] = np.asarray(devoxelize(action.arm(arm).voxel))
+    for step, action in enumerate(plan):
+        for arm, base in ARM_OFFSET.items():
+            grippers[arm] = np.asarray(devoxelize(action[base:base + 3]))
         for name, held in holders.items():
             if not held:
                 continue
@@ -299,8 +272,8 @@ def execute(world: World, plan) -> EpisodeResult:
             positions[name] = np.mean(
                 [grippers[arm] + offset for arm, offset in held.items()], axis=0
             )
-        for arm in ("right", "left"):
-            bit = action.arm(arm).gripper
+        for arm, base in ARM_OFFSET.items():
+            bit = action[base + GRIPPER]
             was = prev_bits.get(arm, 1)
             if bit == 1:
                 for held in holders.values():

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .actions import (BimanualAction, ContinuousPose, VOXELS_PER_AXIS, _check_integers,
-                      discretize_pose)
+from .actions import (ARM_OFFSET, GRIPPER, VOXELS_PER_AXIS, ContinuousPose, _check_integers,
+                      check_action, discretize_pose)
 from .errors import ConfigError, EmptyEpisode, InsufficientDemos, RangeError
 from .prompts import demo_texts
 
@@ -34,10 +34,10 @@ class EpisodeStep:
 
 @dataclass(frozen=True)
 class Demonstration:
-    """Initial observation plus the keyframed bimanual action sequence."""
+    """Initial observation plus the keyframed sequence of 14-int bimanual actions."""
 
     observation: dict[str, tuple[int, int, int]]
-    actions: tuple[BimanualAction, ...]
+    actions: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "actions", tuple(self.actions))
@@ -50,7 +50,7 @@ class Demonstration:
         return demo_texts(self)
 
 
-def extract_keyframes(steps) -> tuple[BimanualAction, ...]:
+def extract_keyframes(steps) -> tuple[tuple[int, ...], ...]:
     """Select and discretize the salient steps of an episode.
 
     A step is a keyframe if any of:
@@ -67,19 +67,14 @@ def extract_keyframes(steps) -> tuple[BimanualAction, ...]:
     if not steps:
         raise EmptyEpisode("cannot extract keyframes from an empty episode")
 
-    discretized = [
-        BimanualAction(right=discretize_pose(s.right), left=discretize_pose(s.left))
-        for s in steps
-    ]
+    discretized = [discretize_pose(s.right) + discretize_pose(s.left) for s in steps]
+    bits = [base + GRIPPER for base in ARM_OFFSET.values()]
 
     keyframes = []
     prev_below = False
     for i, (step, action) in enumerate(zip(steps, discretized)):
         below = step.right_joint_speed < SPEED_EPS and step.left_joint_speed < SPEED_EPS
-        gripper_change = i > 0 and (
-            action.right.gripper != discretized[i - 1].right.gripper
-            or action.left.gripper != discretized[i - 1].left.gripper
-        )
+        gripper_change = i > 0 and any(action[b] != discretized[i - 1][b] for b in bits)
         if gripper_change or (below and not prev_below) or step.is_terminal:
             keyframes.append(action)
         prev_below = below
@@ -87,7 +82,7 @@ def extract_keyframes(steps) -> tuple[BimanualAction, ...]:
     return collapse_duplicates(keyframes)
 
 
-def collapse_duplicates(actions) -> tuple[BimanualAction, ...]:
+def collapse_duplicates(actions) -> tuple[tuple[int, ...], ...]:
     """Drop actions identical to their immediate predecessor (idempotent)."""
     out = []
     for action in actions:
@@ -107,7 +102,7 @@ def sample_batch(store, n: int, seed: int) -> list[Demonstration]:
 def demonstration_to_dict(demo: Demonstration) -> dict:
     return {
         "observation": {name: list(voxel) for name, voxel in demo.observation.items()},
-        "actions": [list(a.as_tuple()) for a in demo.actions],
+        "actions": [list(a) for a in demo.actions],
     }
 
 
@@ -121,8 +116,7 @@ def _voxel_entry(name: str, values) -> tuple[int, int, int]:
 
 def demonstration_from_dict(payload: dict) -> Demonstration:
     obs = {name: _voxel_entry(name, voxel) for name, voxel in payload["observation"].items()}
-    actions = tuple(BimanualAction.from_tuple(a) for a in payload["actions"])
-    return Demonstration(observation=obs, actions=actions)
+    return Demonstration(observation=obs, actions=tuple(map(check_action, payload["actions"])))
 
 
 def save_demonstration(path, demo: Demonstration):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import requests
 
-from .actions import BimanualAction
+from .actions import ARM_DIM
 from .demos import Demonstration
 from .errors import (
     CompletionError,
@@ -29,7 +29,6 @@ from .errors import (
 from .perception import observation_l1
 from .prompts import (
     JUDGE_SYSTEM,
-    ParsedCompletion,
     SINGLE_ARM_SYSTEM,
     parse_completion,
     parse_judge_prompt,
@@ -166,15 +165,16 @@ def oracle_nearest_demo(req: ChatRequest) -> str:
     else:
         offset = [0.0, 0.0, 0.0]
     delta = [int(round(o)) for o in offset]
+    return render_action_list([_translated(action, delta) for action in actions])
 
-    translated = []
-    for action in actions:
-        moved = list(action)
-        for base in range(0, len(moved), 7):
-            for axis in range(3):
-                moved[base + axis] = min(99, max(0, moved[base + axis] + delta[axis]))
-        translated.append(tuple(moved))
-    return render_action_list(translated)
+
+def _translated(action, delta) -> tuple[int, ...]:
+    """Shift each arm's voxel (7 or 14 components) by delta, clamped into the grid."""
+    moved = list(action)
+    for base in range(0, len(moved), ARM_DIM):
+        for axis, d in enumerate(delta):
+            moved[base + axis] = min(99, max(0, moved[base + axis] + d))
+    return tuple(moved)
 
 
 class OracleBackend:
@@ -194,13 +194,9 @@ class OracleBackend:
         from . import judge as judge_mod  # judge imports this module
 
         ref_demos, (cand_entries, _, cand_actions) = parse_judge_prompt(req.user)
-        demos = [
-            Demonstration(observation=entries,
-                          actions=tuple(BimanualAction.from_tuple(a) for a in actions))
-            for entries, _, actions in ref_demos
-        ]
-        plan = tuple(BimanualAction.from_tuple(a) for a in cand_actions)
-        verdict = judge_mod.score_plan(plan, demos, cand_entries)
+        demos = [Demonstration(observation=entries, actions=actions)
+                 for entries, _, actions in ref_demos]
+        verdict = judge_mod.score_plan(cand_actions, demos, cand_entries)
         return judge_mod.verdict_to_json(verdict)
 
 
@@ -228,14 +224,7 @@ class NoisyArmBackend:
             (repr(sorted(entries.items())) + f"|{self.seed}").encode("utf-8")
         ).digest()
         delta = [1 if digest[i] % 2 else -1 for i in range(3)]
-        parsed = parse_completion(text, arity=7)
-        shifted = []
-        for action in parsed.actions:
-            moved = list(action)
-            for axis in range(3):
-                moved[axis] = min(99, max(0, moved[axis] + delta[axis]))
-            shifted.append(tuple(moved))
-        return render_action_list(shifted)
+        return render_action_list([_translated(a, delta) for a in parse_completion(text, arity=7)])
 
 
 class ChatGateway:
@@ -263,7 +252,8 @@ class ChatGateway:
         self.log.append(record)
         return text, record
 
-    def complete_parsed(self, req: ChatRequest, arity: int, max_retries: int = 2) -> ParsedCompletion:
+    def complete_parsed(self, req: ChatRequest, arity: int,
+                        max_retries: int = 2) -> tuple[tuple[int, ...], ...]:
         """Call and parse an action list of 7 or 14 integers per action."""
         return self.complete_and_parse(req, lambda text: parse_completion(text, arity),
                                        max_retries)

@@ -1,6 +1,7 @@
 """Scoring candidate bimanual plans against reference demonstrations.
 
-The deterministic rubric (``score_plan``) implements four checks; the final
+A plan is a sequence of 14-int action tuples (right arm, then left). The
+deterministic rubric (``score_plan``) implements four checks; the final
 score starts at 3, adds each check's delta, and clamps into [1, 5]. A
 ``PlanJudge`` in llm mode sends the validator prompt instead and parses the
 JSON verdict, computing the score from the reported checks by that same
@@ -14,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .actions import _is_integer
+from .actions import ARM_OFFSET, GRIPPER, _is_integer
 from .errors import ExhaustedRetries, JudgeParseError
 from .gateway import ChatRequest
 from .perception import observation_l1
@@ -54,19 +55,22 @@ def nearest_demo_index(demos, obs: dict) -> int:
     return min(range(len(demos)), key=lambda i: distances[i])
 
 
+def _voxel(action, arm: str):
+    base = ARM_OFFSET[arm]
+    return action[base:base + 3]
+
+
 def _moved(plan, step: int, arm: str) -> bool:
     # Step 0 counts as moving: the arm just traveled there from its home pose.
     if step == 0:
         return True
-    return plan[step].arm(arm).voxel != plan[step - 1].arm(arm).voxel
+    return _voxel(plan[step], arm) != _voxel(plan[step - 1], arm)
 
 
 def check_collision(plan):
     """-1 iff the arms come within 10 voxels while both are moving."""
-    for step in range(len(plan)):
-        r = plan[step].right.voxel
-        l = plan[step].left.voxel
-        dist = math.dist(r, l)
+    for step, action in enumerate(plan):
+        dist = math.dist(_voxel(action, "right"), _voxel(action, "left"))
         if dist < COLLISION_DISTANCE and _moved(plan, step, "right") and _moved(plan, step, "left"):
             return -1, f"distance {dist:.2f} < {COLLISION_DISTANCE:g} at step {step} with both arms moving"
     return 1, "all steps keep safe separation while both arms move"
@@ -74,7 +78,7 @@ def check_collision(plan):
 
 def _z_shape(actions, arm: str):
     """Sign sequence of z deltas, zeros dropped."""
-    zs = [a.arm(arm).voxel[2] for a in actions]
+    zs = [a[ARM_OFFSET[arm] + 2] for a in actions]
     signs = []
     for prev, cur in zip(zs, zs[1:]):
         if cur != prev:
@@ -86,9 +90,9 @@ def check_demo_match(plan, demos, obs: dict):
     """+1 iff first actions land near the nearest demo's and z shapes agree."""
     idx = nearest_demo_index(demos, obs)
     demo = demos[idx]
-    for arm in ("right", "left"):
-        first_plan = plan[0].arm(arm).voxel
-        first_demo = demo.actions[0].arm(arm).voxel
+    for arm in ARM_OFFSET:
+        first_plan = _voxel(plan[0], arm)
+        first_demo = _voxel(demo.actions[0], arm)
         gap = max(abs(a - b) for a, b in zip(first_plan, first_demo))
         if gap > FIRST_ACTION_TOLERANCE:
             return -1, f"{arm} first action is {gap} voxels (Linf) from demo {idx}"
@@ -98,7 +102,7 @@ def check_demo_match(plan, demos, obs: dict):
 
 
 def _gripper_transitions(actions, arm: str):
-    bits = [a.arm(arm).gripper for a in actions]
+    bits = [a[ARM_OFFSET[arm] + GRIPPER] for a in actions]
     return tuple((prev, cur) for prev, cur in zip(bits, bits[1:]) if prev != cur)
 
 
@@ -106,7 +110,7 @@ def check_gripper(plan, demos, obs: dict):
     """-1 iff either arm's gripper transition sequence differs from the nearest demo's."""
     idx = nearest_demo_index(demos, obs)
     demo = demos[idx]
-    for arm in ("right", "left"):
+    for arm in ARM_OFFSET:
         if _gripper_transitions(plan, arm) != _gripper_transitions(demo.actions, arm):
             return -1, f"{arm} gripper transitions differ from demo {idx}"
     return 0, f"gripper transitions match demo {idx}"
@@ -114,8 +118,8 @@ def check_gripper(plan, demos, obs: dict):
 
 def check_workspace(plan):
     """-1 iff an arm spends more than 3 steps in the opposite arm's zone."""
-    right_bad = sum(1 for a in plan if a.right.voxel[0] <= ZONE_LIMIT_RIGHT)
-    left_bad = sum(1 for a in plan if a.left.voxel[0] >= ZONE_LIMIT_LEFT)
+    right_bad = sum(1 for a in plan if a[ARM_OFFSET["right"]] <= ZONE_LIMIT_RIGHT)
+    left_bad = sum(1 for a in plan if a[ARM_OFFSET["left"]] >= ZONE_LIMIT_LEFT)
     if right_bad > ZONE_VIOLATION_STEPS:
         return -1, f"right arm at x <= {ZONE_LIMIT_RIGHT} for {right_bad} steps"
     if left_bad > ZONE_VIOLATION_STEPS:

@@ -26,7 +26,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .actions import BimanualAction, DiscreteAction, _is_integer
+from .actions import ARM_DIM, ARM_OFFSET, _is_integer, check_action
 from .errors import ArityMismatch, OracleParseError, ParseFailure, RangeError, RangeViolation
 
 ARM_FILTERS = ("right", "left", "both")
@@ -36,6 +36,8 @@ JUDGE_CANDIDATE_HEADER = "\n\nCandidate Plan\n"
 
 _DECODER = json.JSONDecoder()
 _OPENING = re.compile(r"[\[{]")
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"?|[\[\]{}]', re.DOTALL)  # a string or a bracket
+_DEEP_LEVELS = 64
 _TRAILING_COMMA = re.compile(r",\s*]")
 
 SINGLE_ARM_SYSTEM = (
@@ -95,27 +97,10 @@ class PromptBundle:
             raise ValueError("continuation prompts must end with '>'")
 
 
-@dataclass(frozen=True)
-class ParsedCompletion:
-    """Validated integer action tuples recovered from a raw completion."""
-
-    actions: tuple[tuple[int, ...], ...]
-
-    def to_discrete(self) -> tuple[DiscreteAction, ...]:
-        return tuple(DiscreteAction.from_tuple(a) for a in self.actions)
-
-    def to_bimanual(self) -> tuple[BimanualAction, ...]:
-        return tuple(BimanualAction.from_tuple(a) for a in self.actions)
-
-
 def render_action_list(actions) -> str:
     """Render a sequence of action tuples as the canonical list-of-lists: Python's
     list repr, after int() so numpy integers stay decimal, not '[np.int64(5)]'."""
-    return str([list(map(int, _components(a))) for a in actions])
-
-
-def _components(action):
-    return action.as_tuple() if isinstance(action, (DiscreteAction, BimanualAction)) else action
+    return str([list(map(int, a)) for a in actions])
 
 
 def serialize_observation(obs: dict, partner=None) -> str:
@@ -139,8 +124,8 @@ def _with_partner(obs_text: str, key: str, actions_text: str) -> str:
 def demo_texts(demo) -> dict[str, str]:
     """A demo's observation text and its action-list text per arm filter;
     ``Demonstration.texts`` memoizes them, so each demo is rendered once."""
-    texts = {arm: render_action_list([a.arm(arm) for a in demo.actions])
-             for arm in ("right", "left")}
+    texts = {arm: render_action_list([a[base:base + ARM_DIM] for a in demo.actions])
+             for arm, base in ARM_OFFSET.items()}
     return {"observation": serialize_observation(demo.observation),
             "both": render_action_list(demo.actions), **texts}
 
@@ -234,8 +219,7 @@ def validate_action_values(values, arity: int):
     if len(values) != arity:
         raise ArityMismatch(f"expected {arity} components, got {len(values)}: {values}")
     try:
-        for offset in range(0, arity, 7):
-            DiscreteAction.from_tuple(values[offset:offset + 7])
+        check_action(values, arity)
     except RangeError as exc:
         raise RangeViolation(str(exc)) from exc
 
@@ -245,21 +229,50 @@ def json_values(text: str):
 
     Brackets inside a value already yielded start values too, so a caller
     that rejects a value still sees the values nested in it; a bracket where
-    no JSON value starts is skipped.
+    no JSON value starts is skipped. The work stays close to linear on
+    brackets that never close: when decoding fails at position e, a bracket
+    still open at e would fail at e too (a nested value decodes the same in
+    any context), so it is not tried again. A value nested too deep for the
+    decoder is skipped with the brackets open in its first 64 levels.
     """
+    failed = set()
     for match in _OPENING.finditer(text):
+        start = match.start()
+        if start in failed:
+            continue
         try:
-            yield _DECODER.raw_decode(text, match.start())[0]
-        except (ValueError, RecursionError):  # not JSON here, or nested too deep
+            value = _DECODER.raw_decode(text, start)[0]
+        except json.JSONDecodeError as exc:
+            failed.update(_open_brackets(text, start, exc.pos))
+        except RecursionError:
+            failed.update(_open_brackets(text, start, len(text), _DEEP_LEVELS))
+        except ValueError:  # e.g. an integer too long to convert
             pass
+        else:
+            yield value
+
+
+def _open_brackets(text: str, start: int, end: int, levels: float = float("inf")):
+    """Positions of the brackets still open at ``end``, or once more than ``levels``
+    are open, when ``text[start:end]`` is read as the valid start of one JSON value."""
+    stack = []
+    for token in _JSON_TOKEN.finditer(text, start, end):
+        if token.group() in ("[", "{"):
+            stack.append(token.start())
+            if len(stack) > levels:
+                break
+        elif token.group() in ("]", "}"):
+            stack.pop()
+    return stack
 
 
 def _is_row(value) -> bool:
     return isinstance(value, list) and bool(value) and all(map(_is_integer, value))
 
 
-def parse_completion(text: str, arity: int) -> ParsedCompletion:
-    """Extract the first non-empty JSON list of integer lists from a completion.
+def parse_completion(text: str, arity: int) -> tuple[tuple[int, ...], ...]:
+    """Extract the first non-empty JSON list of integer lists from a completion,
+    as a tuple of validated action tuples.
 
     Surrounding prose, markdown fences, and trailing commas inside a list are
     tolerated; a flat integer list is accepted as a single action when the
@@ -282,7 +295,7 @@ def parse_completion(text: str, arity: int) -> ParsedCompletion:
     actions = tuple(map(tuple, rows))
     for values in actions:
         validate_action_values(values, arity)
-    return ParsedCompletion(actions=actions)
+    return actions
 
 
 def _rows(value):

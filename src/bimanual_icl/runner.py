@@ -33,8 +33,10 @@ def _is_list_of(check):
     return lambda value: isinstance(value, (list, tuple)) and all(check(v) for v in value)
 
 
-# What each RunConfig annotation admits; a --config file can hold any JSON value.
+# What each RunConfig annotation (or EPISODE_KEYS type) admits; a --config file
+# or an episode log can hold any JSON value.
 _ANNOTATION_CHECKS = {
+    "bool": lambda value: isinstance(value, bool),
     "int": _is_integer,
     "float": lambda value: _is_integer(value) or isinstance(value, float),
     "str": lambda value: isinstance(value, str),
@@ -250,9 +252,10 @@ def run_experiment(cfg: RunConfig) -> AggregateReport:
     return report
 
 
-# The fields of an episode record that aggregate reads.
-EPISODE_KEYS = ("task", "strategy", "seed", "episode", "success", "calls", "prompt_chars",
-                "completion_chars", "wall_ms")
+# The fields of an episode record that aggregate reads, and their types.
+EPISODE_KEYS = {"task": "str", "strategy": "str", "seed": "int", "episode": "int",
+                "success": "bool", "calls": "int", "prompt_chars": "int",
+                "completion_chars": "int", "wall_ms": "float"}
 
 
 def aggregate(records) -> AggregateReport:
@@ -385,5 +388,9 @@ def load_episode_log(path):
         missing = [key for key in EPISODE_KEYS if not isinstance(record, dict) or key not in record]
         if missing:
             raise ConfigError(f"episode log {path}, line {number}: missing keys {missing}")
+        for key, kind in EPISODE_KEYS.items():
+            if not _ANNOTATION_CHECKS[kind](record[key]):
+                raise ConfigError(
+                    f"episode log {path}, line {number}: {key} must be {kind}, got {record[key]!r}")
         records.append(record)
     return records

@@ -11,7 +11,6 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .actions import BimanualAction
 from .errors import (
     AllCandidatesFailed,
     ConfigError,
@@ -42,9 +41,9 @@ class StrategyConfig:
 
 @dataclass(frozen=True)
 class BimanualPlan:
-    """A predicted keyframe trajectory plus how it was produced."""
+    """A predicted keyframe trajectory of 14-int actions plus how it was produced."""
 
-    actions: tuple[BimanualAction, ...]
+    actions: tuple[tuple[int, ...], ...]
     kind: str
     tags: tuple[str, ...] = ()
 
@@ -54,17 +53,14 @@ class BimanualPlan:
 
 
 def compose(right, left, kind: str, tags=()) -> BimanualPlan:
-    """Zip the two arms' trajectories to the longer length.
-
-    The shorter trajectory is padded by repeating its final action.
+    """Join the two arms' 7-int trajectories into 14-int actions, right arm first,
+    zipped to the longer length; the shorter is padded with its final action.
     """
     right, left = tuple(right), tuple(left)
     if not right or not left:
         raise EmptyTrajectory("both trajectories must be non-empty")
-    actions = tuple(
-        BimanualAction(right=right[min(k, len(right) - 1)], left=left[min(k, len(left) - 1)])
-        for k in range(max(len(right), len(left)))
-    )
+    actions = tuple(right[min(k, len(right) - 1)] + left[min(k, len(left) - 1)]
+                    for k in range(max(len(right), len(left))))
     return BimanualPlan(actions=actions, kind=kind, tags=tuple(tags))
 
 
@@ -88,8 +84,8 @@ def run_single_agent(gateway: ChatGateway, demos, obs: dict,
     """One arity-14 call predicting both arms jointly."""
     cfg = cfg or StrategyConfig()
     bundle = build_single_prompt(demos, obs, arm_filter="both", role="single")
-    parsed = _call(gateway, bundle, cfg, tag="single", arity=14, phase="single")
-    return BimanualPlan(actions=parsed.to_bimanual(), kind="single_agent", tags=("single",))
+    actions = _call(gateway, bundle, cfg, tag="single", arity=14, phase="single")
+    return BimanualPlan(actions=actions, kind="single_agent", tags=("single",))
 
 
 def run_dual_agent(gateway: ChatGateway, demos, obs: dict,
@@ -104,8 +100,7 @@ def run_dual_agent(gateway: ChatGateway, demos, obs: dict,
     with ThreadPoolExecutor(max_workers=2) as pool:
         right_future = pool.submit(predict, "right")
         left_future = pool.submit(predict, "left")
-        right = right_future.result().to_discrete()
-        left = left_future.result().to_discrete()
+        right, left = right_future.result(), left_future.result()
     return compose(right, left, kind="dual_agent", tags=("dual:right", "dual:left"))
 
 
@@ -129,7 +124,7 @@ def _run_turns(gateway: ChatGateway, demos, obs: dict, cfg: StrategyConfig,
             bundle = build_conditioned_prompt(demos, obs, target_arm=arm,
                                               partner_key=partner_key, partner_pred=pred)
         pred = latest[arm] = _call(gateway, bundle, cfg, tag=f"{tag_prefix}:{turn}", arity=7,
-                                   phase=turn).to_discrete()
+                                   phase=turn)
     return compose(latest["right"], latest["left"], kind=kind,
                    tags=tuple(f"{tag_prefix}:{turn}" for turn in turns))
 

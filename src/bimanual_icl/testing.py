@@ -1,4 +1,4 @@
-"""Backend doubles for tests: scripted replies and injected parse failures.
+"""Test doubles: scripted replies, injected parse failures, a perception rig.
 
 Any callable mapping a ChatRequest to text is a backend, so a plain
 function or lambda covers the remaining cases.
@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import threading
 
+from .bench import sample_box_surface
 from .errors import TransportError
 from .gateway import ChatRequest, request_fingerprint
+from .perception import MaskedCloud
 
 
 class ScriptedBackend:
@@ -53,3 +55,26 @@ class FlakyBackend:
         if n < self.failures:
             return self.garbage
         return self.inner(req)
+
+
+def benchmark_clouds(rng, center, half_extent=(0.05, 0.05, 0.05), sigma=0.005):
+    """Perception-benchmark rig: one dense uneven camera, one sparse skewed one.
+
+    The dense camera covers the full surface with a strong +x density bias
+    (a close viewpoint); the sparse camera sees only a small +y patch. This
+    is the regime where per-camera averaging is hurt most by the skewed
+    view, pooled points inherit the density bias, and voxel downsampling
+    recovers an even surface coverage.
+    """
+    dense = sample_box_surface(
+        rng, center, half_extent, n=1000, sigma=sigma,
+        face_weights=(0.45, 0.05, 0.2, 0.1, 0.1, 0.1),
+    )
+    sparse = sample_box_surface(
+        rng, center, half_extent, n=15, sigma=sigma,
+        face_weights=(0.0, 0.0, 1.0, 0.0, 0.0, 0.0),
+    )
+    return [
+        MaskedCloud(camera_id="dense", object_name="object", points=dense),
+        MaskedCloud(camera_id="sparse", object_name="object", points=sparse),
+    ]

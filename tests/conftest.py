@@ -8,7 +8,6 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from bimanual_icl.actions import BimanualAction, DiscreteAction
 from bimanual_icl.demos import Demonstration
 
 
@@ -35,15 +34,14 @@ def pytest_collection_modifyitems(items):
             "error::pytest.PytestUnraisableExceptionWarning"))
 
 
-def _action(x, y, z, g):
-    return DiscreteAction(voxel=(x, y, z), rot=(36, 36, 0), gripper=g)
+def arm_action(x, y, z, g):
+    """One arm's 7-int action at the nominal rotation."""
+    return (x, y, z, 36, 36, 0, g)
 
 
 def make_demo(entries, arm_waypoints):
     """Demonstration from {name: voxel} and [(right_xyz_g, left_xyz_g), ...]."""
-    actions = tuple(
-        BimanualAction(right=_action(*r), left=_action(*l)) for r, l in arm_waypoints
-    )
+    actions = tuple(arm_action(*r) + arm_action(*l) for r, l in arm_waypoints)
     return Demonstration(observation=dict(entries), actions=actions)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from bimanual_icl.actions import bin_rotation, devoxelize, unbin_rotation, voxelize
-from bimanual_icl.bench import DEFAULT_TASKS, benchmark_clouds, execute, scripted_expert, spawn
+from bimanual_icl.bench import DEFAULT_TASKS, execute, scripted_expert, spawn
 from bimanual_icl.demos import sample_batch
 from bimanual_icl.gateway import (
     CallLog,
@@ -36,7 +36,7 @@ from bimanual_icl.prompts import (
 )
 from bimanual_icl.runner import RunConfig, run_experiment, run_strategy, stable_seed
 from bimanual_icl.strategies import StrategyConfig
-from bimanual_icl.testing import FlakyBackend
+from bimanual_icl.testing import FlakyBackend, benchmark_clouds
 
 from conftest import make_demo
 
@@ -76,8 +76,8 @@ def test_criterion_1_codec_exactness():
 def test_criterion_2_prompt_grammar(two_demo_fixture):
     with criterion(2, "prompt grammar"):
         demos, test_obs = two_demo_fixture
-        leader_pred = [a.right for a in demos[0].actions]
-        follower_pred = [a.left for a in demos[0].actions]
+        leader_pred = [a[:7] for a in demos[0].actions]
+        follower_pred = [a[7:] for a in demos[0].actions]
         built = {
             "single_agent": build_single_prompt(demos, test_obs, arm_filter="both"),
             "leader_right": build_single_prompt(demos, test_obs, arm_filter="right",
@@ -105,7 +105,7 @@ def test_criterion_2_prompt_grammar(two_demo_fixture):
                     )
                     actions.append(tuple(arm() if arity == 7 else arm() + arm()))
                 rendered = render_action_list(actions)
-                assert parse_completion(rendered, arity).actions == tuple(actions)
+                assert parse_completion(rendered, arity) == tuple(actions)
 
 
 def test_criterion_3_call_budgets(two_demo_fixture):

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -17,19 +18,23 @@ from scipy.spatial.transform import Rotation
 import bimanual_icl
 
 from bimanual_icl.actions import (
-    BimanualAction,
+    ARM_OFFSET,
+    GRIPPER,
     ContinuousPose,
-    DiscreteAction,
     WORKSPACE_MAX,
     WORKSPACE_MIN,
     _euler_xyz,
     bin_rotation,
+    check_action,
     devoxelize,
     discretize_pose,
     unbin_rotation,
     voxelize,
 )
-from bimanual_icl.errors import GimbalWarning, OutOfWorkspace, RangeError
+from bimanual_icl.demos import demonstration_from_dict
+from bimanual_icl.errors import (GimbalWarning, OutOfWorkspace, ParseFailure, RangeError,
+                                 RangeViolation)
+from bimanual_icl.prompts import parse_completion
 
 IDENTITY_QUAT = (0.0, 0.0, 0.0, 1.0)
 
@@ -276,23 +281,19 @@ class TestRotationUnbinning:
 class TestDiscretizePose:
     def test_bounds_min_identity_open(self):
         pose = ContinuousPose(position=(-0.3, -0.5, 0.6), orientation=IDENTITY_QUAT, gripper=1.0)
-        action = discretize_pose(pose)
-        assert action == DiscreteAction(voxel=(0, 0, 0), rot=(0, 0, 0), gripper=1)
+        assert discretize_pose(pose) == (0, 0, 0, 0, 0, 0, 1)
 
     def test_gripper_threshold(self):
         pose = ContinuousPose(position=(0.0, 0.0, 1.0), orientation=IDENTITY_QUAT, gripper=0.49)
-        assert discretize_pose(pose).gripper == 0
+        assert discretize_pose(pose)[GRIPPER] == 0
         pose = ContinuousPose(position=(0.0, 0.0, 1.0), orientation=IDENTITY_QUAT, gripper=0.5)
-        assert discretize_pose(pose).gripper == 1
+        assert discretize_pose(pose)[GRIPPER] == 1
 
     def test_midpoint_with_yaw(self):
         pose = ContinuousPose(
             position=(0.2, 0.0, 1.1), orientation=quat_from_euler(0, 0, 5), gripper=0.0
         )
-        action = discretize_pose(pose)
-        assert action.voxel == (49, 49, 49)
-        assert action.rot == (0, 0, 1)
-        assert action.gripper == 0
+        assert discretize_pose(pose) == (49, 49, 49, 0, 0, 1, 0)
 
     def test_deterministic_across_threads(self):
         pose = ContinuousPose(
@@ -315,46 +316,89 @@ class TestDiscretizePose:
         assert results[0] == discretize_pose(pose)
 
 
-class TestActionTypes:
-    def test_discrete_action_validates_components(self):
-        with pytest.raises(RangeError):
-            DiscreteAction(voxel=(100, 0, 0), rot=(0, 0, 0), gripper=1)
-        with pytest.raises(RangeError):
-            DiscreteAction(voxel=(0, 0, 0), rot=(72, 0, 0), gripper=1)
-        with pytest.raises(RangeError):
-            DiscreteAction(voxel=(0, 0, 0), rot=(0, 0, 0), gripper=2)
+VALID_ARM = (1, 2, 3, 4, 5, 6, 1)
 
-    @pytest.mark.parametrize("fields", [
-        {"voxel": (1.5, 0, 0)},
-        {"voxel": (True, 0, 0)},
-        {"rot": (0, 2.0, 0)},
-        {"gripper": True},
-        {"gripper": 1.0},
-        {"gripper": np.float64(0.0)},
-    ])
-    def test_discrete_action_rejects_non_integers(self, fields):
-        with pytest.raises(RangeError):
-            DiscreteAction(**{"voxel": (0, 0, 0), "rot": (0, 0, 0), "gripper": 1, **fields})
+# One arm's values that every entry point rejects, with the RangeError message.
+OUT_OF_RANGE = [
+    ((100, 0, 0, 0, 0, 0, 1), "voxel component 100 outside [0, 99]"),
+    ((0, -1, 0, 0, 0, 0, 1), "voxel component -1 outside [0, 99]"),
+    ((0, 0, 0, 72, 0, 0, 1), "rotation bin 72 outside [0, 71]"),
+    ((0, 0, 0, 0, 0, 0, 2), "gripper bit 2 not in {0, 1}"),
+]
+NOT_INTEGERS = [
+    ((1.5, 0, 0, 0, 0, 0, 1), "voxel component 1.5 outside [0, 99]"),
+    ((1.9, 0, 0, 0, 0, 0, 1), "voxel component 1.9 outside [0, 99]"),  # not truncated
+    ((True, 0, 0, 0, 0, 0, 1), "voxel component True outside [0, 99]"),
+    ((0, 0, 0, 0, 2.0, 0, 1), "rotation bin 2.0 outside [0, 71]"),
+    ((0, 0, 0, 0, 0, 0, True), "gripper bit True not in {0, 1}"),
+    ((0, 0, 0, 0, 0, 0, 1.0), "gripper bit 1.0 not in {0, 1}"),
+    ((0, 0, 0, 0, 0, 0, np.float64(0.0)), "gripper bit 0.0 not in {0, 1}"),
+]
+
+
+def _both_arms(bad):
+    """The bad arm as the right arm, then as the left, of a 14-int action."""
+    return [bad + VALID_ARM, VALID_ARM + bad]
+
+
+class TestCheckAction:
+    @pytest.mark.parametrize("bad, message", OUT_OF_RANGE + NOT_INTEGERS)
+    def test_rejects_with_the_range_message(self, bad, message):
+        with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+            check_action(bad, arity=7)
+        for values in _both_arms(bad):
+            with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+                check_action(values)
+
+    @pytest.mark.parametrize("values, arity", [(VALID_ARM, 14), (VALID_ARM * 2, 7),
+                                               (VALID_ARM[:6], 7), (VALID_ARM * 2 + (0,), 14)])
+    def test_rejects_wrong_arity(self, values, arity):
+        with pytest.raises(RangeError, match=f"^expected {arity} components, got {len(values)}$"):
+            check_action(values, arity)
 
     def test_numpy_integers_accepted(self):
-        action = DiscreteAction(voxel=(np.int64(1), np.int32(2), 3),
-                                rot=(np.uint8(4), 5, 6), gripper=np.int64(1))
-        assert action == DiscreteAction(voxel=(1, 2, 3), rot=(4, 5, 6), gripper=1)
+        values = (np.int64(1), np.int32(2), 3, np.uint8(4), 5, 6, np.int64(1))
+        assert check_action(values, arity=7) == VALID_ARM
+        assert check_action(list(VALID_ARM) + list(values)) == VALID_ARM * 2
 
-    def test_from_tuple_does_not_truncate(self):
-        with pytest.raises(RangeError):
-            DiscreteAction.from_tuple((1.9, 0, 0, 0, 0, 0, 1))
-        demo_row = json.loads("[52.7, 49, 40, 36, 36, 0, 1, 20, 60, 40, 36, 36, 0, 1]")
-        with pytest.raises(RangeError):
-            BimanualAction.from_tuple(demo_row)
+    def test_returns_the_values_as_a_tuple(self):
+        right, left = VALID_ARM, (9, 8, 7, 6, 5, 4, 0)
+        action = check_action(list(right + left))
+        assert action == right + left
+        for arm, base in ARM_OFFSET.items():
+            assert action[base:base + 7] == {"right": right, "left": left}[arm]
+        assert action[ARM_OFFSET["left"] + GRIPPER] == 0
 
-    def test_tuple_round_trip(self):
-        action = DiscreteAction(voxel=(1, 2, 3), rot=(4, 5, 6), gripper=1)
-        assert DiscreteAction.from_tuple(action.as_tuple()) == action
-        pair = BimanualAction(right=action, left=DiscreteAction.from_tuple((9, 8, 7, 6, 5, 4, 0)))
-        assert BimanualAction.from_tuple(pair.as_tuple()) == pair
-        assert pair.as_tuple()[:7] == action.as_tuple()
+    @pytest.mark.parametrize("bad, message", OUT_OF_RANGE)
+    def test_parse_completion_gives_the_same_message(self, bad, message):
+        with pytest.raises(RangeViolation, match=f"^{re.escape(message)}$"):
+            parse_completion(json.dumps([list(bad)]), arity=7)
+        for values in _both_arms(bad):
+            with pytest.raises(RangeViolation, match=f"^{re.escape(message)}$"):
+                parse_completion(json.dumps([list(values)]), arity=14)
 
+    @pytest.mark.parametrize("bad, message", NOT_INTEGERS)
+    def test_parse_completion_reads_no_non_integer_row(self, bad, message):
+        with pytest.raises(ParseFailure):
+            parse_completion(json.dumps([list(bad)]), arity=7)
+
+    def test_parse_completion_accepts_in_range_rows(self):
+        text = json.dumps([list(VALID_ARM), [0, 0, 0, 0, 0, 0, 0], [99, 99, 99, 71, 71, 71, 1]])
+        assert parse_completion(text, arity=7)[-1] == (99, 99, 99, 71, 71, 71, 1)
+
+    @pytest.mark.parametrize("bad, message", OUT_OF_RANGE + NOT_INTEGERS)
+    def test_demo_loader_gives_the_same_message(self, bad, message):
+        for values in _both_arms(bad):
+            payload = json.loads(json.dumps({"observation": {}, "actions": [list(values)]}))
+            with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+                demonstration_from_dict(payload)
+
+    def test_demo_loader_rejects_wrong_arity(self):
+        with pytest.raises(RangeError, match="^expected 14 components, got 7$"):
+            demonstration_from_dict({"observation": {}, "actions": [list(VALID_ARM)]})
+
+
+class TestPose:
     def test_pose_invariants(self):
         with pytest.raises(ValueError):
             ContinuousPose(position=(0, 0, 0), orientation=(0, 0, 0, 1.1), gripper=0.5)

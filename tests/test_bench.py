@@ -6,22 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bimanual_icl.actions import BimanualAction, DiscreteAction, voxelize
+from bimanual_icl.actions import voxelize
 from bimanual_icl.bench import (
     DEFAULT_TASKS,
     EpisodeResult,
     ObjectSpec,
-    _sample_box_surface,
-    benchmark_clouds,
     execute,
+    sample_box_surface,
     scripted_expert,
     spawn,
     synthetic_clouds,
 )
+from bimanual_icl.testing import benchmark_clouds
 
 
 def act(voxel, g):
-    return DiscreteAction(voxel=voxel, rot=(36, 36, 0), gripper=g)
+    return (*voxel, 36, 36, 0, g)
 
 
 class TestSpawn:
@@ -90,13 +90,7 @@ class TestExecute:
         task = DEFAULT_TASKS["lift_sym"]
         world = spawn(task, seed=2)
         demo = scripted_expert(task, world).actions
-        one_armed = [
-            BimanualAction(
-                right=a.right,
-                left=act(a.left.voxel, 1),  # left never closes
-            )
-            for a in demo
-        ]
+        one_armed = [a[:7] + act(a[7:10], 1) for a in demo]  # left never closes
         result = execute(world, one_armed)
         assert not result.success
         assert result.reason == "single_grasp"
@@ -105,9 +99,7 @@ class TestExecute:
         task = DEFAULT_TASKS["lift_sym"]
         world = spawn(task, seed=2)
         demo = scripted_expert(task, world).actions
-        one_armed = [
-            BimanualAction(right=a.right, left=act(a.left.voxel, 1)) for a in demo
-        ]
+        one_armed = [a[:7] + act(a[7:10], 1) for a in demo]
         result = execute(world, one_armed)
         np.testing.assert_allclose(
             result.final_positions["tray"], world.initial_positions["tray"]
@@ -136,7 +128,7 @@ class TestExecute:
         task = DEFAULT_TASKS["lift_sym"]
         world = spawn(task, seed=1)
         demo = scripted_expert(task, world).actions
-        result = execute(world, [a.as_tuple() for a in demo])
+        result = execute(world, [list(a) for a in demo])  # rows as decoded from JSON
         assert result.success
 
     def test_result_invariants(self):
@@ -151,10 +143,7 @@ class TestDrawerSequencing:
         task = DEFAULT_TASKS["drawer_item"]
         world = spawn(task, seed=4)
         demo = scripted_expert(task, world).actions
-        no_pull = [
-            BimanualAction(right=a.right, left=act(demo[1].left.voxel, a.left.gripper))
-            for a in demo
-        ]
+        no_pull = [a[:7] + act(demo[1][7:10], a[13]) for a in demo]
         result = execute(world, no_pull)
         assert not result.success
         assert result.reason in ("drawer_closed", "missed_target")
@@ -209,8 +198,8 @@ class TestSpawnOutputPinned:
         assert h.hexdigest() == BENCHMARK_CLOUDS_DIGEST
 
 
-def _sample_box_surface_loop(rng, center, half_extent, n, sigma, face_weights=None):
-    """Per-point reference for ``_sample_box_surface``: same draws, one row at a time."""
+def sample_box_surface_loop(rng, center, half_extent, n, sigma, face_weights=None):
+    """Per-point reference for ``sample_box_surface``: same draws, one row at a time."""
     hx, hy, hz = half_extent
     if face_weights is None:
         weights = np.array([hy * hz, hy * hz, hx * hz, hx * hz, hx * hy, hx * hy], dtype=float)
@@ -250,9 +239,9 @@ class TestSampleBoxSurfaceMatchesLoop:
            sigma=st.sampled_from((0.0, 0.002, 0.005)),
            face_weights=_face_weights)
     def test_byte_identical(self, seed, n, half_extent, center, sigma, face_weights):
-        fast = _sample_box_surface(np.random.default_rng(seed), center, half_extent, n, sigma,
+        fast = sample_box_surface(np.random.default_rng(seed), center, half_extent, n, sigma,
                                    face_weights=face_weights)
-        slow = _sample_box_surface_loop(np.random.default_rng(seed), center, half_extent, n,
+        slow = sample_box_surface_loop(np.random.default_rng(seed), center, half_extent, n,
                                         sigma, face_weights=face_weights)
         assert fast.shape == slow.shape == (n, 3)
         assert fast.tobytes() == slow.tobytes()

@@ -54,8 +54,8 @@ class TestExtractKeyframes:
         frames = extract_keyframes(steps)
         # toggle at step 4 and termination at step 9, no speed-zero edges
         assert len(frames) == 2
-        assert frames[0].right.gripper == 0
-        assert frames[0].right.voxel[0] != frames[1].right.voxel[0]
+        assert frames[0][6] == 0
+        assert frames[0][0] != frames[1][0]
 
     def test_constant_motion_yields_single_terminal_keyframe(self):
         steps = [step(0.01 * i) for i in range(10)]

@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from bimanual_icl.bench import DEFAULT_TASKS, scripted_expert, spawn
 from bimanual_icl.errors import (
     ExhaustedRetries,
     OracleParseError,
@@ -81,7 +82,7 @@ class TestGatewayAccounting:
         log = CallLog()
         gw = ChatGateway(lambda r: "[[1,2,3,4,5,6,1]]", log)
         parsed = gw.complete_parsed(req("x"), arity=7, max_retries=3)
-        assert parsed.actions == ((1, 2, 3, 4, 5, 6, 1),)
+        assert parsed == ((1, 2, 3, 4, 5, 6, 1),)
         assert log.count() == 1
 
     def test_fail_twice_then_succeed(self):
@@ -89,7 +90,7 @@ class TestGatewayAccounting:
         log = CallLog()
         gw = ChatGateway(backend, log)
         parsed = gw.complete_parsed(req("x"), arity=7, max_retries=3)
-        assert len(parsed.actions) == 1
+        assert len(parsed) == 1
         records = log.records()
         assert [r.attempt for r in records] == [1, 2, 3]
         assert [r.outcome for r in records] == ["parse_fail", "parse_fail", "ok"]
@@ -107,7 +108,7 @@ class TestGatewayAccounting:
         backend = ScriptedBackend(["[[100,2,3,4,5,6,1]]", "[[1,2,3,4,5,6,1]]"])
         gw = ChatGateway(backend, CallLog())
         parsed = gw.complete_parsed(req("x"), arity=7, max_retries=1)
-        assert all(0 <= v <= 99 for v in parsed.actions[0][:3])
+        assert all(0 <= v <= 99 for v in parsed[0][:3])
 
     def test_concurrent_accounting(self):
         log = CallLog()
@@ -136,8 +137,8 @@ class TestOraclePolicy:
         demos, _ = two_demo_fixture
         request = single_arm_prompt(demos, demos[1].observation, arm="right")
         completion = oracle_nearest_demo(request)
-        expected = [a.right.as_tuple() for a in demos[1].actions]
-        assert parse_completion(completion, 7).actions == tuple(expected)
+        expected = [a[:7] for a in demos[1].actions]
+        assert parse_completion(completion, 7) == tuple(expected)
 
     def test_offset_translation(self, two_demo_fixture):
         demos, _ = two_demo_fixture
@@ -145,9 +146,9 @@ class TestOraclePolicy:
         shifted = {name: (v[0] + 2, v[1], v[2]) for name, v in base.items()}
         request = single_arm_prompt(demos[:1], shifted, arm="right")
         completion = oracle_nearest_demo(request)
-        got = parse_completion(completion, 7).actions
+        got = parse_completion(completion, 7)
         expected = tuple(
-            (a.right.voxel[0] + 2,) + a.right.as_tuple()[1:] for a in demos[0].actions
+            (a[0] + 2,) + a[1:7] for a in demos[0].actions
         )
         assert got == expected
 
@@ -156,20 +157,20 @@ class TestOraclePolicy:
         twin = [demos[0], demos[0]]
         request = single_arm_prompt(twin, demos[0].observation, arm="right")
         completion = oracle_nearest_demo(request)
-        assert parse_completion(completion, 7).actions == tuple(
-            a.right.as_tuple() for a in demos[0].actions
+        assert parse_completion(completion, 7) == tuple(
+            a[:7] for a in demos[0].actions
         )
 
     def test_partner_entries_excluded_from_distance(self, two_demo_fixture):
         demos, test_obs = two_demo_fixture
         from bimanual_icl.prompts import build_follower_prompt
 
-        leader_pred = [a.right for a in demos[0].actions]
+        leader_pred = [a[:7] for a in demos[0].actions]
         bundle = build_follower_prompt(demos, demos[0].observation, leader_pred)
         request = ChatRequest(system=bundle.system_text, user=bundle.user_text, tag="f")
         completion = oracle_nearest_demo(request)
-        assert parse_completion(completion, 7).actions == tuple(
-            a.left.as_tuple() for a in demos[0].actions
+        assert parse_completion(completion, 7) == tuple(
+            a[7:] for a in demos[0].actions
         )
 
     def test_clamps_to_valid_range(self, two_demo_fixture):
@@ -178,7 +179,7 @@ class TestOraclePolicy:
         shifted = {name: (min(99, v[0] + 45), v[1], v[2]) for name, v in base.items()}
         request = single_arm_prompt(demos, shifted, arm="right")
         completion = oracle_nearest_demo(request)
-        for action in parse_completion(completion, 7).actions:
+        for action in parse_completion(completion, 7):
             assert all(0 <= c <= 99 for c in action[:3])
 
     def test_rejects_foreign_grammar(self):
@@ -193,9 +194,8 @@ class TestOraclePolicy:
         completion = oracle_nearest_demo(
             ChatRequest(system=bundle.system_text, user=bundle.user_text, tag="sa")
         )
-        got = parse_completion(completion, 14).actions
-        for row, action in zip(got, demos[0].actions):
-            ref = action.as_tuple()
+        got = parse_completion(completion, 14)
+        for row, ref in zip(got, demos[0].actions):
             assert row[1] == ref[1] + 3 and row[8] == ref[8] + 3
             assert row[3:7] == ref[3:7] and row[10:14] == ref[10:14]
 
@@ -220,6 +220,31 @@ class TestOracleJudge:
         assert set(verdict) == {"check1", "check2", "check3", "check4", "score"}
         assert verdict["score"] == 5  # a demo judged against its own batch
 
+    @pytest.mark.parametrize("task_name", sorted(DEFAULT_TASKS))
+    def test_verdict_equals_the_rubric_on_the_plan_in_memory(self, task_name):
+        from bimanual_icl.judge import score_plan, verdict_to_json
+        from bimanual_icl.prompts import build_judge_prompt
+
+        task = DEFAULT_TASKS[task_name]
+        demos = [scripted_expert(task, spawn(task, seed=k)) for k in range(4)]
+        test = scripted_expert(task, spawn(task, seed=99))
+        expert = test.actions
+        plans = [
+            expert,
+            tuple(a[7:] + a[:7] for a in expert),  # arms swapped
+            tuple(a[:6] + (1,) + a[7:13] + (1,) for a in expert),  # grippers never close
+            tuple((min(99, a[0] + 20),) + a[1:] for a in expert),  # right arm off target
+            expert[::-1],
+        ]
+        scores = []
+        for plan in plans:
+            bundle = build_judge_prompt(demos, test.observation, plan)
+            text = OracleBackend()(ChatRequest(system=bundle.system_text, user=bundle.user_text))
+            expected = score_plan(plan, demos, test.observation)
+            assert text == verdict_to_json(expected)
+            scores.append(expected.score)
+        assert min(scores) < 5
+
 
 class TestNoisyArmBackend:
     def test_only_target_arm_is_perturbed(self, two_demo_fixture):
@@ -236,7 +261,7 @@ class TestNoisyArmBackend:
         demos, test_obs = two_demo_fixture
         backend = NoisyArmBackend(OracleBackend(), arm="left", seed=0)
         plain = single_arm_prompt(demos, test_obs, arm="left")
-        leader_pred = [a.right for a in demos[0].actions]
+        leader_pred = [a[:7] for a in demos[0].actions]
         bundle = build_follower_prompt(demos, test_obs, leader_pred)
         conditioned = ChatRequest(system=bundle.system_text, user=bundle.user_text, tag="f")
         assert backend(plain) == backend(conditioned)

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bimanual_icl.bench import benchmark_clouds
 from bimanual_icl.errors import EmptyObject, OutOfWorkspace
 from bimanual_icl.perception import (
     MaskedCloud,
@@ -13,6 +12,7 @@ from bimanual_icl.perception import (
     extract_centroid,
     observation_l1,
 )
+from bimanual_icl.testing import benchmark_clouds
 
 
 def cloud(camera, name, points):

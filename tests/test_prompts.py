@@ -1,15 +1,18 @@
 import json
 import random
+import re
 import sys
 import threading
+import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bimanual_icl.actions import BimanualAction, DiscreteAction
+from bimanual_icl.actions import ARM_OFFSET, check_action
 from bimanual_icl.demos import Demonstration
 from bimanual_icl.errors import (
     ArityMismatch,
@@ -60,7 +63,7 @@ class TestSerializeObservation:
 
     def test_partner_entry_renders_last(self):
         obs = {"ball": (50, 49, 31)}
-        partner = ("leader_arm", [DiscreteAction(voxel=(50, 49, 40), rot=(36, 36, 0), gripper=1)])
+        partner = ("leader_arm", [(50, 49, 40, 36, 36, 0, 1)])
         assert serialize_observation(obs, partner) == (
             "{'ball': [50, 49, 31], 'leader_arm': [[50, 49, 40, 36, 36, 0, 1]]}"
         )
@@ -94,8 +97,8 @@ class TestBuildSinglePrompt:
         demos, test_obs = two_demo_fixture
         bundle = build_single_prompt(demos, test_obs, arm_filter="right")
         first_action = demos[0].actions[0]
-        assert render_action_list([first_action.right])[1:-1] in bundle.user_text
-        assert str(list(first_action.as_tuple())) not in bundle.user_text
+        assert render_action_list([first_action[:7]])[1:-1] in bundle.user_text
+        assert str(list(first_action)) not in bundle.user_text
 
     def test_gt_count_is_demos_plus_one(self, two_demo_fixture):
         demos, test_obs = two_demo_fixture
@@ -112,21 +115,21 @@ class TestBuildSinglePrompt:
 class TestBuildFollowerPrompt:
     def test_every_demo_observation_is_augmented(self, two_demo_fixture):
         demos, test_obs = two_demo_fixture
-        leader_pred = [a.right for a in demos[0].actions]
+        leader_pred = [a[:7] for a in demos[0].actions]
         bundle = build_follower_prompt(demos, test_obs, leader_pred, leader_is_right=True)
         assert bundle.user_text.count("'leader_arm':") == len(demos) + 1
 
     def test_follower_actions_are_left_tuples(self, two_demo_fixture):
         demos, test_obs = two_demo_fixture
-        leader_pred = [a.right for a in demos[0].actions]
+        leader_pred = [a[:7] for a in demos[0].actions]
         bundle = build_follower_prompt(demos, test_obs, leader_pred, leader_is_right=True)
-        left_actions = render_action_list([a.left for a in demos[0].actions])
+        left_actions = render_action_list([a[7:] for a in demos[0].actions])
         assert f"}}>{left_actions}" in bundle.user_text
         assert bundle.arm == "left"
 
     def test_reversed_conditioning_uses_follower_key(self, two_demo_fixture):
         demos, test_obs = two_demo_fixture
-        follower_pred = [a.left for a in demos[0].actions]
+        follower_pred = [a[7:] for a in demos[0].actions]
         bundle = build_conditioned_prompt(
             demos, test_obs, target_arm="right",
             partner_key="follower_arm", partner_pred=follower_pred,
@@ -139,18 +142,18 @@ class TestBuildFollowerPrompt:
         demos, test_obs = two_demo_fixture
         bundle = build_conditioned_prompt(
             demos, test_obs, target_arm="right",
-            partner_key="leader_arm", partner_pred=[a.left for a in demos[0].actions],
+            partner_key="leader_arm", partner_pred=[a[7:] for a in demos[0].actions],
         )
-        left_actions = render_action_list([a.left for a in demos[0].actions])
-        right_actions = render_action_list([a.right for a in demos[0].actions])
+        left_actions = render_action_list([a[7:] for a in demos[0].actions])
+        right_actions = render_action_list([a[:7] for a in demos[0].actions])
         assert f"'leader_arm': {left_actions}}}>{right_actions}" in bundle.user_text
         assert (bundle.role, bundle.arm) == ("follower", "right")
 
     def test_partner_entry_alone_in_empty_observation(self, two_demo_fixture):
         demos, _ = two_demo_fixture
         bare = Demonstration(observation={}, actions=demos[0].actions)
-        bundle = build_follower_prompt([bare], {}, [a.right for a in bare.actions])
-        right_actions = render_action_list([a.right for a in bare.actions])
+        bundle = build_follower_prompt([bare], {}, [a[:7] for a in bare.actions])
+        right_actions = render_action_list([a[:7] for a in bare.actions])
         assert bundle.user_text.startswith(f"{{'leader_arm': {right_actions}}}>")
         assert bundle.user_text.endswith(f", {{'leader_arm': {right_actions}}}>")
 
@@ -158,13 +161,13 @@ class TestBuildFollowerPrompt:
         demos, test_obs = two_demo_fixture
         with pytest.raises(ValueError):
             build_conditioned_prompt(demos, test_obs, target_arm="both", partner_key="leader_arm",
-                                     partner_pred=[demos[0].actions[0].left])
+                                     partner_pred=[demos[0].actions[0][7:]])
 
     def test_unknown_partner_key_rejected(self, two_demo_fixture):
         demos, test_obs = two_demo_fixture
         with pytest.raises(ValueError):
             build_conditioned_prompt(demos, test_obs, target_arm="right", partner_key="other_arm",
-                                     partner_pred=[demos[0].actions[0].left])
+                                     partner_pred=[demos[0].actions[0][7:]])
 
     def test_empty_leader_prediction_rejected(self, two_demo_fixture):
         demos, test_obs = two_demo_fixture
@@ -178,8 +181,8 @@ class TestGoldenPrompts:
     ])
     def test_byte_exact(self, name, two_demo_fixture):
         demos, test_obs = two_demo_fixture
-        leader_pred = [a.right for a in demos[0].actions]
-        follower_pred = [a.left for a in demos[0].actions]
+        leader_pred = [a[:7] for a in demos[0].actions]
+        follower_pred = [a[7:] for a in demos[0].actions]
         built = {
             "single_agent": lambda: build_single_prompt(demos, test_obs, arm_filter="both"),
             "leader_right": lambda: build_single_prompt(demos, test_obs, arm_filter="right",
@@ -210,16 +213,16 @@ class TestJudgePrompt:
 class TestParseCompletion:
     def test_plain_list(self):
         parsed = parse_completion("[[1,2,3,4,5,6,1]]", arity=7)
-        assert parsed.actions == ((1, 2, 3, 4, 5, 6, 1),)
+        assert parsed == ((1, 2, 3, 4, 5, 6, 1),)
 
     def test_prose_and_code_fence(self):
         text = "Here is the plan:\n```[[1,2,3,4,5,6,1],[1,2,9,4,5,6,0]]```"
         parsed = parse_completion(text, arity=7)
-        assert parsed.actions == ((1, 2, 3, 4, 5, 6, 1), (1, 2, 9, 4, 5, 6, 0))
+        assert parsed == ((1, 2, 3, 4, 5, 6, 1), (1, 2, 9, 4, 5, 6, 0))
 
     def test_trailing_comma(self):
         parsed = parse_completion("[[1, 2, 3, 4, 5, 6, 1],]", arity=7)
-        assert len(parsed.actions) == 1
+        assert len(parsed) == 1
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
@@ -244,8 +247,7 @@ class TestParseCompletion:
         with pytest.raises(RangeViolation) as violation:
             validate_action_values(values, arity=len(values))
         with pytest.raises(RangeError) as range_error:
-            for offset in range(0, len(values), 7):
-                DiscreteAction.from_tuple(values[offset:offset + 7])
+            check_action(values, arity=len(values))
         assert str(violation.value) == str(range_error.value)
 
     def test_no_list(self):
@@ -255,11 +257,11 @@ class TestParseCompletion:
     def test_prefers_nested_over_flat(self):
         text = "step [3] then [[1,2,3,4,5,6,1]]"
         parsed = parse_completion(text, arity=7)
-        assert parsed.actions == ((1, 2, 3, 4, 5, 6, 1),)
+        assert parsed == ((1, 2, 3, 4, 5, 6, 1),)
 
     def test_flat_fallback(self):
         parsed = parse_completion("[1, 2, 3, 4, 5, 6, 0]", arity=7)
-        assert parsed.actions == ((1, 2, 3, 4, 5, 6, 0),)
+        assert parsed == ((1, 2, 3, 4, 5, 6, 0),)
 
     @pytest.mark.parametrize("text", [
         "[[1, 2, 3, 4, 5, 6, 1],\n [1, 2, 9, 4, 5, 6, 0],\n]",
@@ -267,7 +269,7 @@ class TestParseCompletion:
         "Plan [draft: [[1, 2, 3, 4, 5, 6, 1], [1, 2, 9, 4, 5, 6, 0]]",
     ])
     def test_every_row_survives_commas_newlines_and_stray_brackets(self, text):
-        assert parse_completion(text, arity=7).actions == (
+        assert parse_completion(text, arity=7) == (
             (1, 2, 3, 4, 5, 6, 1), (1, 2, 9, 4, 5, 6, 0))
 
     @pytest.mark.parametrize("text", [
@@ -285,7 +287,71 @@ class TestParseCompletion:
                 n = rng.randrange(1, 6)
                 actions = [random_action(rng, arity) for _ in range(n)]
                 rendered = render_action_list(actions)
-                assert parse_completion(rendered, arity).actions == tuple(actions)
+                assert parse_completion(rendered, arity) == tuple(actions)
+
+
+def reference_json_values(text):
+    """The scanner as it was before its work was bounded: every opening bracket
+    is decoded from scratch. The bounded scanner must agree with it."""
+    decoder = json.JSONDecoder()
+    for match in re.finditer(r"[\[{]", text):
+        try:
+            yield decoder.raw_decode(text, match.start())[0]
+        except (ValueError, RecursionError):
+            pass
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_REPLY_PIECES = st.sampled_from([
+    "[", "]", "{", "}", '"', "\\", ",", ", ", ":", " ", "\n", "0", "1", "7", "-1", "99",
+    "1.5", "true", "null", "plan", "check1", "[1, 2, 3, 4, 5, 6, 1]", "[[1, 2, 3, 4, 5, 6, 0]]",
+    '{"check1": 1, "check2": "-1: far", "check3": 0, "check4": "0: ok"}', '"check2": ',
+    '"[', ']"', "```",
+])
+_replies = st.lists(_REPLY_PIECES, max_size=40).map("".join)
+
+
+class TestJsonValues:
+    @settings(max_examples=400)
+    @given(text=_replies)
+    @example(text="[1, [2, [3, x")
+    @example(text='["[", [1, 2, 3, 4, 5, 6, 1]')
+    @example(text='[[1, "]", [1, 2, 3, 4, 5, 6, 1]')
+    @example(text='{"a": [1, {"b": "[[1, 2, 3, 4, 5, 6, 1]]"')
+    def test_agrees_with_the_reference_scanner(self, text):
+        from bimanual_icl import judge
+
+        assert list(prompts.json_values(text)) == list(reference_json_values(text))
+        bounded = [_outcome(lambda t: parse_completion(t, arity), text) for arity in (7, 14)]
+        bounded.append(_outcome(judge.parse_verdict, text))
+        with mock.patch.object(prompts, "json_values", reference_json_values), \
+                mock.patch.object(judge, "json_values", reference_json_values):
+            reference = [_outcome(lambda t: parse_completion(t, arity), text) for arity in (7, 14)]
+            reference.append(_outcome(judge.parse_verdict, text))
+        assert bounded == reference
+
+    @pytest.mark.parametrize("text", ["[" * 20_000, "[1, " * 20_000])
+    def test_unclosed_brackets_take_little_time(self, text):
+        from bimanual_icl.judge import parse_verdict
+
+        started = time.perf_counter()
+        with pytest.raises(ParseFailure):
+            parse_completion(text, arity=7)
+        assert time.perf_counter() - started < 0.5
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="no JSON object"):
+            parse_verdict(text)
+        assert time.perf_counter() - started < 0.5
+
+    def test_values_behind_a_too_deep_one_are_still_found(self):
+        text = "[" * 5_000 + " [[1, 2, 3, 4, 5, 6, 1]]"
+        assert parse_completion(text, arity=7) == ((1, 2, 3, 4, 5, 6, 1),)
 
 
 class TestPromptBundleInvariants:
@@ -301,13 +367,9 @@ class TestPromptBundleInvariants:
 # --- grammar round trip: parse_prompt / parse_judge_prompt invert the renderers
 
 _triples = st.tuples(*[st.integers(0, 99)] * 3)
-_arm_actions = st.builds(
-    DiscreteAction,
-    voxel=_triples,
-    rot=st.tuples(*[st.integers(0, 71)] * 3),
-    gripper=st.integers(0, 1),
-)
-_bimanual_actions = st.builds(BimanualAction, right=_arm_actions, left=_arm_actions)
+_arm_components = [*[st.integers(0, 99)] * 3, *[st.integers(0, 71)] * 3, st.integers(0, 1)]
+_arm_actions = st.tuples(*_arm_components)
+_bimanual_actions = st.tuples(*_arm_components * 2)
 _names = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8).filter(
     lambda name: name not in PARTNER_KEYS
 )
@@ -327,7 +389,9 @@ def _parsed_pair(obs, actions):
 
 
 def _arm_tuples(actions, arm):
-    return [a.as_tuple() if arm == "both" else a.arm(arm).as_tuple() for a in actions]
+    if arm == "both":
+        return list(actions)
+    return [a[ARM_OFFSET[arm]:ARM_OFFSET[arm] + 7] for a in actions]
 
 
 def _assert_truncations_rejected(text, cut):
@@ -393,7 +457,7 @@ class TestParsePromptRoundTrip:
             for d in demos
         ]
         assert parsed_test == (test_obs,
-                               (partner_key, [a.as_tuple() for a in partner_pred]))
+                               (partner_key, list(partner_pred)))
         _assert_truncations_rejected(text, cut)
         _assert_garbles_rejected(text)
 
@@ -507,7 +571,7 @@ class TestParsePromptCache:
     def _prompts(self, demos, test_obs):
         return [
             build_single_prompt(demos, test_obs, arm_filter="right").user_text,
-            build_follower_prompt(demos, test_obs, [a.right for a in demos[0].actions]).user_text,
+            build_follower_prompt(demos, test_obs, [a[:7] for a in demos[0].actions]).user_text,
             build_judge_prompt(demos, test_obs, demos[1].actions).user_text,
         ]
 

@@ -332,6 +332,14 @@ class TestCli:
         ('{"task": "lift_sym"\n', ", line 1: Expecting"),
         ("\n" + json.dumps({"task": "lift_sym", "seed": 0}),
          ", line 2: missing keys ['strategy', 'episode'"),
+        (json.dumps({"task": "lift_sym", "strategy": "dual_agent", "seed": 0, "episode": 0,
+                     "success": "yes", "calls": 2, "prompt_chars": 10, "completion_chars": 5,
+                     "wall_ms": 1}),
+         ", line 1: success must be bool, got 'yes'"),
+        (json.dumps({"task": "lift_sym", "strategy": "dual_agent", "seed": 0, "episode": 0,
+                     "success": True, "calls": 2.5, "prompt_chars": 10,
+                     "completion_chars": 5, "wall_ms": 1}),
+         ", line 1: calls must be int, got 2.5"),
     ])
     def test_bad_episode_log_exits_2_naming_it(self, tmp_path, capsys, content, message):
         path = tmp_path / "episodes.jsonl"

@@ -2,7 +2,6 @@ import hashlib
 
 import pytest
 
-from bimanual_icl.actions import BimanualAction, DiscreteAction
 from bimanual_icl.demos import Demonstration
 from bimanual_icl.errors import (
     AllCandidatesFailed,
@@ -29,7 +28,7 @@ from bimanual_icl.testing import FlakyBackend
 
 
 def act(x, g=1):
-    return DiscreteAction(voxel=(x, 50, 40), rot=(36, 36, 0), gripper=g)
+    return (x, 50, 40, 36, 36, 0, g)
 
 
 def oracle_gateway():
@@ -39,7 +38,7 @@ def oracle_gateway():
 
 def mirrored(demo):
     obs = dict(demo.observation)
-    actions = tuple(BimanualAction(right=a.left, left=a.right) for a in demo.actions)
+    actions = tuple(a[7:] + a[:7] for a in demo.actions)
     return Demonstration(observation=obs, actions=actions)
 
 
@@ -47,15 +46,14 @@ class TestCompose:
     def test_equal_lengths_zip(self):
         plan = compose([act(10), act(11)], [act(90), act(91)], kind="dual_agent")
         assert len(plan.actions) == 2
-        assert plan.actions[0].right == act(10)
-        assert plan.actions[0].left == act(90)
+        assert plan.actions[0] == act(10) + act(90)
 
     def test_shorter_padded_with_last(self):
         plan = compose([act(10), act(11), act(12)], [act(90)] * 5, kind="dual_agent")
         assert len(plan.actions) == 5
-        assert plan.actions[3].right == act(12)
-        assert plan.actions[4].right == act(12)
-        assert [a.left for a in plan.actions] == [act(90)] * 5
+        assert plan.actions[3][:7] == act(12)
+        assert plan.actions[4][:7] == act(12)
+        assert [a[7:] for a in plan.actions] == [act(90)] * 5
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyTrajectory):
@@ -75,7 +73,7 @@ class TestSingleAgent:
         demos, test_obs = two_demo_fixture
         gw, _ = oracle_gateway()
         plan = run_single_agent(gw, demos, test_obs)
-        assert all(len(a.as_tuple()) == 14 for a in plan.actions)
+        assert all(len(a) == 14 for a in plan.actions)
 
 
 class TestDualAgent:
@@ -96,16 +94,13 @@ class TestDualAgent:
         swapped = [
             Demonstration(
                 observation=d.observation,
-                actions=tuple(
-                    BimanualAction(right=a.right, left=b.left)
-                    for a, b in zip(d.actions, reversed(d.actions))
-                ),
+                actions=tuple(a[:7] + b[7:] for a, b in zip(d.actions, reversed(d.actions))),
             )
             for d in demos
         ]
         gw2, _ = oracle_gateway()
         altered = run_dual_agent(gw2, swapped, test_obs)
-        assert [a.right for a in altered.actions] == [a.right for a in base.actions]
+        assert [a[:7] for a in altered.actions] == [a[:7] for a in base.actions]
 
 
 class TestLeaderFollower:
@@ -144,8 +139,8 @@ class TestLeaderFollower:
         gw2, _ = oracle_gateway()
         plan_left = run_leader_follower(gw2, [mirrored(d) for d in demos], test_obs,
                                         StrategyConfig(leader_arm="left"))
-        assert [a.right for a in plan_left.actions] == [a.left for a in plan_right.actions]
-        assert [a.left for a in plan_left.actions] == [a.right for a in plan_right.actions]
+        assert [a[:7] for a in plan_left.actions] == [a[7:] for a in plan_right.actions]
+        assert [a[7:] for a in plan_left.actions] == [a[:7] for a in plan_right.actions]
 
     def test_phase_identity_on_failure(self, two_demo_fixture):
         demos, test_obs = two_demo_fixture
@@ -177,8 +172,8 @@ class TestArmsDebate:
         gw = ChatGateway(lambda r: next(replies), CallLog())
         plan = run_arms_debate(gw, demos, test_obs)
         assert len(plan.actions) == 1
-        assert plan.actions[0].right.voxel == (12, 50, 42)
-        assert plan.actions[0].left.voxel == (82, 50, 42)
+        assert plan.actions[0][:3] == (12, 50, 42)
+        assert plan.actions[0][7:10] == (82, 50, 42)
 
     def test_mirror_symmetry(self, two_demo_fixture):
         demos, test_obs = two_demo_fixture
@@ -188,8 +183,8 @@ class TestArmsDebate:
         gw2, _ = oracle_gateway()
         plan_left = run_arms_debate(gw2, [mirrored(d) for d in demos], test_obs,
                                     StrategyConfig(leader_arm="left"))
-        assert [a.right for a in plan_left.actions] == [a.left for a in plan_right.actions]
-        assert [a.left for a in plan_left.actions] == [a.right for a in plan_right.actions]
+        assert [a[:7] for a in plan_left.actions] == [a[7:] for a in plan_right.actions]
+        assert [a[7:] for a in plan_left.actions] == [a[:7] for a in plan_right.actions]
 
     @pytest.mark.parametrize("failing_turn, phase", list(enumerate(
         ("leader1", "follower1", "leader2", "follower2"))))
@@ -277,7 +272,7 @@ class TestBestOfN:
         class FakeJudge:
             def score(self, plan_actions, batch, obs):
                 from bimanual_icl.judge import JudgeVerdict
-                j = plan_actions[0].right.voxel[0] - 10
+                j = plan_actions[0][0] - 10
                 return JudgeVerdict(check1=1, check2=1, check3=0, check4=0, score=scores[j])
 
         # Candidate j predicts x voxel 10 + j, so the judge can tell candidates
