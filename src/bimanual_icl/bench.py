@@ -92,32 +92,38 @@ class EpisodeResult:
             raise ValueError("failed episodes need a reason tag")
 
 
+# Per face +x, -x, +y, -y, +z, -z, in units of the half extents: the fixed
+# coordinate, then the directions u and v span (the in-face axes, in order).
+_FACE_FRAMES = np.array([
+    [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+    [[0, 1, 0], [0, 1, 0], [1, 0, 0], [1, 0, 0], [1, 0, 0], [1, 0, 0]],
+    [[0, 0, 1], [0, 0, 1], [0, 0, 1], [0, 0, 1], [0, 1, 0], [0, 1, 0]],
+], dtype=float)
+
+
 def sample_box_surface(rng, center, half_extent, n, sigma, face_weights=None):
     """n points over an axis-aligned box surface, plus Gaussian noise.
 
     Faces are drawn by area unless ``face_weights`` (6 values, order
     +x, -x, +y, -y, +z, -z) skews the density, as a camera with a biased
-    viewpoint would.
+    viewpoint would. Draws exactly what ``rng.choice(6, n, p=weights)``
+    would, then u, v and the noise.
     """
     hx, hy, hz = half_extent
     if face_weights is None:
         weights = np.array([hy * hz, hy * hz, hx * hz, hx * hz, hx * hy, hx * hy], dtype=float)
     else:
         weights = np.asarray(face_weights, dtype=float)
-    faces = rng.choice(6, size=n, p=weights / weights.sum())
+    total = weights.sum()
+    if weights.shape != (6,) or not ((weights >= 0).all() and 0 < total < np.inf):
+        raise ValueError(f"face weights must be 6 finite numbers >= 0, not all 0: {weights}")
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    faces = cdf.searchsorted(rng.random(n), side="right")
     u = rng.uniform(-1.0, 1.0, size=n)
     v = rng.uniform(-1.0, 1.0, size=n)
-    pts = np.empty((n, 3))
-    rows = np.arange(n)
-    axis = faces // 2
-    # The two in-face axes in increasing order: u spans the first, v the second.
-    first = np.where(axis == 0, 1, 0)
-    second = np.where(axis == 2, 1, 2)
-    sign = np.where(faces % 2 == 0, 1.0, -1.0)
-    half = np.array([hx, hy, hz])
-    pts[rows, axis] = sign * half[axis]
-    pts[rows, first] = u * half[first]
-    pts[rows, second] = v * half[second]
+    fixed, along_u, along_v = (_FACE_FRAMES * [hx, hy, hz]).take(faces, axis=1)
+    pts = fixed + u[:, None] * along_u + v[:, None] * along_v
     return np.asarray(center) + pts + rng.normal(0.0, sigma, size=(n, 3))
 
 

@@ -15,8 +15,6 @@ import threading
 import time
 from dataclasses import dataclass
 
-import requests
-
 from .actions import ARM_DIM
 from .demos import Demonstration
 from .errors import (
@@ -29,7 +27,6 @@ from .errors import (
 from .perception import observation_l1
 from .prompts import (
     JUDGE_SYSTEM,
-    SINGLE_ARM_SYSTEM,
     parse_completion,
     parse_judge_prompt,
     parse_prompt,
@@ -81,15 +78,26 @@ class CallLog:
             return sum(1 for r in self._records if r.tag.startswith(tag_prefix))
 
 
+def __getattr__(name):
+    """Import ``requests`` on first use (PEP 562): only the HTTP backend needs it."""
+    if name != "requests":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import requests
+
+    return globals().setdefault("requests", requests)  # a module bound already stays
+
+
 class HttpBackend:
     """Chat-completions HTTP client: POST {model, messages, temperature}.
 
     Reads the bearer token from ``api_key_env`` at call time; the response
     text is taken from ``choices[0].message.content``, which must be a string.
+    Construction loads ``requests``, so the first call does not pay for it.
     """
 
     def __init__(self, url: str, model: str, api_key_env: str = "OPENAI_API_KEY",
                  timeout: float = 60.0):
+        __getattr__("requests")  # load it here rather than in the first call
         self.url = url
         self.model = model
         self.api_key_env = api_key_env
@@ -198,33 +206,6 @@ class OracleBackend:
                  for entries, _, actions in ref_demos]
         verdict = judge_mod.score_plan(cand_actions, demos, cand_entries)
         return judge_mod.verdict_to_json(verdict)
-
-
-class NoisyArmBackend:
-    """Perturbs one arm's single-arm predictions by +/-1 voxel per axis.
-
-    The shift is drawn from a hash of the test observation's object
-    entries, so the same scene receives the same perturbation regardless
-    of how the prompt was conditioned (dual-agent vs leader-follower).
-    """
-
-    def __init__(self, inner, arm: str = "left", seed: int = 0):
-        if arm not in ("right", "left"):
-            raise ValueError("arm must be 'right' or 'left'")
-        self.inner = inner
-        self.arm = arm
-        self.seed = seed
-
-    def __call__(self, req: ChatRequest) -> str:
-        text = self.inner(req)
-        if req.system != SINGLE_ARM_SYSTEM.format(arm=self.arm):
-            return text
-        _, (entries, _) = parse_prompt(req.user)
-        digest = hashlib.md5(
-            (repr(sorted(entries.items())) + f"|{self.seed}").encode("utf-8")
-        ).digest()
-        delta = [1 if digest[i] % 2 else -1 for i in range(3)]
-        return render_action_list([_translated(a, delta) for a in parse_completion(text, arity=7)])
 
 
 class ChatGateway:

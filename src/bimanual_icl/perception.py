@@ -42,8 +42,7 @@ def extract_centroid(clouds, strategy: str = "prune", voxel_size: float = DEFAUL
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     nonempty = [c.points for c in clouds if len(c.points)]
     if not nonempty:
-        name = clouds[0].object_name if clouds else "<unknown>"
-        raise EmptyObject(f"no points for object {name!r} in any camera")
+        raise _empty_object(clouds)
 
     if strategy == "standard":
         per_camera = np.stack([pts.mean(axis=0) for pts in nonempty])
@@ -52,39 +51,54 @@ def extract_centroid(clouds, strategy: str = "prune", voxel_size: float = DEFAUL
     merged = np.concatenate(nonempty, axis=0)
     if strategy == "concat":
         return tuple(merged.mean(axis=0))
-    return tuple(_voxel_downsample(merged, voxel_size).mean(axis=0))
+    return tuple(_voxel_downsample(merged, voxel_size)[0].mean(axis=0))
 
 
-def _voxel_downsample(points: np.ndarray, voxel_size: float) -> np.ndarray:
-    """One representative point (cell mean) per occupied grid cell.
+def _empty_object(clouds) -> EmptyObject:
+    name = clouds[0].object_name if clouds else "<unknown>"
+    return EmptyObject(f"no points for object {name!r} in any camera")
 
-    The grid is anchored at the origin, so representatives do not depend on
-    which other objects happen to be in the scene.
-    """
+
+def _voxel_downsample(points: np.ndarray, voxel_size: float, owner=None):
+    """One representative (cell mean) per occupied grid cell of each ``owner`` group
+    (all 0 if omitted), and its owner, sorted by owner and then cell (x, y, z). The
+    grid is anchored at the origin and a cell sums its points in input order, so a
+    group's representatives do not depend on the other groups."""
     if voxel_size <= 0:
         raise ValueError(f"voxel_size must be positive, got {voxel_size}")
-    cells = np.floor(points / voxel_size).astype(np.int64)
-    # Number occupied cells in lexicographic (x, y, z) order: sort the rows and
-    # open a new cell wherever a sorted row differs from the one before it.
-    order = np.lexsort(cells.T[::-1])
-    sorted_cells = cells[order]
-    starts = np.ones(len(cells), dtype=bool)
-    starts[1:] = (sorted_cells[1:] != sorted_cells[:-1]).any(axis=1)
+    if owner is None:
+        owner = np.zeros(len(points), dtype=np.int64)
+    keys = np.column_stack((owner, np.floor(points / voxel_size).astype(np.int64)))
+    # Number occupied cells in (owner, x, y, z) order: sort the rows and open a
+    # new cell wherever a sorted row differs from the one before it.
+    order = np.lexsort(keys.T[::-1])
+    sorted_keys = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(starts) - 1
-    n_cells = inverse.max() + 1
-    sums = np.zeros((n_cells, 3))
-    np.add.at(sums, inverse, points)
+    n_cells = int(starts.sum())
+    sums = np.stack([np.bincount(inverse, weights=points[:, axis], minlength=n_cells)
+                     for axis in range(3)], axis=1)
     counts = np.bincount(inverse, minlength=n_cells).astype(float)
-    return sums / counts[:, None]
+    return sums / counts[:, None], sorted_keys[starts, 0]
 
 
 def build_observation(object_clouds) -> dict[str, tuple[int, int, int]]:
-    """Voxelize each object's ``prune``-fused centroid, in input name order."""
+    """Voxelize each object's ``prune``-fused centroid, in input name order: one
+    downsample pass for all objects, each centroid exactly ``extract_centroid``'s."""
+    scene = list(object_clouds.values())
+    points = np.concatenate([c.points for clouds in scene for c in clouds] or [np.empty((0, 3))])
+    sizes = [sum(len(c.points) for c in clouds) for clouds in scene]
+    owner = np.repeat(np.arange(len(scene)), sizes)
+    representatives, rep_owner = _voxel_downsample(points, DEFAULT_VOXEL_SIZE, owner)
+    bounds = np.searchsorted(rep_owner, np.arange(len(scene) + 1))
     entries = {}
-    for name, clouds in object_clouds.items():
+    for (name, clouds), lo, hi in zip(object_clouds.items(), bounds, bounds[1:]):
         try:
-            entries[name] = voxelize(extract_centroid(clouds))
+            if lo == hi:
+                raise _empty_object(clouds)
+            entries[name] = voxelize(tuple(representatives[lo:hi].mean(axis=0)))
         except (EmptyObject, OutOfWorkspace) as exc:
             raise type(exc)(f"object {name!r}: {exc}") from exc
     return entries

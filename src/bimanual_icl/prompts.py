@@ -38,6 +38,8 @@ _DECODER = json.JSONDecoder()
 _OPENING = re.compile(r"[\[{]")
 _JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"?|[\[\]{}]', re.DOTALL)  # a string or a bracket
 _DEEP_LEVELS = 64
+_WINDOW = 1024  # characters _decode_at first decodes a value from
+_CUT_REACH = 16  # a value cut by the window fails this close to the cut: '-Infinit' is 8 long
 _TRAILING_COMMA = re.compile(r",\s*]")
 
 SINGLE_ARM_SYSTEM = (
@@ -241,15 +243,34 @@ def json_values(text: str):
         if start in failed:
             continue
         try:
-            value = _DECODER.raw_decode(text, start)[0]
+            value = _decode_at(text, start)
         except json.JSONDecodeError as exc:
-            failed.update(_open_brackets(text, start, exc.pos))
+            failed.update(_open_brackets(text, start, start + exc.pos))
         except RecursionError:
             failed.update(_open_brackets(text, start, len(text), _DEEP_LEVELS))
         except ValueError:  # e.g. an integer too long to convert
             pass
         else:
             yield value
+
+
+def _decode_at(text: str, start: int):
+    """``raw_decode`` at ``start``, with ``pos`` counted from ``start``. It reads a window
+    of text that doubles while decoding fails at the window's end (a cut number or
+    literal, or a string still open). A bracketed value ends at its closing bracket,
+    so one found in the window is the whole text's, and a failure costs time in
+    proportion to the window, not to ``start`` (the error counts lines from the
+    beginning of its text)."""
+    size = _WINDOW
+    while True:
+        window = text[start:start + size]
+        try:
+            return _DECODER.raw_decode(window)[0]
+        except json.JSONDecodeError as exc:
+            cut = exc.pos >= len(window) - _CUT_REACH or exc.msg.startswith("Unterminated string")
+            if not cut or start + size >= len(text):
+                raise
+        size *= 2
 
 
 def _open_brackets(text: str, start: int, end: int, levels: float = float("inf")):

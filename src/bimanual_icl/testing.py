@@ -1,4 +1,5 @@
-"""Test doubles: scripted replies, injected parse failures, a perception rig.
+"""Test doubles: scripted replies, injected parse failures, a perturbed arm,
+a perception rig.
 
 Any callable mapping a ChatRequest to text is a backend, so a plain
 function or lambda covers the remaining cases.
@@ -6,12 +7,14 @@ function or lambda covers the remaining cases.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 
 from .bench import sample_box_surface
 from .errors import TransportError
-from .gateway import ChatRequest, request_fingerprint
+from .gateway import ChatRequest, _translated, request_fingerprint
 from .perception import MaskedCloud
+from .prompts import SINGLE_ARM_SYSTEM, parse_completion, parse_prompt, render_action_list
 
 
 class ScriptedBackend:
@@ -55,6 +58,33 @@ class FlakyBackend:
         if n < self.failures:
             return self.garbage
         return self.inner(req)
+
+
+class NoisyArmBackend:
+    """Perturbs one arm's single-arm predictions by +/-1 voxel per axis.
+
+    The shift is drawn from a hash of the test observation's object
+    entries, so the same scene receives the same perturbation regardless
+    of how the prompt was conditioned (dual-agent vs leader-follower).
+    """
+
+    def __init__(self, inner, arm: str = "left", seed: int = 0):
+        if arm not in ("right", "left"):
+            raise ValueError("arm must be 'right' or 'left'")
+        self.inner = inner
+        self.arm = arm
+        self.seed = seed
+
+    def __call__(self, req: ChatRequest) -> str:
+        text = self.inner(req)
+        if req.system != SINGLE_ARM_SYSTEM.format(arm=self.arm):
+            return text
+        _, (entries, _) = parse_prompt(req.user)
+        digest = hashlib.md5(
+            (repr(sorted(entries.items())) + f"|{self.seed}").encode("utf-8")
+        ).digest()
+        delta = [1 if digest[i] % 2 else -1 for i in range(3)]
+        return render_action_list([_translated(a, delta) for a in parse_completion(text, arity=7)])
 
 
 def benchmark_clouds(rng, center, half_extent=(0.05, 0.05, 0.05), sigma=0.005):

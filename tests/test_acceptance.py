@@ -22,7 +22,6 @@ from bimanual_icl.gateway import (
     ChatGateway,
     ChatRequest,
     HttpBackend,
-    NoisyArmBackend,
     OracleBackend,
 )
 from bimanual_icl.judge import PlanJudge, clamp_score, score_plan
@@ -36,7 +35,7 @@ from bimanual_icl.prompts import (
 )
 from bimanual_icl.runner import RunConfig, run_experiment, run_strategy, stable_seed
 from bimanual_icl.strategies import StrategyConfig
-from bimanual_icl.testing import FlakyBackend, benchmark_clouds
+from bimanual_icl.testing import FlakyBackend, NoisyArmBackend, benchmark_clouds
 
 from conftest import make_demo
 

@@ -247,6 +247,20 @@ class TestSampleBoxSurfaceMatchesLoop:
         assert fast.tobytes() == slow.tobytes()
 
 
+@pytest.mark.parametrize("weights", [
+    (1.0, -0.5, 1.0, 1.0, 1.0, 1.0),
+    (-1.0,) * 6,
+    (1.0, float("nan"), 1.0, 1.0, 1.0, 1.0),
+    (0.0,) * 6,
+    (float("inf"), 1.0, 1.0, 1.0, 1.0, 1.0),
+    (1.0,) * 5,
+])
+def test_invalid_face_weights_raise(weights):
+    with pytest.raises(ValueError, match="face weights"):
+        sample_box_surface(np.random.default_rng(0), (0.0, 0.0, 1.0), (0.1, 0.1, 0.1), 10, 0.0,
+                           face_weights=weights)
+
+
 SPAWN_DIGEST = "2fcd6217cdc6181186f9b9ca9fb015eb435e3ff65146c489ad39da253f550d64"
 SYNTHETIC_CLOUDS_DIGEST = "42d6d648eca391506894e788f1db7a602031c7703183848493c8707e7ed597be"
 BENCHMARK_CLOUDS_DIGEST = "2155d5e053cc8233887d529c9135b43fb506006655674581ce135f2c786c3a96"

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import types
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import bimanual_icl
 from bimanual_icl.bench import DEFAULT_TASKS, scripted_expert, spawn
 from bimanual_icl.errors import (
     ExhaustedRetries,
@@ -15,13 +20,12 @@ from bimanual_icl.gateway import (
     ChatGateway,
     ChatRequest,
     HttpBackend,
-    NoisyArmBackend,
     OracleBackend,
     oracle_nearest_demo,
     request_fingerprint,
 )
 from bimanual_icl.prompts import build_single_prompt, parse_completion
-from bimanual_icl.testing import FlakyBackend, ScriptedBackend
+from bimanual_icl.testing import FlakyBackend, NoisyArmBackend, ScriptedBackend
 
 
 def req(user, system="sys", tag="t"):
@@ -130,6 +134,44 @@ class TestHttpResponseContent:
         with pytest.raises(TransportError):
             gw.complete_parsed(req("x"), arity=7)
         assert [r.outcome for r in log.records()] == ["transport_fail"]
+
+
+def run_python(code: str) -> str:
+    """Run code in a fresh interpreter that imports this package; return its stdout."""
+    src = str(Path(bimanual_icl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True, timeout=60)
+    return out.stdout.strip()
+
+
+_HTTP_MODULES = ("; print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] in ('requests', 'urllib3')))")
+
+
+class TestRequestsLoadsOnlyForHttp:
+    @pytest.mark.parametrize("code", [
+        "import sys, bimanual_icl",
+        "import sys, bimanual_icl.cli",
+        "import sys; from bimanual_icl.runner import RunConfig, run_experiment; "
+        "run_experiment(RunConfig(tasks=['handover'], strategies=['single_agent', 'best_of_n'], "
+        "episodes=1, store_size=4, n_demos=2, n_candidates=2))",
+    ])
+    def test_offline_paths_leave_requests_unloaded(self, code):
+        assert run_python(code + _HTTP_MODULES) == "[]"
+
+    def test_constructing_the_http_backend_loads_requests(self):
+        code = ("import sys; from bimanual_icl.gateway import HttpBackend; "
+                "loaded = 'requests' in sys.modules; "
+                "HttpBackend('http://127.0.0.1:9/v1/chat/completions', 'm'); "
+                "print(loaded, 'requests' in sys.modules)")
+        assert run_python(code) == "False True"
+
+    def test_gateway_requests_resolves_to_the_module(self):
+        code = ("import sys; from bimanual_icl import gateway; "
+                "print(gateway.requests is sys.modules['requests'], "
+                "hasattr(gateway, 'no_such_name'))")
+        assert run_python(code) == "True False"
 
 
 class TestOraclePolicy:

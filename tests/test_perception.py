@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bimanual_icl.actions import voxelize
 from bimanual_icl.errors import EmptyObject, OutOfWorkspace
 from bimanual_icl.perception import (
     MaskedCloud,
@@ -114,10 +115,79 @@ class TestVoxelDownsampleMatchesUnique:
     @given(case=_clouds())
     def test_byte_identical(self, case):
         points, voxel_size = case
-        fast = _voxel_downsample(points, voxel_size)
+        fast, owner = _voxel_downsample(points, voxel_size)
+        assert not owner.any()
         slow = _voxel_downsample_unique(points, voxel_size)
         assert fast.shape == slow.shape
         assert fast.tobytes() == slow.tobytes()
+
+
+class TestVoxelDownsamplePerOwner:
+    @settings(max_examples=200)
+    @given(case=_clouds(), n_owners=st.integers(min_value=1, max_value=4),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_each_owner_as_if_alone(self, case, n_owners, seed):
+        points, voxel_size = case
+        owner = np.random.default_rng(seed).integers(0, n_owners, size=len(points))
+        representatives, rep_owner = _voxel_downsample(points, voxel_size, owner)
+        assert (np.diff(rep_owner) >= 0).all()
+        for group in range(n_owners):
+            alone, _ = _voxel_downsample(points[owner == group], voxel_size)
+            assert representatives[rep_owner == group].tobytes() == alone.tobytes()
+
+
+def build_observation_per_object(object_clouds):
+    """Reference for the fused ``build_observation``: one object at a time."""
+    entries = {}
+    for name, clouds in object_clouds.items():
+        try:
+            entries[name] = voxelize(extract_centroid(clouds))
+        except (EmptyObject, OutOfWorkspace) as exc:
+            raise type(exc)(f"object {name!r}: {exc}") from exc
+    return entries
+
+
+@st.composite
+def _scenes(draw):
+    """Scenes of 1-5 objects around one spot: a spread of 0 puts every point of
+    every object in one cell; a camera may be empty or hold a single point."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    center = rng.uniform((-0.25, -0.45, 0.65), (0.65, 0.45, 1.55))
+    spread = draw(st.sampled_from((0.0, 0.005, 0.03, 0.3)))
+    scene = {}
+    for i in range(draw(st.integers(min_value=1, max_value=5))):
+        name = f"obj{i}"
+        scene[name] = [
+            cloud(f"cam{c}", name, center + rng.normal(0.0, spread, size=(n, 3)))
+            for c, n in enumerate(draw(st.lists(st.sampled_from((0, 1, 7, 60, 60)),
+                                                min_size=1, max_size=3)))
+        ]
+    return scene
+
+
+def _outcome(fn, scene):
+    try:
+        return fn(scene)
+    except (EmptyObject, OutOfWorkspace) as exc:
+        return type(exc), str(exc)
+
+
+class TestBuildObservationFused:
+    @settings(max_examples=300)
+    @given(scene=_scenes())
+    def test_equals_per_object_extraction(self, scene):
+        assert _outcome(build_observation, scene) == _outcome(build_observation_per_object, scene)
+
+    def test_first_failing_object_is_named(self):
+        ok = [cloud("a", "ok", [(0.2, 0.0, 1.1)])]
+        ghost = [cloud("a", "ghost", []), cloud("b", "ghost", [])]
+        runaway = [cloud("a", "runaway", [(5.0, 0.0, 1.0)])]
+        with pytest.raises(EmptyObject, match="^object 'ghost': no points for object 'ghost'"):
+            build_observation({"ok": ok, "ghost": ghost, "runaway": runaway})
+        with pytest.raises(OutOfWorkspace, match="^object 'runaway': position"):
+            build_observation({"ok": ok, "runaway": runaway, "ghost": ghost})
+        with pytest.raises(EmptyObject, match="^object 'nothing': .*'<unknown>'"):
+            build_observation({"ok": ok, "nothing": []})
 
 
 class TestBuildObservation:

@@ -52,6 +52,9 @@ def test_traced_pass_finds_every_rebound_name(tmp_path, judge_mode):
     # leader_follower: 2 calls; best_of_n at n=2: 2 x 2 generation calls, and
     # in llm mode 2 judge calls; the rubric judge scores in-process
     assert layers["judge.score.calls"] == 2
+    # every spawn observes its scene once, through the per-object cloud draws
+    assert layers["perception.build_observation.calls"] == layers["bench.spawn.calls"] > 0
+    assert layers["bench.synthetic_clouds.busy_ms"] > 0
     assert layers["prompts.parse_completion.busy_ms"] > 0
     assert layers["gateway.oracle_predict.busy_ms"] > 0
     if judge_mode == "llm":
