@@ -37,6 +37,9 @@ JUDGE_CANDIDATE_HEADER = "\n\nCandidate Plan\n"
 _DECODER = json.JSONDecoder()
 _OPENING = re.compile(r"[\[{]")
 _JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"?|[\[\]{}]', re.DOTALL)  # a string or a bracket
+# an opening whose first item is a string followed by a character that may not follow
+# it: no value starts there (the string ends where the decoder's would, or is invalid)
+_STRING_THEN_STRAY = re.compile(r'[\[{]\s*"(?:[^"\\]|\\.)*"\s*[^\s,:\]}]', re.DOTALL)
 _DEEP_LEVELS = 64
 _WINDOW = 1024  # characters _decode_at first decodes a value from
 _CUT_REACH = 16  # a value cut by the window fails this close to the cut: '-Infinit' is 8 long
@@ -240,7 +243,7 @@ def json_values(text: str):
     failed = set()
     for match in _OPENING.finditer(text):
         start = match.start()
-        if start in failed:
+        if start in failed or _STRING_THEN_STRAY.match(text, start):
             continue
         try:
             value = _decode_at(text, start)
@@ -319,46 +322,54 @@ def parse_completion(text: str, arity: int) -> tuple[tuple[int, ...], ...]:
     return actions
 
 
-def _rows(value):
-    return tuple(tuple(int(v) for v in row) for row in value)
+@functools.lru_cache(maxsize=128)
+def _observation(text: str):
+    """Decode an observation text without partner entry into (name, voxel) items.
+    Prompts of every arm filter and turn share a demo's text. A 100-demo store holds
+    100 per task and each episode adds its test observation; the oracle-light and
+    oracle-rerank grids miss only on first sightings from 106 entries on."""
+    items = tuple((name, tuple(map(int, voxel)))
+                  for name, voxel in json.loads(text.replace("'", '"')).items())
+    if (serialize_observation(dict(items)) != text
+            or any(name in PARTNER_KEYS or len(voxel) != 3 for name, voxel in items)):
+        raise ValueError("observation is not byte-identical renderer output")
+    return items
 
 
-def _observation_parts(obs):
-    """Split one decoded observation object into (entries, partner)."""
-    if not isinstance(obs, dict):
-        raise OracleParseError(f"expected an observation, got {type(obs).__name__}")
-    entries, partner = {}, None
-    for name, value in obs.items():
-        if name in PARTNER_KEYS:
-            partner = (name, _rows(value))
-        elif len(value) != 3:
-            raise OracleParseError(f"voxel {name!r} has {len(value)} components")
-        else:
-            entries[name] = tuple(int(v) for v in value)
-    return entries, partner
+@functools.lru_cache(maxsize=512)
+def _action_list(text: str):
+    """Decode an action-list text into action tuples. A demo's list for one arm is
+    also the partner entry of the other arm's prompts. A 100-demo store holds 300 per
+    task (both arms, right, left) and each episode adds its predictions and candidates;
+    the oracle-light and oracle-rerank grids miss only on first sightings from 255 on."""
+    actions = tuple(tuple(map(int, row)) for row in json.loads(text))
+    if render_action_list(actions) != text:
+        raise ValueError("action list is not byte-identical renderer output")
+    return actions
 
 
-def _parse_segment(segment: str, pair: bool):
+def _parse_components(segment: str, pair: bool):
     """Decode one ``obs>actions`` pair, or the open ``obs>`` when not ``pair``, into
-    tuples ``(entries, partner, actions)``; it must render back byte for byte."""
-    body = segment if pair else segment[:-1]  # the open observation's '>'
+    ``(entries, partner, actions)``. The segment is split at its first '>' (a name
+    holding '>' is outside the grammar) and before a trailing partner entry; each part
+    goes through its cache and must render back byte for byte, and so must their join."""
+    obs_text, found, actions_text = segment.partition(">")
+    base_text, partner = obs_text, None
     try:
-        items = json.loads("[" + body.replace("'", '"').replace(">", ", ") + "]")
-        obs, actions = items if pair else (*items, ())  # ValueError unless they alternate
-        entries, partner = _observation_parts(obs)
-        actions = _rows(actions)
-    except (ValueError, TypeError, OverflowError) as exc:
+        if not found or (actions_text and not pair):
+            raise ValueError("segment is not an observation and its action list")
+        for key in PARTNER_KEYS:
+            head, marker, tail = obs_text.rpartition(f"'{key}': ")
+            if marker:
+                base_text = "{}" if head == "{" else head[:-2] + "}"
+                if _with_partner(base_text, key, tail[:-1]) != obs_text:
+                    raise ValueError("partner entry is not the observation's last")
+                partner = (key, _action_list(tail[:-1]))
+                break
+        return _observation(base_text), partner, _action_list(actions_text) if pair else ()
+    # AttributeError: an observation that is not an object
+    except (ValueError, TypeError, OverflowError, RecursionError, AttributeError) as exc:
         raise OracleParseError(f"prompt outside the grammar: {exc}") from exc
-    tail = render_action_list(actions) if pair else ""
-    if f"{serialize_observation(entries, partner)}>{tail}" != segment:
-        raise OracleParseError("prompt is not byte-identical renderer output")
-    return tuple(entries.items()), partner, actions
-
-
-@functools.lru_cache(maxsize=256)
-def _parse_pair(segment: str):
-    """``_parse_segment`` of a demo pair; prompts of one episode share their demos."""
-    return _parse_segment(segment, pair=True)
 
 
 def _fresh(entries, partner, actions):
@@ -374,12 +385,14 @@ def parse_prompt(text: str, with_trailing_test: bool = True):
     ``(key, action tuples)``; with ``with_trailing_test=False`` the body ends
     after its last action list and ``test`` is ``None``. The body is split
     before each ``{``, which opens only an observation; each segment must
-    render back byte for byte, and demo pairs go through a bounded cache.
+    render back byte for byte, and its observation and action lists go
+    through bounded caches.
     """
     segments = text.split(", {")
     segments[1:] = ["{" + segment for segment in segments[1:]]
-    test = _fresh(*_parse_segment(segments.pop(), pair=False))[:2] if with_trailing_test else None
-    return [_fresh(*_parse_pair(segment)) for segment in segments], test
+    test = (_fresh(*_parse_components(segments.pop(), pair=False))[:2]
+            if with_trailing_test else None)
+    return [_fresh(*_parse_components(segment, pair=True)) for segment in segments], test
 
 
 def parse_judge_prompt(text: str):

@@ -22,6 +22,7 @@ from bimanual_icl.errors import (
     RangeViolation,
 )
 from bimanual_icl import prompts
+from bimanual_icl.runner import RunConfig, run_experiment
 from bimanual_icl.prompts import (
     JUDGE_CANDIDATE_HEADER,
     JUDGE_REFS_HEADER,
@@ -362,6 +363,32 @@ class TestJsonValues:
             parse_verdict(text)
         assert time.perf_counter() - started < 0.5
 
+    @pytest.mark.parametrize("text", [
+        '["[", "[", 1]',
+        '["[1]", "]',
+        '["[1, ", "]',
+        '[" \\" [", x]',
+        '["\\u00"x"]',
+        '["a\\\n" x]',
+        '["a\nb" x]',
+        '["a"\x0b]',
+        '["a"\x0bx]',
+        '[\x0b"a" x]',
+        '{"a" x}',
+        '{"a" , 1}',
+        '{"a": ["{", "b" "c"]}',
+    ])
+    def test_a_string_followed_by_a_stray_character_agrees_with_the_reference(self, text):
+        assert list(prompts.json_values(text)) == list(reference_json_values(text))
+
+    def test_brackets_inside_strings_are_not_decoded_one_by_one(self):
+        # 2,000 of the 4,000 openings sit inside a string; each is followed by a
+        # string and then an opening, so no value starts there
+        text = '["[", ' * 2_000
+        with mock.patch.object(prompts, "_decode_at", wraps=prompts._decode_at) as decode:
+            assert list(prompts.json_values(text)) == []
+        assert decode.call_count < 100
+
     def test_values_behind_a_too_deep_one_are_still_found(self):
         text = "[" * 5_000 + " [[1, 2, 3, 4, 5, 6, 1]]"
         assert parse_completion(text, arity=7) == ((1, 2, 3, 4, 5, 6, 1),)
@@ -580,6 +607,117 @@ class TestParsersOnMutatedPrompts:
         assert parse_prompt(text) == ([], (obs, None))
 
 
+def _clear_component_caches():
+    prompts._observation.cache_clear()
+    prompts._action_list.cache_clear()
+
+
+def _reference_rows(value):
+    return tuple(tuple(int(v) for v in row) for row in value)
+
+
+def _reference_segment(segment, pair):
+    """Decode one whole ``obs>actions`` segment with one ``json.loads``, reading '>' as
+    a comma, then check that it renders back byte for byte."""
+    body = segment if pair else segment[:-1]
+    try:
+        items = json.loads("[" + body.replace("'", '"').replace(">", ", ") + "]")
+        obs, actions = items if pair else (*items, ())
+        if not isinstance(obs, dict):
+            raise OracleParseError(f"expected an observation, got {type(obs).__name__}")
+        entries, partner = {}, None
+        for name, value in obs.items():
+            if name in PARTNER_KEYS:
+                partner = (name, _reference_rows(value))
+            elif len(value) != 3:
+                raise OracleParseError(f"voxel {name!r} has {len(value)} components")
+            else:
+                entries[name] = tuple(int(v) for v in value)
+        actions = _reference_rows(actions)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise OracleParseError(f"prompt outside the grammar: {exc}") from exc
+    tail = render_action_list(actions) if pair else ""
+    if f"{serialize_observation(entries, partner)}>{tail}" != segment:
+        raise OracleParseError("prompt is not byte-identical renderer output")
+    return entries, partner and (partner[0], list(partner[1])), list(actions)
+
+
+def reference_parse_prompt(text, with_trailing_test=True):
+    """The whole-segment parser the component parser replaced, uncached: each
+    segment is decoded as one unit. The component parser must agree with it."""
+    segments = text.split(", {")
+    segments[1:] = ["{" + segment for segment in segments[1:]]
+    test = _reference_segment(segments.pop(), pair=False)[:2] if with_trailing_test else None
+    return [_reference_segment(segment, pair=True) for segment in segments], test
+
+
+def _parse_outcomes(text):
+    """What parse_prompt (both forms) and parse_judge_prompt make of text."""
+    return [_accepted(parse, text) for parse in (
+        parse_prompt, lambda t: parse_prompt(t, with_trailing_test=False), parse_judge_prompt)]
+
+
+_ACTION = "[[1, 2, 3, 4, 5, 6, 0]]"
+_SEGMENT_CASES = [
+    serialize_observation({"lid}": (1, 2, 3)}) + ">",
+    serialize_observation({"lid}": (1, 2, 3)}) + ">" + _ACTION,
+    serialize_observation({"a}>b": (1, 2, 3)}) + ">",
+    serialize_observation({"a>b": (1, 2, 3)}) + ">" + _ACTION,
+    serialize_observation({"it's": (1, 2, 3)}) + ">",
+    serialize_observation({"a': [1, 2, 3], 'b": (4, 5, 6)}) + ">" + _ACTION,
+    serialize_observation({"x, 'leader_arm': ": (1, 2, 3)}) + ">",
+    serialize_observation({"x, 'leader_arm': ": (1, 2, 3)}, ("leader_arm", [(1,) * 7])) + ">",
+    serialize_observation({"x, 'follower_arm': [": (1, 2, 3)}) + ">" + _ACTION,
+    serialize_observation({}, ("leader_arm", [(1, 2, 3, 4, 5, 6, 0)])) + ">" + _ACTION,
+    serialize_observation({}, ("follower_arm", [])) + ">",
+    "{, 'leader_arm': " + _ACTION + "}>",
+    "{'leader_arm': " + _ACTION + "}>",
+    "{'leader_arm': " + _ACTION + ", 'a': [1, 2, 3]}>" + _ACTION,
+    "{'a': [1, 2, 3], 'leader_arm': [1, 2, 3]}>",
+    "{'leader_arm': [1, 2, 3], 'follower_arm': " + _ACTION + "}>",
+    "{'leader_arm': " + _ACTION + ", 'leader_arm': " + _ACTION + "}>",
+    "{'follower_arm': [1, 2, 3], 'leader_arm': " + _ACTION + "}>",
+    "{'leader_arm': [1, 2, 3], 'leader_arm': " + _ACTION + "}>",
+    "{'a': [1, 2, 3], 'leader_arm': " + _ACTION + "}}>",
+    "{'a': [1, 2, 3]'leader_arm': " + _ACTION + "}>",
+    "{'a': [1, 2, 3]}>[]",
+    "{'a': [1, 2, 3]}>[[]]",
+    "{'a': [1, 2, 3, 4]}>",
+    "{'a': [1, 2, 3]}>" + _ACTION + ">",
+    "{'a': [1, 2, 3]}",
+]
+
+
+class TestComponentParserAgreesWithSegmentParser:
+    @staticmethod
+    def _reference_outcomes(text):
+        with mock.patch.object(prompts, "parse_prompt", reference_parse_prompt):
+            return [_accepted(parse, text) for parse in (
+                reference_parse_prompt,
+                lambda t: reference_parse_prompt(t, with_trailing_test=False),
+                prompts.parse_judge_prompt)]
+
+    @settings(max_examples=300)
+    @given(text=_mutated_prompts())
+    def test_mutated_prompts(self, text):
+        assert _parse_outcomes(text) == self._reference_outcomes(text)
+
+    @pytest.mark.parametrize("case", _SEGMENT_CASES)
+    def test_hand_written_segments(self, case):
+        demo = "{'ball': [50, 49, 31]}>" + _ACTION
+        for text in (case, f"{case}, {demo}, {{}}>", f"{demo}, {case}",
+                     f"{JUDGE_REFS_HEADER}{demo}, {case}{JUDGE_CANDIDATE_HEADER}{case}"):
+            assert _parse_outcomes(text) == self._reference_outcomes(text)
+
+    @pytest.mark.parametrize("text", [
+        "{'a': " + "[" * 100_000 + "}>",
+        "{'a': [1, 2, 3]}>" + "[" * 100_000 + ", {}>",
+    ])
+    def test_nesting_too_deep_is_a_parse_error(self, text):
+        with pytest.raises(OracleParseError):
+            parse_prompt(text)
+
+
 class TestParsePromptCache:
     def _prompts(self, demos, test_obs):
         return [
@@ -588,8 +726,21 @@ class TestParsePromptCache:
             build_judge_prompt(demos, test_obs, demos[1].actions).user_text,
         ]
 
-    def test_pair_cache_is_bounded_at_256(self):
-        assert prompts._parse_pair.cache_info().maxsize == 256
+    def test_component_caches_are_bounded(self):
+        assert prompts._observation.cache_info().maxsize == 128
+        assert prompts._action_list.cache_info().maxsize == 512
+
+    def test_each_observation_and_action_list_is_decoded_once_per_run(self):
+        # the whole-segment parser decoded 46 segments on this run: 28 misses of its
+        # demo-pair cache and 18 open test segments, which it did not cache
+        _clear_component_caches()
+        run_experiment(RunConfig(tasks=["handover"],
+                                 strategies=["leader_follower", "arms_debate"],
+                                 store_size=12, n_demos=4, episodes=3, workers=1))
+        misses = (prompts._observation.cache_info().misses,
+                  prompts._action_list.cache_info().misses)
+        assert misses == (14, 22)
+        assert sum(misses) < 46
 
     def test_mutating_a_parse_leaves_the_next_one_unchanged(self, two_demo_fixture):
         text = build_follower_prompt(*two_demo_fixture, [(1, 2, 3, 4, 5, 6, 1)]).user_text
@@ -606,9 +757,9 @@ class TestParsePromptCache:
     def test_threads_agree_with_a_serial_parse(self, two_demo_fixture):
         texts = self._prompts(*two_demo_fixture)
         parsers = [parse_prompt, parse_prompt, parse_judge_prompt]
-        prompts._parse_pair.cache_clear()
+        _clear_component_caches()
         serial = [parse(t) for parse, t in zip(parsers, texts)]
-        prompts._parse_pair.cache_clear()
+        _clear_component_caches()
         results, barrier = [None] * 8, threading.Barrier(8, timeout=10)
 
         def work(i):
