@@ -37,8 +37,8 @@ JUDGE_CANDIDATE_HEADER = "\n\nCandidate Plan\n"
 _DECODER = json.JSONDecoder()
 _OPENING = re.compile(r"[\[{]")
 _JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"?|[\[\]{}]', re.DOTALL)  # a string or a bracket
-# an opening whose first item is a string followed by a character that may not follow
-# it: no value starts there (the string ends where the decoder's would, or is invalid)
+# a bracket, a string, then a character that may not follow it: the string ends where the
+# decoder's would, or the decoder finds it invalid, so no JSON value starts at the bracket
 _STRING_THEN_STRAY = re.compile(r'[\[{]\s*"(?:[^"\\]|\\.)*"\s*[^\s,:\]}]', re.DOTALL)
 _DEEP_LEVELS = 64
 _WINDOW = 1024  # characters _decode_at first decodes a value from
@@ -237,8 +237,10 @@ def json_values(text: str):
     no JSON value starts is skipped. The work stays close to linear on
     brackets that never close: when decoding fails at position e, a bracket
     still open at e would fail at e too (a nested value decodes the same in
-    any context), so it is not tried again. A value nested too deep for the
-    decoder is skipped with the brackets open in its first 64 levels.
+    any context), so it is not tried again. Nor is a bracket whose first item
+    is a string followed by a character that may not follow it, such as a
+    bracket inside a string of '["[", ["[", '. A value nested too deep for
+    the decoder is skipped with the brackets open in its first 64 levels.
     """
     failed = set()
     for match in _OPENING.finditer(text):
