@@ -38,6 +38,7 @@ WORKSPACE_MAX = (0.7, 0.5, 1.6)
 ARM_DIM = 7
 GRIPPER = 6
 ARM_OFFSET = {"right": 0, "left": ARM_DIM}
+OTHER_ARM = {"right": "left", "left": "right"}
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ Worlds are kinematic: grippers teleport between keyframes, a closing
 gripper attaches an object when within the grasp radius of one of its
 grasp points, and attached objects move rigidly with their holder(s).
 Objects of a symmetric task move only while both arms hold them. There is
-no physics; success predicates read the final state.
+no physics; each task's outcome test reads the final state.
 
 Four archetypes ship, one per coupling class plus a sequential variant:
 ``lift_sym`` (tightly coupled symmetric), ``handover`` (tightly coupled
@@ -15,6 +15,7 @@ coupled with a sequential dependency).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -51,7 +52,8 @@ class ObjectSpec:
 class TaskSpec:
     name: str
     objects: tuple
-    predicate: str
+    expert: Callable  # world -> keyframe plan satisfying outcome
+    outcome: Callable  # (world, final positions, attach_events) -> failure reason or None
     coupling: str  # symmetric | asymmetric | loose
     bimanual_objects: tuple = ()  # objects that move only when held by both arms
 
@@ -61,8 +63,7 @@ class World:
     """Per-episode mutable scene state; create via spawn()."""
 
     task: TaskSpec
-    positions: dict  # name -> np.ndarray(3,) meters
-    initial_positions: dict
+    positions: dict  # name -> np.ndarray(3,) meters at spawn; execute() copies them
     observation: dict  # name -> voxel triple, as build_observation returns it
 
     def action_voxel_of(self, name: str):
@@ -160,7 +161,6 @@ def spawn(task: TaskSpec, seed: int) -> World:
     return World(
         task=task,
         positions=positions,
-        initial_positions={k: v.copy() for k, v in positions.items()},
         observation=build_observation(clouds),
     )
 
@@ -238,18 +238,9 @@ def _expert_drawer_item(world: World):
     ]
 
 
-_EXPERTS = {
-    "lift": _expert_lift_sym,
-    "handover": _expert_handover,
-    "dual_targets": _expert_dual_targets,
-    "drawer": _expert_drawer_item,
-}
-
-
 def scripted_expert(task: TaskSpec, world: World) -> Demonstration:
-    """Keyframe plan satisfying the task's predicate by construction."""
-    actions = _EXPERTS[task.predicate](world)
-    return Demonstration(observation=world.observation, actions=tuple(actions))
+    """Keyframe plan satisfying the task's outcome test by construction."""
+    return Demonstration(observation=world.observation, actions=tuple(task.expert(world)))
 
 
 # --- execution -------------------------------------------------------------
@@ -259,7 +250,7 @@ def execute(world: World, plan) -> EpisodeResult:
     """Run a keyframe plan through the kinematic model; never raises on failure."""
     plan = tuple(plan)
     if not plan:
-        return EpisodeResult(False, dict(world.initial_positions), reason="empty_plan")
+        return EpisodeResult(False, dict(world.positions), reason="empty_plan")
 
     positions = {k: v.copy() for k, v in world.positions.items()}
     grippers = {}
@@ -294,9 +285,11 @@ def execute(world: World, plan) -> EpisodeResult:
                     attach_events.append((step, arm, name))
             prev_bits[arm] = bit
 
-    success, reason = _evaluate(world, positions, attach_events)
+    reason = world.task.outcome(world, positions, attach_events)
+    if reason and not attach_events:  # every task fails alike when nothing was grasped
+        reason = "no_contact"
     final = {name: tuple(pos) for name, pos in positions.items()}
-    return EpisodeResult(success=success, final_positions=final, reason=reason)
+    return EpisodeResult(success=reason is None, final_positions=final, reason=reason or "")
 
 
 def _nearest_graspable(world: World, positions, gripper_pos):
@@ -315,42 +308,32 @@ def _nearest_graspable(world: World, positions, gripper_pos):
     return best
 
 
-def _evaluate(world: World, positions, attach_events):
-    task = world.task
-    if task.predicate == "lift":
-        gain = positions["tray"][2] - world.initial_positions["tray"][2]
-        if gain >= 0.10:
-            return True, ""
-        if not attach_events:
-            return False, "no_contact"
-        arms = {arm for _, arm, name in attach_events if name == "tray"}
-        if len(arms) < 2:
-            return False, "single_grasp"
-        return False, "not_lifted"
-    if task.predicate == "handover":
-        gap = np.linalg.norm(positions["item"] - world.initial_positions["dropzone"])
-        if gap <= 0.04:
-            return True, ""
-        return False, "no_contact" if not attach_events else "missed_target"
-    if task.predicate == "dual_targets":
-        ok = all(
-            np.linalg.norm(positions[block] - world.initial_positions[target]) <= 0.05
-            for block, target in (("red_block", "red_target"), ("blue_block", "blue_target"))
-        )
-        if ok:
-            return True, ""
-        return False, "no_contact" if not attach_events else "missed_target"
-    if task.predicate == "drawer":
-        pulled = np.linalg.norm(positions["handle"] - world.initial_positions["handle"]) >= 0.08
-        placed = np.linalg.norm(positions["item"] - positions["handle"]) <= 0.05
-        if pulled and placed:
-            return True, ""
-        if not attach_events:
-            return False, "no_contact"
-        if not pulled:
-            return False, "drawer_closed"
-        return False, "missed_target"
-    raise ValueError(f"unknown predicate {task.predicate!r}")
+# --- outcome tests: final positions against the spawn ones in world.positions
+
+
+def _lift_outcome(world: World, positions, attach_events):
+    if positions["tray"][2] - world.positions["tray"][2] >= 0.10:
+        return None
+    arms = {arm for _, arm, name in attach_events if name == "tray"}
+    return "single_grasp" if len(arms) < 2 else "not_lifted"
+
+
+def _handover_outcome(world: World, positions, attach_events):
+    placed = np.linalg.norm(positions["item"] - world.positions["dropzone"]) <= 0.04
+    return None if placed else "missed_target"
+
+
+def _dual_targets_outcome(world: World, positions, attach_events):
+    placed = all(np.linalg.norm(positions[block] - world.positions[target]) <= 0.05
+                 for block, target in (("red_block", "red_target"), ("blue_block", "blue_target")))
+    return None if placed else "missed_target"
+
+
+def _drawer_outcome(world: World, positions, attach_events):
+    pulled = np.linalg.norm(positions["handle"] - world.positions["handle"]) >= 0.08
+    if pulled and np.linalg.norm(positions["item"] - positions["handle"]) <= 0.05:
+        return None
+    return "missed_target" if pulled else "drawer_closed"
 
 
 # --- shipped archetypes ----------------------------------------------------
@@ -363,7 +346,8 @@ def default_tasks() -> dict:
         TaskSpec(
             name="lift_sym",
             coupling="symmetric",
-            predicate="lift",
+            expert=_expert_lift_sym,
+            outcome=_lift_outcome,
             bimanual_objects=("tray",),
             objects=(
                 ObjectSpec(
@@ -377,7 +361,8 @@ def default_tasks() -> dict:
         TaskSpec(
             name="handover",
             coupling="asymmetric",
-            predicate="handover",
+            expert=_expert_handover,
+            outcome=_handover_outcome,
             objects=(
                 ObjectSpec(name="item", region=((61, 65), (48, 52), z),
                            half_extent=(0.015, 0.015, 0.015)),
@@ -388,7 +373,8 @@ def default_tasks() -> dict:
         TaskSpec(
             name="dual_targets",
             coupling="loose",
-            predicate="dual_targets",
+            expert=_expert_dual_targets,
+            outcome=_dual_targets_outcome,
             objects=(
                 ObjectSpec(name="red_block", region=((63, 65), (49, 51), z),
                            half_extent=(0.012, 0.012, 0.012)),
@@ -403,7 +389,8 @@ def default_tasks() -> dict:
         TaskSpec(
             name="drawer_item",
             coupling="loose",
-            predicate="drawer",
+            expert=_expert_drawer_item,
+            outcome=_drawer_outcome,
             objects=(
                 ObjectSpec(name="handle", region=((36, 38), (54, 56), z),
                            half_extent=(0.02, 0.01, 0.01)),

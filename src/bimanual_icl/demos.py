@@ -126,14 +126,15 @@ def save_demonstration(path, demo: Demonstration):
 
 
 def load_demonstration(path) -> Demonstration:
-    """Read one demonstration file; a malformed one is a ConfigError naming it."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+    """Read one demonstration file; any fault of it is a ConfigError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             return demonstration_from_dict(json.load(fh))
-        except KeyError as exc:
-            raise ConfigError(f"demonstration {path}: missing key {exc}") from exc
-        except (ValueError, TypeError, AttributeError) as exc:  # JSON, RangeError, shapes
-            raise ConfigError(f"demonstration {path}: {exc}") from exc
+    except KeyError as exc:
+        raise ConfigError(f"demonstration {path}: missing key {exc}") from exc
+    # OSError: missing, a directory; ValueError: not UTF-8, not JSON, a RangeError
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"demonstration {path}: {exc}") from exc
 
 
 def load_demo_dir(directory) -> list[Demonstration]:

@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass
 
 from .actions import ARM_DIM
-from .demos import Demonstration
 from .errors import (
     CompletionError,
     ExhaustedRetries,
@@ -24,7 +23,7 @@ from .errors import (
     RequestTimeoutError,
     TransportError,
 )
-from .perception import observation_l1
+from .perception import nearest_demo_index
 from .prompts import (
     JUDGE_SYSTEM,
     parse_completion,
@@ -151,18 +150,15 @@ def request_fingerprint(req: ChatRequest) -> str:
 def oracle_nearest_demo(req: ChatRequest) -> str:
     """Scripted completion policy: replay the nearest demo, translated.
 
-    Picks the in-prompt demo whose observation minimizes the summed L1
-    voxel distance to the test observation (partner entries excluded,
-    lowest index on ties), shifts every action's position components by
-    the rounded per-object mean voxel offset, and copies rotation bins and
+    Picks the in-prompt demo ``perception.nearest_demo_index`` picks (partner
+    entries excluded), shifts every action's position components by the
+    rounded per-object mean voxel offset, and copies rotation bins and
     gripper bits verbatim.
     """
     demos, (test_entries, _) = parse_prompt(req.user)
     if not demos:
         raise OracleParseError("prompt contains no demonstrations")
-    distances = [observation_l1(test_entries, entries) for entries, _, _ in demos]
-    best = min(range(len(demos)), key=lambda i: distances[i])
-    demo_entries, _, actions = demos[best]
+    demo_entries, _, actions = demos[nearest_demo_index(demos, test_entries)]
 
     common = [name for name in test_entries if name in demo_entries]
     if common:
@@ -202,9 +198,7 @@ class OracleBackend:
         from . import judge as judge_mod  # judge imports this module
 
         ref_demos, (cand_entries, _, cand_actions) = parse_judge_prompt(req.user)
-        demos = [Demonstration(observation=entries, actions=actions)
-                 for entries, _, actions in ref_demos]
-        verdict = judge_mod.score_plan(cand_actions, demos, cand_entries)
+        verdict = judge_mod.score_plan(cand_actions, ref_demos, cand_entries)
         return judge_mod.verdict_to_json(verdict)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .actions import ARM_OFFSET, GRIPPER, _is_integer
 from .errors import ExhaustedRetries, JudgeParseError
 from .gateway import ChatRequest
-from .perception import observation_l1
+from .perception import nearest_demo_index
 from .prompts import build_judge_prompt, json_values
 
 COLLISION_DISTANCE = 10.0
@@ -45,14 +45,6 @@ class JudgeVerdict:
 
 def clamp_score(check1: int, check2: int, check3: int, check4: int) -> int:
     return min(5, max(1, 3 + check1 + check2 + check3 + check4))
-
-
-def nearest_demo_index(demos, obs: dict) -> int:
-    """Demo with minimal summed L1 observation distance; lowest index wins ties."""
-    if not demos:
-        raise ValueError("at least one demonstration is required")
-    distances = [observation_l1(obs, d.observation) for d in demos]
-    return min(range(len(demos)), key=lambda i: distances[i])
 
 
 def _voxel(action, arm: str):
@@ -86,10 +78,8 @@ def _z_shape(actions, arm: str):
     return tuple(signs)
 
 
-def check_demo_match(plan, demos, obs: dict):
-    """+1 iff first actions land near the nearest demo's and z shapes agree."""
-    idx = nearest_demo_index(demos, obs)
-    demo = demos[idx]
+def check_demo_match(plan, demo, idx: int):
+    """+1 iff first actions land near demo ``idx``'s (the nearest) and z shapes agree."""
     for arm in ARM_OFFSET:
         first_plan = _voxel(plan[0], arm)
         first_demo = _voxel(demo.actions[0], arm)
@@ -106,10 +96,8 @@ def _gripper_transitions(actions, arm: str):
     return tuple((prev, cur) for prev, cur in zip(bits, bits[1:]) if prev != cur)
 
 
-def check_gripper(plan, demos, obs: dict):
-    """-1 iff either arm's gripper transition sequence differs from the nearest demo's."""
-    idx = nearest_demo_index(demos, obs)
-    demo = demos[idx]
+def check_gripper(plan, demo, idx: int):
+    """-1 iff either arm's gripper transition sequence differs from demo ``idx``'s."""
     for arm in ARM_OFFSET:
         if _gripper_transitions(plan, arm) != _gripper_transitions(demo.actions, arm):
             return -1, f"{arm} gripper transitions differ from demo {idx}"
@@ -132,9 +120,10 @@ def score_plan(plan, demos, obs: dict) -> JudgeVerdict:
     plan = tuple(plan)
     if not plan:
         raise ValueError("cannot score an empty plan")
+    idx = nearest_demo_index(demos, obs)
     c1, r1 = check_collision(plan)
-    c2, r2 = check_demo_match(plan, demos, obs)
-    c3, r3 = check_gripper(plan, demos, obs)
+    c2, r2 = check_demo_match(plan, demos[idx], idx)
+    c3, r3 = check_gripper(plan, demos[idx], idx)
     c4, r4 = check_workspace(plan)
     return JudgeVerdict(
         check1=c1,

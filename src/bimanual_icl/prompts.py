@@ -25,8 +25,9 @@ import functools
 import json
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .actions import ARM_DIM, ARM_OFFSET, _is_integer, check_action
+from .actions import ARM_DIM, ARM_OFFSET, OTHER_ARM, _is_integer, check_action
 from .errors import ArityMismatch, OracleParseError, ParseFailure, RangeError, RangeViolation
 
 ARM_FILTERS = ("right", "left", "both")
@@ -143,13 +144,13 @@ def _demo_pairs(rendered_pairs, test_obs_text=None) -> str:
     return ", ".join(segments)
 
 
-def build_single_prompt(demos, test_obs: dict, arm_filter: str = "both",
-                        role: str | None = None) -> PromptBundle:
+def build_single_prompt(demos, test_obs: dict, arm_filter: str = "both") -> PromptBundle:
     """Serialize demos and the test observation into one continuation prompt.
 
     ``arm_filter`` picks which action components appear: ``both`` keeps the
-    full 14 integers, ``right``/``left`` keep that arm's 7. Task text is
-    deliberately absent; the pattern alone carries the objective.
+    full 14 integers (role ``single``), ``right``/``left`` keep that arm's 7
+    (role ``leader``: no partner conditions it). Task text is deliberately
+    absent; the pattern alone carries the objective.
     """
     if arm_filter not in ARM_FILTERS:
         raise ValueError(f"unknown arm filter {arm_filter!r}")
@@ -160,7 +161,7 @@ def build_single_prompt(demos, test_obs: dict, arm_filter: str = "both",
     return PromptBundle(
         system_text=system,
         user_text=_demo_pairs(pairs, serialize_observation(test_obs)),
-        role=role or ("single" if arm_filter == "both" else "leader"),
+        role="single" if arm_filter == "both" else "leader",
         arm=arm_filter,
     )
 
@@ -185,9 +186,8 @@ def build_conditioned_prompt(demos, test_obs: dict, *, target_arm: str,
     if not demos:
         raise ValueError("at least one demonstration is required")
 
-    partner_arm = "left" if target_arm == "right" else "right"
     pairs = [
-        (_with_partner(demo.texts["observation"], partner_key, demo.texts[partner_arm]),
+        (_with_partner(demo.texts["observation"], partner_key, demo.texts[OTHER_ARM[target_arm]]),
          demo.texts[target_arm])
         for demo in demos
     ]
@@ -203,7 +203,7 @@ def build_follower_prompt(demos, test_obs: dict, leader_pred,
                           leader_is_right: bool = True) -> PromptBundle:
     """Follower-phase prompt: demos and test observation carry the leader plan."""
     return build_conditioned_prompt(
-        demos, test_obs, target_arm="left" if leader_is_right else "right",
+        demos, test_obs, target_arm=OTHER_ARM["right" if leader_is_right else "left"],
         partner_key="leader_arm", partner_pred=leader_pred)
 
 
@@ -215,18 +215,6 @@ def build_judge_prompt(demos, test_obs: dict, candidate_actions) -> PromptBundle
     candidate = f"{serialize_observation(test_obs)}>{render_action_list(candidate_actions)}"
     user = f"{JUDGE_REFS_HEADER}{refs}{JUDGE_CANDIDATE_HEADER}{candidate}"
     return PromptBundle(system_text=JUDGE_SYSTEM, user_text=user, role="judge", arm="both")
-
-
-def validate_action_values(values, arity: int):
-    """Range-check one action tuple of the given arity (7 or 14)."""
-    if arity not in (7, 14):
-        raise ValueError(f"arity must be 7 or 14, got {arity}")
-    if len(values) != arity:
-        raise ArityMismatch(f"expected {arity} components, got {len(values)}: {values}")
-    try:
-        check_action(values, arity)
-    except RangeError as exc:
-        raise RangeViolation(str(exc)) from exc
 
 
 def json_values(text: str):
@@ -320,22 +308,27 @@ def parse_completion(text: str, arity: int) -> tuple[tuple[int, ...], ...]:
         raise ParseFailure(f"no integer action list found in completion: {text[:120]!r}")
     actions = tuple(map(tuple, rows))
     for values in actions:
-        validate_action_values(values, arity)
+        if len(values) != arity:
+            raise ArityMismatch(f"expected {arity} components, got {len(values)}: {values}")
+        try:
+            check_action(values, arity)
+        except RangeError as exc:
+            raise RangeViolation(str(exc)) from exc
     return actions
 
 
 @functools.lru_cache(maxsize=128)
 def _observation(text: str):
-    """Decode an observation text without partner entry into (name, voxel) items.
-    Prompts of every arm filter and turn share a demo's text. A 100-demo store holds
-    100 per task and each episode adds its test observation; the oracle-light and
-    oracle-rerank grids miss only on first sightings from 106 entries on."""
-    items = tuple((name, tuple(map(int, voxel)))
-                  for name, voxel in json.loads(text.replace("'", '"')).items())
-    if (serialize_observation(dict(items)) != text
-            or any(name in PARTNER_KEYS or len(voxel) != 3 for name, voxel in items)):
+    """Decode an observation text without partner entry into a name -> voxel dict that
+    only ``_fresh``'s copies leave. Prompts of every arm filter and turn share a demo's
+    text. A 100-demo store holds 100 per task and each episode adds its test observation;
+    the oracle-light and oracle-rerank grids miss only on first sightings from 106 on."""
+    entries = {name: tuple(map(int, voxel))
+               for name, voxel in json.loads(text.replace("'", '"')).items()}
+    if (serialize_observation(entries) != text
+            or any(name in PARTNER_KEYS or len(voxel) != 3 for name, voxel in entries.items())):
         raise ValueError("observation is not byte-identical renderer output")
-    return items
+    return entries
 
 
 @functools.lru_cache(maxsize=512)
@@ -374,17 +367,28 @@ def _parse_components(segment: str, pair: bool):
         raise OracleParseError(f"prompt outside the grammar: {exc}") from exc
 
 
+class ParsedDemo(NamedTuple):
+    """One parsed ``obs>actions`` segment, equal to the plain ``(entries, partner,
+    actions)`` tuple; the judge's rubric reads it as a ``Demonstration``."""
+
+    observation: dict
+    partner: tuple | None  # (key, action tuples) of a partner entry
+    actions: list
+
+
 def _fresh(entries, partner, actions):
-    """Mutable copies of a cached parse, so no caller can change the cache."""
-    return dict(entries), partner and (partner[0], list(partner[1])), list(actions)
+    """Mutable copies of a cached parse, so no caller can change the cache. Built by
+    ``tuple.__new__``, as cheap as a plain tuple, rather than ParsedDemo's Python ``__new__``."""
+    copies = (entries.copy(), partner and (partner[0], list(partner[1])), list(actions))
+    return tuple.__new__(ParsedDemo, copies)
 
 
 def parse_prompt(text: str, with_trailing_test: bool = True):
     """Invert a rendered ``obs>actions, ..., obs>`` prompt body.
 
-    Returns ``(demos, test)``: each demo is ``(entries, partner, actions)``
-    and ``test`` is ``(entries, partner)``, where ``partner`` is ``None`` or
-    ``(key, action tuples)``; with ``with_trailing_test=False`` the body ends
+    Returns ``(demos, test)``: each demo is a ``ParsedDemo(observation, partner,
+    actions)`` and ``test`` is ``(entries, partner)``, where ``partner`` is ``None``
+    or ``(key, action tuples)``; with ``with_trailing_test=False`` the body ends
     after its last action list and ``test`` is ``None``. The body is split
     before each ``{``, which opens only an observation; each segment must
     render back byte for byte, and its observation and action lists go
@@ -400,7 +404,7 @@ def parse_prompt(text: str, with_trailing_test: bool = True):
 def parse_judge_prompt(text: str):
     """Invert build_judge_prompt's user text into (reference demos, candidate).
 
-    Both parts use parse_prompt's demo shape ``(entries, partner, actions)``.
+    Both parts are parse_prompt's ``ParsedDemo``s.
     """
     head, found, candidate_part = text.partition(JUDGE_CANDIDATE_HEADER)
     if not (found and head.startswith(JUDGE_REFS_HEADER)):

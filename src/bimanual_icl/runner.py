@@ -54,10 +54,10 @@ class RunConfig:
     seeds: list[int] = field(default_factory=lambda: [0])
     episodes: int = 10
     n_demos: int = 10
-    leader_arm: str = "right"
-    n_candidates: int = 5
-    max_retries: int = 2
-    temperature: float = 1.0
+    leader_arm: str = StrategyConfig.leader_arm
+    n_candidates: int = StrategyConfig.n_candidates
+    max_retries: int = StrategyConfig.max_retries
+    temperature: float = StrategyConfig.temperature
     judge_temperature: float = 0.0
     judge_mode: str = "llm"
     store_size: int = 100
@@ -105,12 +105,7 @@ class RunConfig:
 
     def strategy_config(self) -> StrategyConfig:
         """The strategy settings every episode of this run uses."""
-        return StrategyConfig(
-            leader_arm=self.leader_arm,
-            n_candidates=self.n_candidates,
-            max_retries=self.max_retries,
-            temperature=self.temperature,
-        )
+        return StrategyConfig(**{f.name: getattr(self, f.name) for f in fields(StrategyConfig)})
 
 
 @dataclass
@@ -195,7 +190,8 @@ def _run_episode(cfg: RunConfig, backend, store, task_name: str, strategy: str,
         success = result.success
         reason = result.reason
     except EPISODE_ERRORS as exc:
-        reason = f"strategy_error:{type(exc).__name__}"
+        phase = getattr(exc, "phase", None)  # set by strategies on ExhaustedRetries
+        reason = f"strategy_error:{type(exc).__name__}" + (f":{phase}" if phase else "")
     wall_ms = int((time.perf_counter() - started) * 1000)
 
     records = log.records()

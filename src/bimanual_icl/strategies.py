@@ -11,6 +11,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from .actions import OTHER_ARM
 from .errors import (
     AllCandidatesFailed,
     ConfigError,
@@ -83,7 +84,7 @@ def run_single_agent(gateway: ChatGateway, demos, obs: dict,
                      cfg: StrategyConfig | None = None) -> BimanualPlan:
     """One arity-14 call predicting both arms jointly."""
     cfg = cfg or StrategyConfig()
-    bundle = build_single_prompt(demos, obs, arm_filter="both", role="single")
+    bundle = build_single_prompt(demos, obs, arm_filter="both")
     actions = _call(gateway, bundle, cfg, tag="single", arity=14, phase="single")
     return BimanualPlan(actions=actions, kind="single_agent", tags=("single",))
 
@@ -94,7 +95,7 @@ def run_dual_agent(gateway: ChatGateway, demos, obs: dict,
     cfg = cfg or StrategyConfig()
 
     def predict(arm: str):
-        bundle = build_single_prompt(demos, obs, arm_filter=arm, role="single")
+        bundle = build_single_prompt(demos, obs, arm_filter=arm)
         return _call(gateway, bundle, cfg, tag=f"dual:{arm}", arity=7, phase=arm)
 
     with ThreadPoolExecutor(max_workers=2) as pool:
@@ -113,12 +114,12 @@ def _run_turns(gateway: ChatGateway, demos, obs: dict, cfg: StrategyConfig,
     turn's name is its tag suffix and its failure phase. The plan pairs the
     last prediction of each arm.
     """
-    arms = (cfg.leader_arm, "left" if cfg.leader_arm == "right" else "right")
+    arms = (cfg.leader_arm, OTHER_ARM[cfg.leader_arm])
     latest = {}
     for k, turn in enumerate(turns):
         arm = arms[k % 2]
         if k == 0:
-            bundle = build_single_prompt(demos, obs, arm_filter=arm, role="leader")
+            bundle = build_single_prompt(demos, obs, arm_filter=arm)
         else:
             partner_key = "leader_arm" if k % 2 else "follower_arm"
             bundle = build_conditioned_prompt(demos, obs, target_arm=arm,

@@ -79,8 +79,7 @@ def test_criterion_2_prompt_grammar(two_demo_fixture):
         follower_pred = [a[7:] for a in demos[0].actions]
         built = {
             "single_agent": build_single_prompt(demos, test_obs, arm_filter="both"),
-            "leader_right": build_single_prompt(demos, test_obs, arm_filter="right",
-                                                role="leader"),
+            "leader_right": build_single_prompt(demos, test_obs, arm_filter="right"),
             "follower_left": build_follower_prompt(demos, test_obs, leader_pred,
                                                    leader_is_right=True),
             "debate_round2_leader": build_conditioned_prompt(

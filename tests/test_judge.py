@@ -4,7 +4,7 @@ import json
 import pytest
 
 from bimanual_icl.errors import JudgeParseError
-from bimanual_icl.gateway import CallLog, ChatGateway
+from bimanual_icl.gateway import CallLog, ChatGateway, ChatRequest, oracle_nearest_demo
 from bimanual_icl.judge import (
     JudgeVerdict,
     PlanJudge,
@@ -18,6 +18,7 @@ from bimanual_icl.judge import (
     score_plan,
     verdict_to_json,
 )
+from bimanual_icl.prompts import build_single_prompt, parse_completion
 from bimanual_icl.testing import ScriptedBackend
 from conftest import make_demo
 
@@ -69,7 +70,7 @@ class TestCheckCollision:
 class TestCheckDemoMatch:
     def test_verbatim_demo_matches(self):
         demo = base_demo()
-        assert check_demo_match(demo.actions, [demo], demo.observation)[0] == 1
+        assert check_demo_match(demo.actions, demo, 0)[0] == 1
 
     def test_first_action_offset_six_fails(self):
         demo = base_demo()
@@ -81,7 +82,7 @@ class TestCheckDemoMatch:
                 ((66, 50, 45, 0), (30, 50, 45, 0)),
             ],
         ).actions
-        assert check_demo_match(plan, [demo], demo.observation)[0] == -1
+        assert check_demo_match(plan, demo, 0)[0] == -1
 
     def test_z_shape_mismatch_fails(self):
         demo = base_demo()  # z signs per arm: [-, +]
@@ -93,7 +94,7 @@ class TestCheckDemoMatch:
                 ((60, 50, 31, 0), (30, 50, 31, 0)),  # monotone descend
             ],
         ).actions
-        assert check_demo_match(plan, [demo], demo.observation)[0] == -1
+        assert check_demo_match(plan, demo, 0)[0] == -1
 
     def test_offset_five_still_matches(self):
         demo = base_demo()
@@ -105,13 +106,13 @@ class TestCheckDemoMatch:
                 ((65, 50, 45, 0), (30, 50, 45, 0)),
             ],
         ).actions
-        assert check_demo_match(plan, [demo], demo.observation)[0] == 1
+        assert check_demo_match(plan, demo, 0)[0] == 1
 
 
 class TestCheckGripper:
     def test_identical_transitions(self):
         demo = base_demo()
-        assert check_gripper(demo.actions, [demo], demo.observation)[0] == 0
+        assert check_gripper(demo.actions, demo, 0)[0] == 0
 
     def test_inverted_transitions(self):
         demo = base_demo()  # both arms close (1 -> 0)
@@ -123,7 +124,7 @@ class TestCheckGripper:
                 ((60, 50, 45, 1), (30, 50, 45, 1)),
             ],
         ).actions
-        assert check_gripper(plan, [demo], demo.observation)[0] == -1
+        assert check_gripper(plan, demo, 0)[0] == -1
 
     def test_missing_transition(self):
         demo = base_demo()
@@ -135,7 +136,7 @@ class TestCheckGripper:
                 ((60, 50, 45, 1), (30, 50, 45, 1)),
             ],
         ).actions
-        assert check_gripper(plan, [demo], demo.observation)[0] == -1
+        assert check_gripper(plan, demo, 0)[0] == -1
 
 
 class TestCheckWorkspace:
@@ -205,6 +206,24 @@ class TestScorePlan:
             [((60, 50, 40, 1), (30, 50, 40, 1)), ((60, 50, 31, 0), (30, 50, 31, 0))],
         )
         assert nearest_demo_index([demo, other], demo.observation) == 0
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_equidistant_demos_resolve_to_demo_0_in_the_oracle_and_the_rubric(self, swap):
+        # BASE_ENTRIES lies 2 voxels from each demo's observation
+        west = make_demo({"o": (48, 50, 31)}, [((60, 50, 40, 1), (30, 50, 40, 1)),
+                                               ((60, 50, 31, 0), (30, 50, 31, 0))])
+        east = make_demo({"o": (52, 50, 31)}, [((70, 50, 40, 1), (20, 50, 40, 1)),
+                                               ((70, 50, 45, 1), (20, 50, 45, 1))])
+        demos = [east, west] if swap else [west, east]
+        shift = BASE_ENTRIES["o"][0] - demos[0].observation["o"][0]
+        bundle = build_single_prompt(demos, BASE_ENTRIES)
+        reply = oracle_nearest_demo(ChatRequest(system=bundle.system_text, user=bundle.user_text))
+        assert parse_completion(reply, 14) == tuple(
+            (a[0] + shift,) + a[1:7] + (a[7] + shift,) + a[8:] for a in demos[0].actions)
+        verdict = score_plan(demos[1].actions, demos, BASE_ENTRIES)
+        assert (verdict.check2, verdict.check3) == (-1, -1)
+        assert verdict.reasons["check2"].endswith("from demo 0")
+        assert verdict.reasons["check3"].endswith("differ from demo 0")
 
     def test_permutation_changes_only_via_nearest(self):
         demo = base_demo()

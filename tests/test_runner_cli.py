@@ -86,6 +86,19 @@ class TestRunExperiment:
         assert all(r["reason"] == "strategy_error:ExhaustedRetries" for r in records)
         assert report.rows[0].success_mean == 0.0
 
+    def test_exhausted_retries_name_the_phase(self, tmp_path, monkeypatch):
+        import bimanual_icl.runner as runner_mod
+        from bimanual_icl.gateway import OracleBackend
+
+        oracle = OracleBackend()
+        monkeypatch.setattr(runner_mod, "make_backend", lambda cfg: lambda req: (
+            "no plan" if req.tag.endswith(":follower") else oracle(req)))
+        cfg = small_config(seeds=[0], episodes=2, out_dir=str(tmp_path / "run"))
+        run_experiment(cfg)
+        records = load_episode_log(tmp_path / "run" / "episodes.jsonl")
+        assert [r["reason"] for r in records] == ["strategy_error:ExhaustedRetries:follower"] * 2
+        assert [r["calls"] for r in records] == [1 + 3] * 2  # the leader, 3 follower attempts
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             small_config(episodes=0).validate()
@@ -434,6 +447,20 @@ class TestCli:
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2]", encoding="utf-8")
         self._assert_config_exits_2(path, "a JSON list, not an object", capsys)
+
+    @pytest.mark.parametrize("make_dir", [True, False])
+    def test_judge_with_an_unreadable_plan_exits_2_naming_it(self, tmp_path, capsys, make_dir):
+        assert main(["gen-data", "--task", "lift_sym", "--episodes", "1",
+                     "--seed", "3", "--out", str(tmp_path / "data")]) == 0
+        plan = tmp_path / "plan.json"
+        if make_dir:
+            plan.mkdir()
+        capsys.readouterr()
+        assert main(["judge", "--plan", str(plan),
+                     "--demos", str(tmp_path / "data" / "lift_sym")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: demonstration {plan}: ")
+        assert ("Is a directory" if make_dir else "No such file") in err
 
     @pytest.mark.parametrize("make_dir", [True, False])
     def test_judge_without_demos_exits_2_naming_the_directory(self, tmp_path, capsys, make_dir):
