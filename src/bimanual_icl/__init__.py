@@ -10,48 +10,9 @@ rubric judge in ``judge``; a desk-scale task environment with scripted
 experts in ``bench``; the experiment runner and CLI in ``runner``/``cli``.
 """
 
-from .actions import (
-    ContinuousPose,
-    bin_rotation,
-    check_action,
-    devoxelize,
-    discretize_pose,
-    unbin_rotation,
-    voxelize,
-)
-from .bench import DEFAULT_TASKS, EpisodeResult, TaskSpec, World, execute, scripted_expert, spawn
-from .demos import Demonstration, EpisodeStep, extract_keyframes, sample_batch
-from .gateway import (
-    CallLog,
-    CallRecord,
-    ChatGateway,
-    ChatRequest,
-    HttpBackend,
-    OracleBackend,
-    oracle_nearest_demo,
-)
-from .judge import JudgeVerdict, PlanJudge, score_plan
-from .perception import MaskedCloud, build_observation, centroid_error, extract_centroid
-from .prompts import (
-    PromptBundle,
-    build_follower_prompt,
-    build_judge_prompt,
-    build_single_prompt,
-    parse_completion,
-    serialize_observation,
-)
-from .runner import AggregateReport, RunConfig, run_experiment
-from .strategies import (
-    BimanualPlan,
-    StrategyConfig,
-    compose,
-    run_arms_debate,
-    run_best_of_n,
-    run_debate_plus_bon,
-    run_dual_agent,
-    run_leader_follower,
-    run_single_agent,
-    run_strategy,
-)
+from .demos import sample_batch
+from .gateway import CallLog, ChatGateway, OracleBackend
+from .judge import PlanJudge
+from .strategies import StrategyConfig, run_best_of_n
 
 __version__ = "0.1.0"

@@ -104,15 +104,6 @@ def build_observation(object_clouds) -> dict[str, tuple[int, int, int]]:
     return entries
 
 
-def centroid_error(estimated, ground_truth) -> float:
-    """Euclidean distance between two positions, in centimeters."""
-    est = np.asarray(estimated, dtype=float)
-    gt = np.asarray(ground_truth, dtype=float)
-    if not (np.isfinite(est).all() and np.isfinite(gt).all()):
-        raise ValueError("centroid_error requires finite vectors")
-    return float(np.linalg.norm(est - gt) * 100.0)
-
-
 def observation_l1(a: dict, b: dict) -> int:
     """Summed L1 voxel distance between two observations' shared object entries."""
     total = 0

@@ -30,7 +30,7 @@ from typing import NamedTuple
 from .actions import ARM_DIM, ARM_OFFSET, OTHER_ARM, _is_integer, check_action
 from .errors import ArityMismatch, OracleParseError, ParseFailure, RangeError, RangeViolation
 
-ARM_FILTERS = ("right", "left", "both")
+ARM_FILTERS = (*ARM_OFFSET, "both")
 PARTNER_KEYS = ("leader_arm", "follower_arm")
 JUDGE_REFS_HEADER = "Reference Demos\n"
 JUDGE_CANDIDATE_HEADER = "\n\nCandidate Plan\n"
@@ -176,7 +176,7 @@ def build_conditioned_prompt(demos, test_obs: dict, *, target_arm: str,
     trajectory under the same key. The target arm follows when its partner
     is the leader and leads otherwise.
     """
-    if target_arm not in ("right", "left"):
+    if target_arm not in ARM_OFFSET:
         raise ValueError(f"target_arm must be 'right' or 'left', got {target_arm!r}")
     if partner_key not in PARTNER_KEYS:
         raise ValueError(f"unknown partner key {partner_key!r}")
@@ -347,7 +347,8 @@ def _parse_components(segment: str, pair: bool):
     """Decode one ``obs>actions`` pair, or the open ``obs>`` when not ``pair``, into
     ``(entries, partner, actions)``. The segment is split at its first '>' (a name
     holding '>' is outside the grammar) and before a trailing partner entry; each part
-    goes through its cache and must render back byte for byte, and so must their join."""
+    goes through its cache and must render back byte for byte, and so must their join.
+    A pair's action list must not be empty: the judge's rubric reads its first action."""
     obs_text, found, actions_text = segment.partition(">")
     base_text, partner = obs_text, None
     try:
@@ -361,7 +362,10 @@ def _parse_components(segment: str, pair: bool):
                     raise ValueError("partner entry is not the observation's last")
                 partner = (key, _action_list(tail[:-1]))
                 break
-        return _observation(base_text), partner, _action_list(actions_text) if pair else ()
+        actions = _action_list(actions_text) if pair else ()
+        if pair and not actions:
+            raise ValueError("a demo's action list is empty")
+        return _observation(base_text), partner, actions
     # AttributeError: an observation that is not an object
     except (ValueError, TypeError, OverflowError, RecursionError, AttributeError) as exc:
         raise OracleParseError(f"prompt outside the grammar: {exc}") from exc

@@ -11,7 +11,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .actions import OTHER_ARM
+from .actions import ARM_OFFSET, OTHER_ARM
 from .errors import (
     AllCandidatesFailed,
     ConfigError,
@@ -32,7 +32,7 @@ class StrategyConfig:
     temperature: float = 1.0  # candidate sampling; the judge runs at its own temperature
 
     def __post_init__(self):
-        if self.leader_arm not in ("right", "left"):
+        if self.leader_arm not in ARM_OFFSET:
             raise ConfigError(f"leader_arm must be 'right' or 'left', got {self.leader_arm!r}")
         if self.n_candidates < 1:
             raise ConfigError("n_candidates must be >= 1")

@@ -1,5 +1,5 @@
 """Test doubles: scripted replies, injected parse failures, a perturbed arm,
-a perception rig.
+a perception rig and its error metric.
 
 Any callable mapping a ChatRequest to text is a backend, so a plain
 function or lambda covers the remaining cases.
@@ -10,11 +10,14 @@ from __future__ import annotations
 import hashlib
 import threading
 
-from .bench import sample_box_surface
-from .errors import TransportError
-from .gateway import ChatRequest, _translated, request_fingerprint
-from .perception import MaskedCloud
-from .prompts import SINGLE_ARM_SYSTEM, parse_completion, parse_prompt, render_action_list
+import numpy as np
+
+from bimanual_icl.actions import ARM_OFFSET
+from bimanual_icl.bench import sample_box_surface
+from bimanual_icl.errors import TransportError
+from bimanual_icl.gateway import ChatRequest, _translated, request_fingerprint
+from bimanual_icl.perception import MaskedCloud
+from bimanual_icl.prompts import SINGLE_ARM_SYSTEM, parse_completion, parse_prompt, render_action_list
 
 
 class ScriptedBackend:
@@ -69,7 +72,7 @@ class NoisyArmBackend:
     """
 
     def __init__(self, inner, arm: str = "left", seed: int = 0):
-        if arm not in ("right", "left"):
+        if arm not in ARM_OFFSET:
             raise ValueError("arm must be 'right' or 'left'")
         self.inner = inner
         self.arm = arm
@@ -108,3 +111,12 @@ def benchmark_clouds(rng, center, half_extent=(0.05, 0.05, 0.05), sigma=0.005):
         MaskedCloud(camera_id="dense", object_name="object", points=dense),
         MaskedCloud(camera_id="sparse", object_name="object", points=sparse),
     ]
+
+
+def centroid_error(estimated, ground_truth) -> float:
+    """Euclidean distance between two positions, in centimeters."""
+    est = np.asarray(estimated, dtype=float)
+    gt = np.asarray(ground_truth, dtype=float)
+    if not (np.isfinite(est).all() and np.isfinite(gt).all()):
+        raise ValueError("centroid_error requires finite vectors")
+    return float(np.linalg.norm(est - gt) * 100.0)

@@ -25,7 +25,7 @@ from bimanual_icl.gateway import (
     OracleBackend,
 )
 from bimanual_icl.judge import PlanJudge, clamp_score, score_plan
-from bimanual_icl.perception import MaskedCloud, centroid_error, extract_centroid
+from bimanual_icl.perception import MaskedCloud, extract_centroid
 from bimanual_icl.prompts import (
     build_conditioned_prompt,
     build_follower_prompt,
@@ -35,9 +35,9 @@ from bimanual_icl.prompts import (
 )
 from bimanual_icl.runner import RunConfig, run_experiment, run_strategy, stable_seed
 from bimanual_icl.strategies import StrategyConfig
-from bimanual_icl.testing import FlakyBackend, NoisyArmBackend, benchmark_clouds
 
 from conftest import make_demo
+from doubles import FlakyBackend, NoisyArmBackend, benchmark_clouds, centroid_error
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

@@ -17,7 +17,7 @@ from bimanual_icl.bench import (
     spawn,
     synthetic_clouds,
 )
-from bimanual_icl.testing import benchmark_clouds
+from doubles import benchmark_clouds
 
 
 def act(voxel, g):

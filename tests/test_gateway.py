@@ -25,7 +25,7 @@ from bimanual_icl.gateway import (
     request_fingerprint,
 )
 from bimanual_icl.prompts import build_single_prompt, parse_completion
-from bimanual_icl.testing import FlakyBackend, NoisyArmBackend, ScriptedBackend
+from doubles import FlakyBackend, NoisyArmBackend, ScriptedBackend
 
 
 def req(user, system="sys", tag="t"):
@@ -286,6 +286,15 @@ class TestOracleJudge:
             assert text == verdict_to_json(expected)
             scores.append(expected.score)
         assert min(scores) < 5
+
+    def test_empty_reference_action_list_is_a_parse_error(self):
+        from bimanual_icl.prompts import JUDGE_CANDIDATE_HEADER, JUDGE_REFS_HEADER, JUDGE_SYSTEM
+
+        plan = "[[10, 20, 30, 36, 36, 0, 1, 80, 20, 30, 36, 36, 0, 1]]"
+        user = (f"{JUDGE_REFS_HEADER}{{'a': [1, 2, 3]}}>[]"
+                f"{JUDGE_CANDIDATE_HEADER}{{'a': [1, 2, 3]}}>{plan}")
+        with pytest.raises(OracleParseError, match="action list is empty"):
+            OracleBackend()(ChatRequest(system=JUDGE_SYSTEM, user=user, tag="judge"))
 
 
 class TestNoisyArmBackend:

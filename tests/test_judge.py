@@ -19,8 +19,8 @@ from bimanual_icl.judge import (
     verdict_to_json,
 )
 from bimanual_icl.prompts import build_single_prompt, parse_completion
-from bimanual_icl.testing import ScriptedBackend
 from conftest import make_demo
+from doubles import ScriptedBackend
 
 
 def plan_of(waypoints):

@@ -9,11 +9,10 @@ from bimanual_icl.perception import (
     MaskedCloud,
     _voxel_downsample,
     build_observation,
-    centroid_error,
     extract_centroid,
     observation_l1,
 )
-from bimanual_icl.testing import benchmark_clouds
+from doubles import benchmark_clouds, centroid_error
 
 
 def cloud(camera, name, points):

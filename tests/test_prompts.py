@@ -610,7 +610,8 @@ def _reference_rows(value):
 
 def _reference_segment(segment, pair):
     """Decode one whole ``obs>actions`` segment with one ``json.loads``, reading '>' as
-    a comma, then check that it renders back byte for byte."""
+    a comma, then check that it renders back byte for byte; a pair's action list must
+    not be empty."""
     body = segment if pair else segment[:-1]
     try:
         items = json.loads("[" + body.replace("'", '"').replace(">", ", ") + "]")
@@ -626,6 +627,8 @@ def _reference_segment(segment, pair):
             else:
                 entries[name] = tuple(int(v) for v in value)
         actions = _reference_rows(actions)
+        if pair and not actions:
+            raise OracleParseError("a demo's action list is empty")
     except (ValueError, TypeError, OverflowError) as exc:
         raise OracleParseError(f"prompt outside the grammar: {exc}") from exc
     tail = render_action_list(actions) if pair else ""
@@ -700,6 +703,15 @@ class TestComponentParserAgreesWithSegmentParser:
         for text in (case, f"{case}, {demo}, {{}}>", f"{demo}, {case}",
                      f"{JUDGE_REFS_HEADER}{demo}, {case}{JUDGE_CANDIDATE_HEADER}{case}"):
             assert _parse_outcomes(text) == self._reference_outcomes(text)
+
+    @pytest.mark.parametrize("text", [
+        "{'a': [1, 2, 3]}>[], {}>",
+        f"{JUDGE_REFS_HEADER}{{'a': [1, 2, 3]}}>[]{JUDGE_CANDIDATE_HEADER}{{}}>{_ACTION}",
+        f"{JUDGE_REFS_HEADER}{{}}>{_ACTION}{JUDGE_CANDIDATE_HEADER}{{'a': [1, 2, 3]}}>[]",
+    ])
+    def test_an_empty_demo_action_list_is_a_parse_error(self, text):
+        assert _parse_outcomes(text) == [None, None, None]
+        assert self._reference_outcomes(text) == [None, None, None]
 
     @pytest.mark.parametrize("text", [
         "{'a': " + "[" * 100_000 + "}>",

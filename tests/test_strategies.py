@@ -24,7 +24,7 @@ from bimanual_icl.strategies import (
     run_single_agent,
     run_strategy,
 )
-from bimanual_icl.testing import FlakyBackend
+from doubles import FlakyBackend
 
 
 def act(x, g=1):
