@@ -3,7 +3,10 @@
 A backend is any callable mapping a ChatRequest to raw completion text.
 The gateway wraps a backend with parse-and-retry plus per-call accounting;
 it supports concurrent in-flight calls (best-of-n fan-out, dual-agent
-arms), serializing only the accounting appends.
+arms), serializing only the accounting appends. Strategies fan calls out to
+threads for every backend but one whose class sets ``cpu_bound = True``:
+``OracleBackend`` computes its answers, so its calls run one after another
+on the episode's thread; ``HttpBackend`` and plain callables fan out.
 """
 
 from __future__ import annotations
@@ -186,8 +189,11 @@ class OracleBackend:
 
     Prediction prompts get the nearest-demo policy; judge prompts get the
     deterministic rubric verdict rendered as the JSON the real judge would
-    emit. Pure in (system, user), so concurrent use is safe.
+    emit. Pure in (system, user), so concurrent use is safe. Its calls hold the
+    GIL throughout, so threads would gain nothing: strategies run them inline.
     """
+
+    cpu_bound = True
 
     def __call__(self, req: ChatRequest) -> str:
         if req.system == JUDGE_SYSTEM:

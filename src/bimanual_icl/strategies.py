@@ -8,7 +8,7 @@ best_of_n=3n, debate_plus_bon=5n.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .actions import ARM_OFFSET, OTHER_ARM
@@ -65,6 +65,29 @@ def compose(right, left, kind: str, tags=()) -> BimanualPlan:
     return BimanualPlan(actions=actions, kind=kind, tags=tuple(tags))
 
 
+def _settled(fn, item) -> Future:
+    """A done future holding ``fn(item)`` or the exception it raised, as a pool's would."""
+    future = Future()
+    try:
+        future.set_result(fn(item))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
+def _fan_out(gateway: ChatGateway, fn, items) -> list:
+    """``[fn(item) for item in items]`` with every item run even after a failure; the
+    first failure in item order is raised once all have ended. The items run in threads
+    unless the backend's calls compute rather than wait (``cpu_bound``): then threads
+    would only take turns under the GIL, and the items run in order on this thread."""
+    if getattr(gateway.backend, "cpu_bound", False):
+        futures = [_settled(fn, item) for item in items]
+    else:
+        with ThreadPoolExecutor(max_workers=len(items)) as pool:
+            futures = [pool.submit(fn, item) for item in items]
+    return [future.result() for future in futures]
+
+
 def _call(gateway: ChatGateway, bundle, cfg: StrategyConfig, tag: str, arity: int,
           phase: str):
     req = ChatRequest(
@@ -91,17 +114,15 @@ def run_single_agent(gateway: ChatGateway, demos, obs: dict,
 
 def run_dual_agent(gateway: ChatGateway, demos, obs: dict,
                    cfg: StrategyConfig | None = None) -> BimanualPlan:
-    """Two concurrent independent arity-7 calls, one per arm, no sharing."""
+    """Two independent arity-7 calls, one per arm, no sharing; concurrent unless
+    the backend is ``cpu_bound``."""
     cfg = cfg or StrategyConfig()
 
     def predict(arm: str):
         bundle = build_single_prompt(demos, obs, arm_filter=arm)
         return _call(gateway, bundle, cfg, tag=f"dual:{arm}", arity=7, phase=arm)
 
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        right_future = pool.submit(predict, "right")
-        left_future = pool.submit(predict, "left")
-        right, left = right_future.result(), left_future.result()
+    right, left = _fan_out(gateway, predict, ("right", "left"))
     return compose(right, left, kind="dual_agent", tags=("dual:right", "dual:left"))
 
 
@@ -152,9 +173,10 @@ def run_arms_debate(gateway: ChatGateway, demos, obs: dict,
                       ("leader1", "follower1", "leader2", "follower2"))
 
 
-def _run_reranked(demos, obs: dict, cfg: StrategyConfig, judge: PlanJudge | None,
-                  kind: str, generate) -> BimanualPlan:
-    """Best-of-n: n concurrent tasks, each generating ``generate(j)`` then scoring it.
+def _run_reranked(gateway: ChatGateway, demos, obs: dict, cfg: StrategyConfig,
+                  judge: PlanJudge | None, kind: str, generate) -> BimanualPlan:
+    """Best-of-n: n tasks, concurrent unless the backend is ``cpu_bound``, each
+    generating ``generate(j)`` then scoring it.
 
     A candidate whose generation exhausts its retries, or whose judge call
     fails, is skipped; the highest score wins, ties to the lowest index.
@@ -173,8 +195,7 @@ def _run_reranked(demos, obs: dict, cfg: StrategyConfig, judge: PlanJudge | None
         except EPISODE_ERRORS as exc:
             return plan, None, exc
 
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        results = list(pool.map(candidate, range(n)))
+    results = _fan_out(gateway, candidate, range(n))
 
     viable = [j for j, (_, score, _) in enumerate(results) if score is not None]
     if not viable:
@@ -193,7 +214,7 @@ def run_best_of_n(gateway: ChatGateway, demos, obs: dict, cfg: StrategyConfig,
                   judge: PlanJudge | None) -> BimanualPlan:
     """n independent leader-follower candidates, judged, argmax selected."""
     return _run_reranked(
-        demos, obs, cfg, judge, "best_of_n",
+        gateway, demos, obs, cfg, judge, "best_of_n",
         lambda j: run_leader_follower(gateway, demos, obs, cfg, tag_prefix=f"bon{j}"),
     )
 
@@ -202,7 +223,7 @@ def run_debate_plus_bon(gateway: ChatGateway, demos, obs: dict, cfg: StrategyCon
                         judge: PlanJudge | None) -> BimanualPlan:
     """Best-of-n with arms-debate candidates: 4n generation + n judge calls."""
     return _run_reranked(
-        demos, obs, cfg, judge, "debate_plus_bon",
+        gateway, demos, obs, cfg, judge, "debate_plus_bon",
         lambda j: run_arms_debate(gateway, demos, obs, cfg, tag_prefix=f"dbon{j}"),
     )
 

@@ -174,6 +174,18 @@ class TestRequestsLoadsOnlyForHttp:
         assert run_python(code) == "True False"
 
 
+class TestOracleRunStaysOnOneThread:
+    def test_an_oracle_grid_starts_no_thread_and_loads_no_numpy_ma(self):
+        code = ("import sys, threading; started = []; start = threading.Thread.start; "
+                "threading.Thread.start = lambda t: (started.append(t.name), start(t)); "
+                "from bimanual_icl.runner import RunConfig, run_experiment; "
+                "run_experiment(RunConfig(tasks=['handover'], "
+                "strategies=['dual_agent', 'best_of_n'], episodes=2, store_size=4, n_demos=2, "
+                "n_candidates=2, judge_mode='llm')); "
+                "print('numpy.ma' in sys.modules, threading.active_count(), started)")
+        assert run_python(code) == "False 1 []"
+
+
 class TestOraclePolicy:
     def test_identical_observation_replays_verbatim(self, two_demo_fixture):
         demos, _ = two_demo_fixture
@@ -250,6 +262,9 @@ class TestOraclePolicy:
         assert len(outputs) == 1
 
 
+_PLAN_ROW = "[[10, 20, 30, 36, 36, 0, 1, 80, 20, 30, 36, 36, 0, 1]]"
+
+
 class TestOracleJudge:
     def test_judge_prompt_answered_with_rubric_json(self, two_demo_fixture):
         from bimanual_icl.prompts import build_judge_prompt
@@ -294,6 +309,19 @@ class TestOracleJudge:
         user = (f"{JUDGE_REFS_HEADER}{{'a': [1, 2, 3]}}>[]"
                 f"{JUDGE_CANDIDATE_HEADER}{{'a': [1, 2, 3]}}>{plan}")
         with pytest.raises(OracleParseError, match="action list is empty"):
+            OracleBackend()(ChatRequest(system=JUDGE_SYSTEM, user=user, tag="judge"))
+
+    @pytest.mark.parametrize("reference, candidate", [
+        ("[[]]", _PLAN_ROW),  # an empty reference row
+        ("[[10, 20, 30, 36, 36, 0, 1]]", _PLAN_ROW),  # a 7-int reference row
+        (_PLAN_ROW, "[[10, 20, 30, 36, 36, 0, 1]]"),  # a 7-int candidate row
+    ])
+    def test_rows_other_than_fourteen_ints_are_a_parse_error(self, reference, candidate):
+        from bimanual_icl.prompts import JUDGE_CANDIDATE_HEADER, JUDGE_REFS_HEADER, JUDGE_SYSTEM
+
+        user = (f"{JUDGE_REFS_HEADER}{{'a': [1, 2, 3]}}>{reference}"
+                f"{JUDGE_CANDIDATE_HEADER}{{'a': [1, 2, 3]}}>{candidate}")
+        with pytest.raises(OracleParseError, match="not 14"):
             OracleBackend()(ChatRequest(system=JUDGE_SYSTEM, user=user, tag="judge"))
 
 

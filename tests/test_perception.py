@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bimanual_icl.actions import voxelize
@@ -10,6 +10,7 @@ from bimanual_icl.perception import (
     _voxel_downsample,
     build_observation,
     extract_centroid,
+    nearest_demo_index,
     observation_l1,
 )
 from doubles import benchmark_clouds, centroid_error
@@ -265,3 +266,39 @@ class TestObservationL1:
         b = {"x": (2, 2, 3), "y": (5, 8, 5)}
         assert observation_l1(a, b) == 1 + 3
         assert observation_l1(a, b) == 4
+
+
+def _reference_l1(a: dict, b: dict) -> int:
+    """The definition observation_l1 had before it indexed the components."""
+    total = 0
+    for name, va in a.items():
+        vb = b.get(name)
+        if vb is None:
+            continue
+        total += sum(abs(x - y) for x, y in zip(va, vb))
+    return total
+
+
+class _Demo:
+    def __init__(self, observation):
+        self.observation = observation
+
+
+# Three names and coordinates 0-3: objects go missing on either side and
+# distances tie often; an empty observation shares no object with any other.
+_voxels = st.tuples(*[st.integers(0, 3)] * 3)
+_observations = st.dictionaries(st.sampled_from(["ball", "cup", "box"]), _voxels)
+
+
+class TestNearestDemoAgreesWithTheZippedSum:
+    @given(_observations, st.lists(_observations, min_size=1, max_size=8))
+    @example({}, [{"ball": (1, 1, 1)}, {}])
+    @example({"ball": (1, 1, 1)}, [{"ball": (2, 1, 1)}, {"ball": (1, 2, 1)}, {"cup": (0, 0, 0)}])
+    @settings(max_examples=300)
+    def test_same_distances_and_index(self, obs, demo_observations):
+        for other in demo_observations:
+            assert observation_l1(obs, other) == _reference_l1(obs, other)
+        distances = [_reference_l1(obs, other) for other in demo_observations]
+        expected = distances.index(min(distances))  # ties go to the lowest index
+        demos = [_Demo(other) for other in demo_observations]
+        assert nearest_demo_index(demos, obs) == expected

@@ -2,7 +2,10 @@ import hashlib
 import json
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bimanual_icl.cli import main
 from bimanual_icl.errors import ConfigError
@@ -11,6 +14,7 @@ from bimanual_icl.runner import (
     RunConfig,
     aggregate,
     load_episode_log,
+    quantile,
     render_summary_json,
     report_tables,
     report_to_summary,
@@ -235,6 +239,26 @@ class TestReporting:
         records = load_episode_log(tmp_path / "run" / "episodes.jsonl")
         rebuilt = aggregate(records)
         assert report_to_summary(rebuilt) == report_to_summary(report)
+
+
+class TestWallQuantiles:
+    @given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=60))
+    def test_quantile_equals_numpy_percentile(self, values):
+        ordered = sorted(map(float, values))
+        for q in (25, 50, 75):
+            assert quantile(ordered, q / 100) == float(np.percentile(values, q))
+
+    def test_aggregate_reports_numpy_median_and_iqr(self):
+        walls = [7, 1, 30, 4, 4, 12]
+        records = [
+            {"task": "t", "strategy": "s", "seed": 0, "episode": ep, "success": True,
+             "calls": 1, "prompt_chars": 1, "completion_chars": 1, "wall_ms": wall}
+            for ep, wall in enumerate(walls)
+        ]
+        row = aggregate(records).rows[0]
+        assert row.wall_ms_median == float(np.median(walls)) == 5.5
+        assert row.wall_ms_iqr == (float(np.percentile(walls, 25)),
+                                   float(np.percentile(walls, 75)))
 
 
 class TestHttpBackendWiring:

@@ -1,7 +1,9 @@
 import hashlib
+import time
 
 import pytest
 
+from bimanual_icl import strategies
 from bimanual_icl.demos import Demonstration
 from bimanual_icl.errors import (
     AllCandidatesFailed,
@@ -424,3 +426,111 @@ CHAIN_PROMPT_DIGESTS = {
         "debate:follower2": "4b4e90adb5556cd0f2aa8a2e87165b4b59567dccb94806f405f382987ca6c470",
     },
 }
+
+
+def pooled_oracle(req):
+    """The oracle's answers from a plain callable, which strategies fan out to threads."""
+    return OracleBackend()(req)
+
+
+class RightArmFails(OracleBackend):
+    """The oracle, except that every dual-agent right-arm call answers junk."""
+
+    def __call__(self, req):
+        return "junk" if req.tag == "dual:right" else super().__call__(req)
+
+
+class PooledRightArmFails(RightArmFails):
+    cpu_bound = False
+
+
+class JunkOracle(OracleBackend):
+    def __call__(self, req):
+        return "junk"
+
+
+class BrokenJudge:
+    def score(self, plan_actions, batch, obs):
+        raise TypeError("bug in the judge")
+
+
+def comparable(log):
+    """A CallLog's records without wall time, in an order threads cannot change."""
+    return sorted((r.tag, r.prompt_chars, r.completion_chars, r.attempt, r.outcome)
+                  for r in log.records())
+
+
+def no_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cpu_bound backend's calls started a thread pool")
+
+    monkeypatch.setattr(strategies, "ThreadPoolExecutor", refuse)
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("kind", ["dual_agent", "best_of_n", "debate_plus_bon"])
+    def test_oracle_runs_inline_with_the_pooled_result(self, two_demo_fixture, monkeypatch,
+                                                       kind):
+        demos, test_obs = two_demo_fixture
+        pooled_gw = ChatGateway(pooled_oracle, CallLog())
+        pooled = run_strategy(kind, pooled_gw, demos, test_obs,
+                              judge=PlanJudge(mode="llm", gateway=pooled_gw))
+        no_pool(monkeypatch)
+        gw, log = oracle_gateway()
+        inline = run_strategy(kind, gw, demos, test_obs, judge=PlanJudge(mode="llm", gateway=gw))
+        assert (inline.actions, inline.kind, inline.tags) == (pooled.actions, pooled.kind,
+                                                              pooled.tags)
+        assert comparable(log) == comparable(pooled_gw.log)
+
+    def test_a_waiting_backend_overlaps_its_calls(self, two_demo_fixture):
+        demos, test_obs = two_demo_fixture
+
+        def sleepy(req):
+            time.sleep(0.05)
+            return OracleBackend()(req)
+
+        gw = ChatGateway(sleepy, CallLog())
+        judge = PlanJudge(mode="llm", gateway=gw)
+
+        def timed(fn, *args):
+            started = time.perf_counter()
+            fn(*args)
+            return time.perf_counter() - started
+
+        one_call = timed(run_single_agent, gw, demos, test_obs)
+        assert timed(run_dual_agent, gw, demos, test_obs) < 1.5 * one_call
+        one_chain = timed(lambda: judge.score(run_leader_follower(gw, demos, test_obs).actions,
+                                              demos, test_obs))
+        assert timed(run_best_of_n, gw, demos, test_obs, StrategyConfig(n_candidates=5),
+                     judge) < 2 * one_chain
+
+    @pytest.mark.parametrize("backend", [RightArmFails, PooledRightArmFails])
+    def test_a_failed_arm_leaves_the_other_arm_logged(self, two_demo_fixture, backend):
+        demos, test_obs = two_demo_fixture
+        log = CallLog()
+        with pytest.raises(ExhaustedRetries) as excinfo:
+            run_dual_agent(ChatGateway(backend(), log), demos, test_obs,
+                           StrategyConfig(max_retries=1))
+        assert excinfo.value.phase == "right"
+        assert log.count("dual:right") == 2
+        assert [r.outcome for r in log.records() if r.tag == "dual:left"] == ["ok"]
+
+    @pytest.mark.parametrize("backend", [JunkOracle, lambda: (lambda req: "junk")])
+    def test_the_first_arm_in_item_order_is_raised(self, two_demo_fixture, backend):
+        demos, test_obs = two_demo_fixture
+        log = CallLog()
+        with pytest.raises(ExhaustedRetries) as excinfo:
+            run_dual_agent(ChatGateway(backend(), log), demos, test_obs,
+                           StrategyConfig(max_retries=0))
+        assert excinfo.value.phase == "right"
+        assert sorted(r.tag for r in log.records()) == ["dual:left", "dual:right"]
+
+    @pytest.mark.parametrize("backend", [OracleBackend, lambda: pooled_oracle])
+    def test_a_judge_bug_propagates_after_every_candidate(self, two_demo_fixture, backend):
+        demos, test_obs = two_demo_fixture
+        log = CallLog()
+        with pytest.raises(TypeError, match="bug in the judge"):
+            run_best_of_n(ChatGateway(backend(), log), demos, test_obs,
+                          StrategyConfig(n_candidates=3), BrokenJudge())
+        assert sorted({r.tag.split(":")[0] for r in log.records()}) == ["bon0", "bon1", "bon2"]
+        assert log.count() == 6
