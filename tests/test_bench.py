@@ -17,6 +17,7 @@ from bimanual_icl.bench import (
     spawn,
     synthetic_clouds,
 )
+from bimanual_icl.runner import generate_dataset
 from doubles import benchmark_clouds
 
 
@@ -199,6 +200,19 @@ class TestSpawnOutputPinned:
         assert h.hexdigest() == BENCHMARK_CLOUDS_DIGEST
 
 
+class TestStoreOutputPinned:
+    """sha256 of the default 100-demo stores (dataset seed 1234), recorded before
+    stores were built in chunked array passes: observations and actions."""
+
+    def test_generated_stores(self):
+        h = hashlib.sha256()
+        for name in sorted(DEFAULT_TASKS):
+            for demo in generate_dataset(name, 100, 1234):
+                entries = [[k, list(v)] for k, v in demo.observation.items()]
+                h.update(json.dumps([name, entries, demo.actions]).encode())
+        assert h.hexdigest() == STORE_DIGEST
+
+
 def sample_box_surface_loop(rng, center, half_extent, n, sigma, face_weights=None):
     """Per-point reference for ``sample_box_surface``: same draws, one row at a time."""
     hx, hy, hz = half_extent
@@ -264,4 +278,5 @@ def test_invalid_face_weights_raise(weights):
 
 SPAWN_DIGEST = "2fcd6217cdc6181186f9b9ca9fb015eb435e3ff65146c489ad39da253f550d64"
 SYNTHETIC_CLOUDS_DIGEST = "42d6d648eca391506894e788f1db7a602031c7703183848493c8707e7ed597be"
+STORE_DIGEST = "5939a15163fafc6ea525d354c892874f8190f18e730719517fa11d538bc4cb62"
 BENCHMARK_CLOUDS_DIGEST = "2155d5e053cc8233887d529c9135b43fb506006655674581ce135f2c786c3a96"
