@@ -14,6 +14,7 @@ coupled with a sequential dependency).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .actions import ARM_OFFSET, GRIPPER, WORKSPACE_MAX, WORKSPACE_MIN, devoxelize
 from .demos import Demonstration
-from .perception import MaskedCloud, build_observation
+from .perception import MaskedCloud, build_observation, observe_groups
 
 GRASP_RADIUS = 2.0 / 100.0  # 2 voxels, in meters at unit axis span
 NOMINAL_ROT = (36, 36, 0)
@@ -101,15 +102,21 @@ _FACE_FRAMES = np.array([
     [[0, 0, 1], [0, 0, 1], [0, 0, 1], [0, 0, 1], [0, 1, 0], [0, 1, 0]],
 ], dtype=float)
 
+# Scenes per array pass of spawn_many; a larger chunk raises peak memory.
+SCENE_CHUNK = 5
 
-def sample_box_surface(rng, center, half_extent, n, sigma, face_weights=None):
-    """n points over an axis-aligned box surface, plus Gaussian noise.
+# An object's points, camera after camera: camera i's are rows _CAMERA_ROWS[i].
+# Its draws, concatenated, hold one block of face, u and v uniforms per camera;
+# _CAMERA_COLUMNS (3, points) picks each point's three from them.
+_CAMERA_ROWS = tuple(slice(sum(OBS_POINTS_PER_CAMERA[:i]), sum(OBS_POINTS_PER_CAMERA[:i + 1]))
+                     for i in range(len(OBS_POINTS_PER_CAMERA)))
+_CAMERA_COLUMNS = np.concatenate([3 * r.start + np.arange(3 * (r.stop - r.start)).reshape(3, -1)
+                                  for r in _CAMERA_ROWS], axis=1)
 
-    Faces are drawn by area unless ``face_weights`` (6 values, order
-    +x, -x, +y, -y, +z, -z) skews the density, as a camera with a biased
-    viewpoint would. Draws exactly what ``rng.choice(6, n, p=weights)``
-    would, then u, v and the noise.
-    """
+
+def _box_tables(half_extent, face_weights=None):
+    """A box's face CDF and its face frames, scaled by the half extents, as
+    (fixed, along u, along v) x axis x face."""
     hx, hy, hz = half_extent
     if face_weights is None:
         weights = np.array([hy * hz, hy * hz, hx * hz, hx * hz, hx * hy, hx * hy], dtype=float)
@@ -120,49 +127,114 @@ def sample_box_surface(rng, center, half_extent, n, sigma, face_weights=None):
         raise ValueError(f"face weights must be 6 finite numbers >= 0, not all 0: {weights}")
     cdf = (weights / total).cumsum()
     cdf /= cdf[-1]
-    faces = cdf.searchsorted(rng.random(n), side="right")
-    u = rng.uniform(-1.0, 1.0, size=n)
-    v = rng.uniform(-1.0, 1.0, size=n)
-    fixed, along_u, along_v = (_FACE_FRAMES * [hx, hy, hz]).take(faces, axis=1)
-    pts = fixed + u[:, None] * along_u + v[:, None] * along_v
-    return np.asarray(center) + pts + rng.normal(0.0, sigma, size=(n, 3))
+    return cdf, (_FACE_FRAMES * [hx, hy, hz]).transpose(0, 2, 1)
 
 
-def synthetic_clouds(rng, name, center, half_extent):
-    """Balanced multi-camera clouds of one object for scene observations."""
-    return [
-        MaskedCloud(
-            camera_id=f"cam{i}",
-            object_name=name,
-            points=sample_box_surface(rng, center, half_extent, n, OBS_NOISE_SIGMA),
-        )
-        for i, n in enumerate(OBS_POINTS_PER_CAMERA)
-    ]
+def _draw_surface(rng, n, sigma):
+    """One sampler call's draws: the face, u and v uniforms as one block (the
+    doubles of three separate calls), then the noise."""
+    return rng.random(3 * n), rng.normal(0.0, sigma, size=(n, 3))
+
+
+def _surface_points(cdfs, frames, uniforms, centers, noise):
+    """Points (s, k, m, 3) on k boxes in each of s scenes, from the boxes'
+    ``_box_tables`` (cdfs k x 6, frames 3 x 3 x 6k), their centers (s, k, 3) and
+    per point its face, u and v uniforms (s, k, 3, m) and noise (s, k, m, 3). A
+    face is found as ``Generator.choice`` finds it: a right-sided CDF search."""
+    rows = np.stack([cdf.searchsorted(uniforms[:, j, 0], side="right") + 6 * j
+                     for j, cdf in enumerate(cdfs)], axis=1)
+    # center + (fixed + u * along_u + v * along_v) + noise, axis-major and in
+    # place; u and v scaled as rng.uniform(-1.0, 1.0) scales them. Swapped
+    # operands round alike.
+    fixed, along_u, along_v = frames
+    points = along_u.take(rows, axis=1)
+    points *= -1.0 + 2.0 * uniforms[:, :, 1]
+    points += fixed.take(rows, axis=1)
+    v_term = along_v.take(rows, axis=1)
+    v_term *= -1.0 + 2.0 * uniforms[:, :, 2]
+    points += v_term
+    points += centers.transpose(2, 0, 1)[..., None]
+    points += noise.transpose(3, 0, 1, 2)
+    return points.transpose(1, 2, 3, 0)
+
+
+def sample_box_surface(rng, center, half_extent, n, sigma, face_weights=None):
+    """n points over an axis-aligned box surface, plus Gaussian noise.
+
+    Faces are drawn by area unless ``face_weights`` (6 values, order
+    +x, -x, +y, -y, +z, -z) skews the density, as a camera with a biased
+    viewpoint would. Draws exactly what ``rng.choice(6, n, p=weights)``
+    would, then u, v and the noise.
+    """
+    cdf, frames = _box_tables(half_extent, face_weights)
+    block, noise = _draw_surface(rng, n, sigma)
+    center = np.asarray(center, dtype=float).reshape(1, 1, 3)
+    return _surface_points(cdf[None], frames, block.reshape(1, 1, 3, n), center,
+                           noise.reshape(1, 1, n, 3))[0, 0]
+
+
+@functools.cache
+def _scene_tables(objects):
+    """The spawn regions' low and high corners (k x 3 each) and the objects'
+    stacked ``_box_tables``."""
+    bounds = []
+    for spec in objects:
+        for (vlo, vhi), lo, hi in zip(spec.region, WORKSPACE_MIN, WORKSPACE_MAX):
+            # Uniform over the region's continuous extent: the quantizer's
+            # cell v covers [v/99, (v+1)/99) of the axis span.
+            span = hi - lo
+            high = lo + (vhi + 1) / 99.0 * span if vhi < 99 else hi
+            bounds.append((lo + vlo / 99.0 * span, high))
+    low, high = np.array(bounds).reshape(len(objects), 3, 2).transpose(2, 0, 1)
+    cdfs, frames = zip(*(_box_tables(spec.half_extent) for spec in objects))
+    return low, high, np.stack(cdfs), np.concatenate(frames, axis=2)
+
+
+def _scene_points(objects, positions, rngs):
+    """Cloud points (s, k, m, 3) of s scenes whose objects sit at ``positions``
+    (s, k, 3); scene i draws, from ``rngs[i]``, each object's cameras in order."""
+    _, _, cdfs, frames = _scene_tables(objects)
+    draws = [_draw_surface(rng, n, OBS_NOISE_SIGMA)
+             for rng in rngs for _ in objects for n in OBS_POINTS_PER_CAMERA]
+    shape = positions.shape[:2]
+    uniforms = np.concatenate([block for block, _ in draws]).reshape(*shape, -1)
+    noise = np.concatenate([eps for _, eps in draws]).reshape(*shape, -1, 3)
+    return _surface_points(cdfs, frames, uniforms[..., _CAMERA_COLUMNS], positions, noise)
+
+
+def synthetic_clouds(rng, objects, positions):
+    """Balanced two-camera clouds of each object (``ObjectSpec``) at its row of
+    ``positions``, keyed by object name."""
+    points = _scene_points(objects, positions[None], [rng])[0]
+    return {spec.name: [MaskedCloud(f"cam{i}", spec.name, obj_points[rows])
+                        for i, rows in enumerate(_CAMERA_ROWS)]
+            for spec, obj_points in zip(objects, points)}
 
 
 def spawn(task: TaskSpec, seed: int) -> World:
     """Place objects uniformly in their spawn regions and observe the scene."""
     rng = np.random.default_rng(seed)
-    positions = {}
-    for spec in task.objects:
-        coords = []
-        for (vlo, vhi), lo, hi in zip(spec.region, WORKSPACE_MIN, WORKSPACE_MAX):
-            # Uniform over the region's continuous extent: the quantizer's
-            # cell v covers [v/99, (v+1)/99) of the axis span.
-            span = hi - lo
-            low = lo + vlo / 99.0 * span
-            high = lo + (vhi + 1) / 99.0 * span if vhi < 99 else hi
-            coords.append(rng.uniform(low, high))
-        positions[spec.name] = np.asarray(coords)
-    clouds = {
-        spec.name: synthetic_clouds(rng, spec.name, positions[spec.name], spec.half_extent)
-        for spec in task.objects
-    }
-    return World(
-        task=task,
-        positions=positions,
-        observation=build_observation(clouds),
-    )
+    positions = rng.uniform(*_scene_tables(task.objects)[:2])
+    clouds = synthetic_clouds(rng, task.objects, positions)
+    return World(task, dict(zip(clouds, positions)), build_observation(clouds))
+
+
+def spawn_many(task: TaskSpec, seeds):
+    """``spawn(task, seed)`` for each seed of a sequence, byte for byte. Each scene
+    draws from its own generator as ``spawn`` does; every ``SCENE_CHUNK`` scenes
+    share one geometry pass and one ``observe_groups`` pass (a group per object)."""
+    names = [spec.name for spec in task.objects]
+    for start in range(0, len(seeds), SCENE_CHUNK):
+        rngs = [np.random.default_rng(seed) for seed in seeds[start:start + SCENE_CHUNK]]
+        positions = np.stack([rng.uniform(*_scene_tables(task.objects)[:2]) for rng in rngs])
+        points = _scene_points(task.objects, positions, rngs).reshape(-1, 3)
+        if not np.isfinite(points).all():
+            raise ValueError(f"non-finite points in the synthetic clouds of {task.name!r}")
+        owner = np.repeat(np.arange(len(rngs) * len(names)), _CAMERA_ROWS[-1].stop)
+        voxels = observe_groups(points, owner, [(name, name) for name in names] * len(rngs))
+        for i, scene_positions in enumerate(positions):
+            yield World(task, dict(zip(names, scene_positions)),
+                        dict(zip(names, voxels[i * len(names):])))
 
 
 # --- scripted experts ------------------------------------------------------

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import voxelize
+from .actions import VOXELS_PER_AXIS, WORKSPACE_MAX, WORKSPACE_MIN, voxelize
 from .errors import EmptyObject, OutOfWorkspace
 
 STRATEGIES = ("standard", "concat", "prune")
 DEFAULT_VOXEL_SIZE = 0.02
+_LOW, _HIGH = np.array(WORKSPACE_MIN), np.array(WORKSPACE_MAX)
 
 
 @dataclass
@@ -42,7 +43,7 @@ def extract_centroid(clouds, strategy: str = "prune", voxel_size: float = DEFAUL
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     nonempty = [c.points for c in clouds if len(c.points)]
     if not nonempty:
-        raise _empty_object(clouds)
+        raise _empty_object(_object_name(clouds))
 
     if strategy == "standard":
         per_camera = np.stack([pts.mean(axis=0) for pts in nonempty])
@@ -54,8 +55,11 @@ def extract_centroid(clouds, strategy: str = "prune", voxel_size: float = DEFAUL
     return tuple(_voxel_downsample(merged, voxel_size)[0].mean(axis=0))
 
 
-def _empty_object(clouds) -> EmptyObject:
-    name = clouds[0].object_name if clouds else "<unknown>"
+def _object_name(clouds) -> str:
+    return clouds[0].object_name if clouds else "<unknown>"
+
+
+def _empty_object(name: str) -> EmptyObject:
     return EmptyObject(f"no points for object {name!r} in any camera")
 
 
@@ -84,24 +88,42 @@ def _voxel_downsample(points: np.ndarray, voxel_size: float, owner=None):
     return sums / counts[:, None], sorted_keys[starts, 0]
 
 
+def observe_groups(points: np.ndarray, owner: np.ndarray, labels) -> list:
+    """The voxel of each owner group's ``prune``-fused centroid, from one downsample
+    pass; each centroid is ``extract_centroid``'s of its group alone (``bincount``
+    sums in order, as ``mean(axis=0)`` does). ``labels[i]`` names group i (entry
+    name, object name) if it is the first that is empty or leaves the workspace."""
+    representatives, rep_owner = _voxel_downsample(points, DEFAULT_VOXEL_SIZE, owner)
+    n = len(labels)
+    counts = np.bincount(rep_owner, minlength=n)
+    sums = np.stack([np.bincount(rep_owner, weights=representatives[:, axis], minlength=n)
+                     for axis in range(3)], axis=1)
+    with np.errstate(invalid="ignore"):  # 0 / 0 leaves an empty group's centroid NaN
+        centroids = sums / counts[:, None]
+    inside = ((_LOW <= centroids) & (centroids <= _HIGH)).all(axis=1)
+    if not inside.all():
+        group = int(inside.argmin())
+        entry, name = labels[group]
+        try:
+            if not counts[group]:
+                raise _empty_object(name)
+            voxelize(tuple(centroids[group]))
+        except (EmptyObject, OutOfWorkspace) as exc:
+            raise type(exc)(f"object {entry!r}: {exc}") from exc
+    # voxelize's floor((p - lo) / (hi - lo) * 99), one array operation per step
+    voxels = np.floor((centroids - _LOW) / (_HIGH - _LOW) * (VOXELS_PER_AXIS - 1))
+    return list(map(tuple, voxels.astype(np.int64).tolist()))
+
+
 def build_observation(object_clouds) -> dict[str, tuple[int, int, int]]:
-    """Voxelize each object's ``prune``-fused centroid, in input name order: one
-    downsample pass for all objects, each centroid exactly ``extract_centroid``'s."""
+    """Voxelize each object's ``prune``-fused centroid, in input name order, through
+    ``observe_groups`` with one group per object."""
     scene = list(object_clouds.values())
     points = np.concatenate([c.points for clouds in scene for c in clouds] or [np.empty((0, 3))])
     sizes = [sum(len(c.points) for c in clouds) for clouds in scene]
     owner = np.repeat(np.arange(len(scene)), sizes)
-    representatives, rep_owner = _voxel_downsample(points, DEFAULT_VOXEL_SIZE, owner)
-    bounds = np.searchsorted(rep_owner, np.arange(len(scene) + 1))
-    entries = {}
-    for (name, clouds), lo, hi in zip(object_clouds.items(), bounds, bounds[1:]):
-        try:
-            if lo == hi:
-                raise _empty_object(clouds)
-            entries[name] = voxelize(tuple(representatives[lo:hi].mean(axis=0)))
-        except (EmptyObject, OutOfWorkspace) as exc:
-            raise type(exc)(f"object {name!r}: {exc}") from exc
-    return entries
+    labels = [(name, _object_name(clouds)) for name, clouds in object_clouds.items()]
+    return dict(zip(object_clouds, observe_groups(points, owner, labels)))
 
 
 def observation_l1(a: dict, b: dict) -> int:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .actions import _is_integer
-from .bench import DEFAULT_TASKS, execute, scripted_expert, spawn
+from .bench import DEFAULT_TASKS, execute, scripted_expert, spawn, spawn_many
 from .demos import load_demo_dir, sample_batch
 from .errors import EPISODE_ERRORS, ConfigError
 from .gateway import CallLog, ChatGateway, HttpBackend, OracleBackend
@@ -159,11 +159,8 @@ def build_store(task_name: str, cfg: RunConfig):
 def generate_dataset(task_name: str, count: int, seed: int):
     """Expert demonstrations for one task (gen-data, and stores without a data_dir)."""
     task = DEFAULT_TASKS[task_name]
-    demos = []
-    for k in range(count):
-        world = spawn(task, seed=stable_seed(task_name, "store", seed, k))
-        demos.append(scripted_expert(task, world))
-    return demos
+    seeds = [stable_seed(task_name, "store", seed, k) for k in range(count)]
+    return [scripted_expert(task, world) for world in spawn_many(task, seeds)]
 
 
 def _run_episode(cfg: RunConfig, backend, store, task_name: str, strategy: str,

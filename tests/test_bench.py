@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,15 +10,17 @@ from hypothesis import strategies as st
 from bimanual_icl.actions import voxelize
 from bimanual_icl.bench import (
     DEFAULT_TASKS,
+    SCENE_CHUNK,
     EpisodeResult,
     ObjectSpec,
     execute,
     sample_box_surface,
     scripted_expert,
     spawn,
+    spawn_many,
     synthetic_clouds,
 )
-from bimanual_icl.runner import generate_dataset
+from bimanual_icl.runner import generate_dataset, stable_seed
 from doubles import benchmark_clouds
 
 
@@ -188,7 +191,9 @@ class TestSpawnOutputPinned:
         for seed in range(5):
             for half_extent in ((0.12, 0.05, 0.02), (0.015, 0.015, 0.015), (0.02, 0.02, 0.002)):
                 rng = np.random.default_rng(seed)
-                for cloud in synthetic_clouds(rng, "obj", (0.1, -0.2, 0.9), half_extent):
+                spec = ObjectSpec(name="obj", region=((0, 99),) * 3, half_extent=half_extent)
+                clouds = synthetic_clouds(rng, (spec,), np.array([(0.1, -0.2, 0.9)]))["obj"]
+                for cloud in clouds:
                     h.update(cloud.points.tobytes())
         assert h.hexdigest() == SYNTHETIC_CLOUDS_DIGEST
 
@@ -211,6 +216,57 @@ class TestStoreOutputPinned:
                 entries = [[k, list(v)] for k, v in demo.observation.items()]
                 h.update(json.dumps([name, entries, demo.actions]).encode())
         assert h.hexdigest() == STORE_DIGEST
+
+
+def assert_same_world(world, alone):
+    assert world.observation == alone.observation
+    assert list(world.positions) == list(alone.positions)
+    for name, position in alone.positions.items():
+        assert world.positions[name].tobytes() == position.tobytes()
+
+
+class TestStorePathEqualsSpawn:
+    """The store path builds scenes in chunks; each world must be ``spawn``'s."""
+
+    @pytest.mark.parametrize("name", sorted(DEFAULT_TASKS))
+    def test_every_store_world(self, name):
+        task = DEFAULT_TASKS[name]
+        seeds = [stable_seed(name, "store", 1234, k) for k in range(100)]
+        worlds = list(spawn_many(task, seeds))
+        assert len(worlds) == len(seeds)
+        for seed, world in zip(seeds, worlds):
+            assert_same_world(world, spawn(task, seed))
+
+    @pytest.mark.parametrize("count", [0, 1, SCENE_CHUNK, 2 * SCENE_CHUNK + 2])
+    def test_chunk_edges(self, count):
+        task = DEFAULT_TASKS["dual_targets"]
+        seeds = [7 * k + 3 for k in range(count)]
+        worlds = list(spawn_many(task, seeds))
+        assert len(worlds) == count
+        for seed, world in zip(seeds, worlds):
+            assert_same_world(world, spawn(task, seed))
+
+    @pytest.mark.parametrize("count", [0, 1, 2 * SCENE_CHUNK + 2])
+    def test_generated_store_equals_per_scene_experts(self, count):
+        task = DEFAULT_TASKS["handover"]
+        expected = [scripted_expert(task, spawn(task, stable_seed("handover", "store", 9, k)))
+                    for k in range(count)]
+        assert generate_dataset("handover", count, 9) == expected
+
+
+def test_store_build_memory_is_bounded():
+    """``dual_targets`` has the most objects, so the largest chunks. The traced peak
+    of its 100-scene store measured 1.12 MiB at 5 scenes per chunk and grows by
+    about 0.22 MiB per scene in a chunk (2.19 MiB at 10). The 1.5 MiB budget fails
+    a chunk of 7 scenes or more, before the benchmark's peak RSS would show it."""
+    generate_dataset("dual_targets", 1, 1234)  # per-task tables are built once
+    tracemalloc.start()
+    try:
+        generate_dataset("dual_targets", 100, 1234)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20, f"store build peaked at {peak / 2**20:.2f} MiB"
 
 
 def sample_box_surface_loop(rng, center, half_extent, n, sigma, face_weights=None):
