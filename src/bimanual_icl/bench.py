@@ -175,7 +175,7 @@ def sample_box_surface(rng, center, half_extent, n, sigma, face_weights=None):
 
 @functools.cache
 def _scene_tables(objects):
-    """The spawn regions' low and high corners (k x 3 each) and the objects'
+    """The spawn regions' low corners and extents (k x 3 each) and the objects'
     stacked ``_box_tables``."""
     bounds = []
     for spec in objects:
@@ -187,7 +187,7 @@ def _scene_tables(objects):
             bounds.append((lo + vlo / 99.0 * span, high))
     low, high = np.array(bounds).reshape(len(objects), 3, 2).transpose(2, 0, 1)
     cdfs, frames = zip(*(_box_tables(spec.half_extent) for spec in objects))
-    return low, high, np.stack(cdfs), np.concatenate(frames, axis=2)
+    return low, high - low, np.stack(cdfs), np.concatenate(frames, axis=2)
 
 
 def _scene_points(objects, positions, rngs):
@@ -214,7 +214,8 @@ def synthetic_clouds(rng, objects, positions):
 def spawn(task: TaskSpec, seed: int) -> World:
     """Place objects uniformly in their spawn regions and observe the scene."""
     rng = np.random.default_rng(seed)
-    positions = rng.uniform(*_scene_tables(task.objects)[:2])
+    low, span, _, _ = _scene_tables(task.objects)
+    positions = low + span * rng.random(low.shape)  # rng.uniform(low, low + span)
     clouds = synthetic_clouds(rng, task.objects, positions)
     return World(task, dict(zip(clouds, positions)), build_observation(clouds))
 
@@ -223,10 +224,11 @@ def spawn_many(task: TaskSpec, seeds):
     """``spawn(task, seed)`` for each seed of a sequence, byte for byte. Each scene
     draws from its own generator as ``spawn`` does; every ``SCENE_CHUNK`` scenes
     share one geometry pass and one ``observe_groups`` pass (a group per object)."""
+    low, span, _, _ = _scene_tables(task.objects)
     names = [spec.name for spec in task.objects]
     for start in range(0, len(seeds), SCENE_CHUNK):
         rngs = [np.random.default_rng(seed) for seed in seeds[start:start + SCENE_CHUNK]]
-        positions = np.stack([rng.uniform(*_scene_tables(task.objects)[:2]) for rng in rngs])
+        positions = np.stack([low + span * rng.random(low.shape) for rng in rngs])
         points = _scene_points(task.objects, positions, rngs).reshape(-1, 3)
         if not np.isfinite(points).all():
             raise ValueError(f"non-finite points in the synthetic clouds of {task.name!r}")

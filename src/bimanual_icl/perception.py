@@ -77,8 +77,9 @@ def _voxel_downsample(points: np.ndarray, voxel_size: float, owner=None):
     # new cell wherever a sorted row differs from the one before it.
     order = np.lexsort(keys.T[::-1])
     sorted_keys = keys[order]
+    differs = sorted_keys[1:] != sorted_keys[:-1]
     starts = np.ones(len(keys), dtype=bool)
-    starts[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
+    starts[1:] = differs[:, 0] | differs[:, 1] | differs[:, 2] | differs[:, 3]  # .any(axis=1)
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(starts) - 1
     n_cells = int(starts.sum())
