@@ -143,9 +143,8 @@ def _surface_points(cdfs, frames, uniforms, centers, noise):
     face is found as ``Generator.choice`` finds it: a right-sided CDF search."""
     rows = np.stack([cdf.searchsorted(uniforms[:, j, 0], side="right") + 6 * j
                      for j, cdf in enumerate(cdfs)], axis=1)
-    # center + (fixed + u * along_u + v * along_v) + noise, axis-major and in
-    # place; u and v scaled as rng.uniform(-1.0, 1.0) scales them. Swapped
-    # operands round alike.
+    # center + (fixed + u * along_u + v * along_v) + noise, in place and axis-major
+    # (swapped operands round alike); u, v scaled as rng.uniform(-1.0, 1.0) does.
     fixed, along_u, along_v = frames
     points = along_u.take(rows, axis=1)
     points *= -1.0 + 2.0 * uniforms[:, :, 1]
@@ -198,8 +197,9 @@ def _scene_points(objects, positions, rngs):
              for rng in rngs for _ in objects for n in OBS_POINTS_PER_CAMERA]
     shape = positions.shape[:2]
     uniforms = np.concatenate([block for block, _ in draws]).reshape(*shape, -1)
+    uniforms = uniforms[..., _CAMERA_COLUMNS]  # frees the ungathered blocks
     noise = np.concatenate([eps for _, eps in draws]).reshape(*shape, -1, 3)
-    return _surface_points(cdfs, frames, uniforms[..., _CAMERA_COLUMNS], positions, noise)
+    return _surface_points(cdfs, frames, uniforms, positions, noise)
 
 
 def synthetic_clouds(rng, objects, positions):

@@ -256,8 +256,8 @@ class TestStorePathEqualsSpawn:
 
 def test_store_build_memory_is_bounded():
     """``dual_targets`` has the most objects, so the largest chunks. The traced peak
-    of its 100-scene store measured 1.12 MiB at 5 scenes per chunk and grows by
-    about 0.22 MiB per scene in a chunk (2.19 MiB at 10). The 1.5 MiB budget fails
+    of its 100-scene store measured 1.26 MiB at 5 scenes per chunk and grows by
+    about 0.19 MiB per scene in a chunk (2.20 MiB at 10). The 1.5 MiB budget fails
     a chunk of 7 scenes or more, before the benchmark's peak RSS would show it."""
     generate_dataset("dual_targets", 1, 1234)  # per-task tables are built once
     tracemalloc.start()
