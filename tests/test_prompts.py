@@ -782,3 +782,91 @@ class TestParsePromptCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert all(run == serial for result in results for run in result)
+
+
+# --- rendering fills the component tables: a parse reads the same with them
+# filled as with them cleared, whatever was rendered
+
+_odd_names = st.one_of(
+    st.text("abc_", min_size=1, max_size=4),
+    st.sampled_from(["it's", "a\\b", "a>b", "x, {y", "bin[", "lid}", "a]", "é", "名前",
+                     "a b", "", *PARTNER_KEYS]),
+    st.text(max_size=4),
+)
+_components = st.one_of(
+    st.integers(-3, 120),
+    st.integers(-3, 120).map(np.int64),
+    st.booleans(),
+    st.floats(-3, 120, allow_nan=False),
+    st.floats(-3, 120, allow_nan=False).map(np.float64),
+)
+_odd_voxels = st.lists(_components, min_size=2, max_size=4)
+_odd_observations = st.dictionaries(_odd_names, _odd_voxels, max_size=4)
+_odd_rows = st.one_of(
+    st.lists(st.one_of(st.integers(-3, 120), st.integers(0, 99).map(np.int64), st.booleans()),
+             max_size=15),
+    _arm_actions,
+    _bimanual_actions,
+)
+_odd_action_lists = st.lists(_odd_rows, max_size=3)
+# half the draws are well-formed, so the parsers' accepting paths are reached too
+_any_observations = st.one_of(_observations, _odd_observations)
+_any_action_lists = st.one_of(st.lists(_bimanual_actions, min_size=1, max_size=3),
+                              st.lists(_arm_actions, min_size=1, max_size=3),
+                              _odd_action_lists)
+
+
+@st.composite
+def _rendered_texts(draw):
+    """Observation texts, action-list texts and prompts rendered from odd values."""
+    observations = draw(st.lists(_any_observations, min_size=1, max_size=3))
+    lists = draw(st.lists(_any_action_lists, min_size=1, max_size=3))
+    partner = (draw(st.sampled_from(PARTNER_KEYS)), draw(_any_action_lists))
+    obs_texts = [serialize_observation(obs) for obs in observations]
+    obs_texts.append(serialize_observation(observations[0], partner))
+    list_texts = [render_action_list(actions) for actions in lists]
+    pairs = ", ".join(f"{obs}>{acts}" for obs, acts in zip(obs_texts, list_texts))
+    prompt = f"{pairs}, {obs_texts[-1]}>"
+    judge = f"{JUDGE_REFS_HEADER}{pairs}{JUDGE_CANDIDATE_HEADER}{obs_texts[0]}>{list_texts[-1]}"
+    return [*obs_texts, *list_texts, pairs, prompt, judge]
+
+
+def _outcomes(text):
+    """What every parser makes of text: its value, or its error's class and message."""
+    outcomes = []
+    for parse in (parse_prompt, lambda t: parse_prompt(t, with_trailing_test=False),
+                  parse_judge_prompt, lambda t: parse_completion(t, 7),
+                  lambda t: parse_completion(t, 14)):
+        try:
+            outcomes.append(parse(text))
+        except Exception as exc:  # noqa: BLE001 - the class and message are compared
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def _cleared_outcomes(text):
+    _clear_component_caches()
+    return _outcomes(text)
+
+
+class TestRenderedTextsParseAsWithTablesCleared:
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_filled_tables_parse_as_cleared_ones(self, data):
+        _clear_component_caches()
+        texts = data.draw(_rendered_texts())
+        filled = [_outcomes(text) for text in texts]
+        assert filled == [_cleared_outcomes(text) for text in texts]
+
+    def test_an_empty_row_after_an_action_leaves_one_action(self):
+        _clear_component_caches()
+        text = render_action_list([(1, 2, 3, 4, 5, 6, 0), ()])
+        assert parse_completion(text, 7) == ((1, 2, 3, 4, 5, 6, 0),)
+        assert _outcomes(text) == _cleared_outcomes(text)
+
+    def test_an_observation_reply_is_scanned(self):
+        _clear_component_caches()
+        text = serialize_observation({"ball": (1, 2, 3)})
+        with pytest.raises(ArityMismatch):
+            parse_completion(text, 7)
+        assert _outcomes(text) == _cleared_outcomes(text)
