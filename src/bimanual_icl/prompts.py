@@ -16,14 +16,16 @@ integers: ``+1``, ``0x1``, ``1_0``, tuples and ``#`` comments are not read.
 ``parse_prompt`` and ``parse_judge_prompt`` accept exactly the renderers'
 output: they decode a prompt, render the result again and reject any text
 that does not come back byte for byte. The scripted oracle reads prompts
-through them.
+through them. The renderers record each text and its value in a bounded
+table per component, observations and action lists, that the parsers read
+before they decode: a backend in the renderer's process decodes nothing.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import re
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,6 +47,10 @@ _DEEP_LEVELS = 64
 _WINDOW = 1024  # characters _decode_at first decodes a value from
 _CUT_REACH = 16  # a value cut by the window fails this close to the cut: '-Infinit' is 8 long
 _TRAILING_COMMA = re.compile(r",\s*]")
+
+TABLE_CAPACITY = 512  # texts per table; a store holds 100 observations, 300 lists per task
+_TABLE_LOCK = threading.Lock()
+_OBSERVATIONS, _ACTION_LISTS = {}, {}  # text -> name -> voxel dict; text -> action tuples
 
 SINGLE_ARM_SYSTEM = (
     "You are the {arm} arm of a bimanual Franka Panda robot with parallel grippers.\n"
@@ -103,19 +109,37 @@ class PromptBundle:
             raise ValueError("continuation prompts must end with '>'")
 
 
+def _record(table: dict, text: str, value):
+    """Keep ``text -> value`` in a table, oldest out past TABLE_CAPACITY; reads take no lock."""
+    with _TABLE_LOCK:
+        table[text] = value
+        while len(table) > TABLE_CAPACITY:
+            del table[next(iter(table))]
+
+
 def render_action_list(actions) -> str:
     """Render a sequence of action tuples as the canonical list-of-lists: Python's
-    list repr, after int() so numpy integers stay decimal, not '[np.int64(5)]'."""
-    return str([list(map(int, a)) for a in actions])
+    list repr, after int() so numpy integers stay decimal, not '[np.int64(5)]'.
+    Every such text decodes back to its rows, so each is recorded."""
+    rows = [list(map(int, a)) for a in actions]
+    if (text := str(rows)) not in _ACTION_LISTS:
+        _record(_ACTION_LISTS, text, tuple(map(tuple, rows)))
+    return text
 
 
 def serialize_observation(obs: dict, partner=None) -> str:
     """Render an object-name -> voxel dict in the canonical single-quoted grammar.
 
     ``partner`` is an optional ``(key, actions)`` partner-arm entry, one of
-    ``PARTNER_KEYS`` holding a single-arm trajectory; it renders last.
+    ``PARTNER_KEYS`` holding a single-arm trajectory; it renders last. The text
+    before the partner entry is recorded when ``_observation`` would accept it:
+    plain-identifier names other than the partner keys, and 3-int voxels.
     """
-    text = "{" + ", ".join(f"'{name}': {list(map(int, xyz))}" for name, xyz in obs.items()) + "}"
+    voxels = {name: list(map(int, xyz)) for name, xyz in obs.items()}
+    text = "{" + ", ".join(f"'{name}': {voxel}" for name, voxel in voxels.items()) + "}"
+    if text not in _OBSERVATIONS and all(isinstance(n, str) and n.isidentifier() and len(v) == 3
+                                         and n not in PARTNER_KEYS for n, v in voxels.items()):
+        _record(_OBSERVATIONS, text, {n: tuple(v) for n, v in voxels.items()})
     if partner is not None:
         text = _with_partner(text, partner[0], render_action_list(partner[1]))
     return text
@@ -294,19 +318,22 @@ def parse_completion(text: str, arity: int) -> tuple[tuple[int, ...], ...]:
     bools, floats, ``+1``, ``0x1``, ``1_0``, tuples and comments are not
     actions. Raises ParseFailure when nothing can be extracted, ArityMismatch
     or RangeViolation when the extracted tuples are malformed. All three are
-    CompletionErrors, on which the gateway retries.
+    CompletionErrors, on which the gateway retries. A rendered action list with
+    rows, none empty, is read from its table entry: the scan would find those rows.
     """
-    rows = flat = None
-    for value in json_values(_TRAILING_COMMA.sub("]", text)):
-        if _is_row(value):
-            flat = flat or [value]
-        elif isinstance(value, list) and value and all(map(_is_row, value)):
-            rows = value
-            break
-    rows = rows or flat
-    if rows is None:
-        raise ParseFailure(f"no integer action list found in completion: {text[:120]!r}")
-    actions = tuple(map(tuple, rows))
+    actions = _ACTION_LISTS.get(text)
+    if not (actions and all(actions)):
+        rows = flat = None
+        for value in json_values(_TRAILING_COMMA.sub("]", text)):
+            if _is_row(value):
+                flat = flat or [value]
+            elif isinstance(value, list) and value and all(map(_is_row, value)):
+                rows = value
+                break
+        rows = rows or flat
+        if rows is None:
+            raise ParseFailure(f"no integer action list found in completion: {text[:120]!r}")
+        actions = tuple(map(tuple, rows))
     for values in actions:
         if len(values) != arity:
             raise ArityMismatch(f"expected {arity} components, got {len(values)}: {values}")
@@ -317,29 +344,28 @@ def parse_completion(text: str, arity: int) -> tuple[tuple[int, ...], ...]:
     return actions
 
 
-@functools.lru_cache(maxsize=128)
 def _observation(text: str):
-    """Decode an observation text without partner entry into a name -> voxel dict that
-    only ``_fresh``'s copies leave. Prompts of every arm filter and turn share a demo's
-    text. A 100-demo store holds 100 per task and each episode adds its test observation;
-    the oracle-light and oracle-rerank grids miss only on first sightings from 106 on."""
-    entries = {name: tuple(map(int, voxel))
-               for name, voxel in json.loads(text.replace("'", '"')).items()}
-    if (serialize_observation(entries) != text
-            or any(name in PARTNER_KEYS or len(voxel) != 3 for name, voxel in entries.items())):
-        raise ValueError("observation is not byte-identical renderer output")
+    """An observation text without partner entry as a name -> voxel dict that only
+    ``_fresh``'s copies leave: its table entry, or else decoded and checked, and
+    recorded by the check's render when the renderer records such texts."""
+    entries = _OBSERVATIONS.get(text)
+    if entries is None:
+        entries = {name: tuple(map(int, voxel))
+                   for name, voxel in json.loads(text.replace("'", '"')).items()}
+        if (serialize_observation(entries) != text
+                or any(name in PARTNER_KEYS or len(voxel) != 3 for name, voxel in entries.items())):
+            raise ValueError("observation is not byte-identical renderer output")
     return entries
 
 
-@functools.lru_cache(maxsize=512)
 def _action_list(text: str):
-    """Decode an action-list text into action tuples. A demo's list for one arm is
-    also the partner entry of the other arm's prompts. A 100-demo store holds 300 per
-    task (both arms, right, left) and each episode adds its predictions and candidates;
-    the oracle-light and oracle-rerank grids miss only on first sightings from 255 on."""
-    actions = tuple(tuple(map(int, row)) for row in json.loads(text))
-    if render_action_list(actions) != text:
-        raise ValueError("action list is not byte-identical renderer output")
+    """An action-list text as action tuples: its table entry, or else decoded and
+    checked, and recorded by the check's render."""
+    actions = _ACTION_LISTS.get(text)
+    if actions is None:
+        actions = tuple(tuple(map(int, row)) for row in json.loads(text))
+        if render_action_list(actions) != text:
+            raise ValueError("action list is not byte-identical renderer output")
     return actions
 
 
@@ -347,7 +373,7 @@ def _parse_components(segment: str, pair: bool):
     """Decode one ``obs>actions`` pair, or the open ``obs>`` when not ``pair``, into
     ``(entries, partner, actions)``. The segment is split at its first '>' (a name
     holding '>' is outside the grammar) and before a trailing partner entry; each part
-    goes through its cache and must render back byte for byte, and so must their join.
+    goes through its table and must render back byte for byte, and so must their join.
     A pair's action list must not be empty: the judge's rubric reads its first action."""
     obs_text, found, actions_text = segment.partition(">")
     base_text, partner = obs_text, None
@@ -381,7 +407,7 @@ class ParsedDemo(NamedTuple):
 
 
 def _fresh(entries, partner, actions):
-    """Mutable copies of a cached parse, so no caller can change the cache. Built by
+    """Mutable copies of a table's values, so no caller can change the tables. Built by
     ``tuple.__new__``, as cheap as a plain tuple, rather than ParsedDemo's Python ``__new__``."""
     copies = (entries.copy(), partner and (partner[0], list(partner[1])), list(actions))
     return tuple.__new__(ParsedDemo, copies)
@@ -396,7 +422,7 @@ def parse_prompt(text: str, with_trailing_test: bool = True):
     after its last action list and ``test`` is ``None``. The body is split
     before each ``{``, which opens only an observation; each segment must
     render back byte for byte, and its observation and action lists go
-    through bounded caches.
+    through the component tables.
     """
     segments = text.split(", {")
     segments[1:] = ["{" + segment for segment in segments[1:]]

@@ -89,6 +89,8 @@ class RunConfig:
             raise ConfigError("workers must be >= 1")
         if not 0 < self.timeout < math.inf:  # NaN fails both comparisons
             raise ConfigError(f"timeout must be a positive finite number, got {self.timeout}")
+        if not 0 <= self.judge_temperature < math.inf:
+            raise ConfigError(f"judge_temperature must be in [0, inf): {self.judge_temperature}")
         for name in ("tasks", "strategies", "seeds"):
             values = getattr(self, name)
             if len(set(values)) != len(values):

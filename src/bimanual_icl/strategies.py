@@ -38,6 +38,8 @@ class StrategyConfig:
             raise ConfigError("n_candidates must be >= 1")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
+        if not 0 <= self.temperature < float("inf"):  # NaN fails both comparisons
+            raise ConfigError(f"temperature must be in [0, inf): {self.temperature}")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -599,9 +600,9 @@ class TestParsersOnMutatedPrompts:
         assert parse_prompt(text) == ([], (obs, None))
 
 
-def _clear_component_caches():
-    prompts._observation.cache_clear()
-    prompts._action_list.cache_clear()
+def _clear_component_tables():
+    prompts._OBSERVATIONS.clear()
+    prompts._ACTION_LISTS.clear()
 
 
 def _reference_rows(value):
@@ -722,7 +723,29 @@ class TestComponentParserAgreesWithSegmentParser:
             parse_prompt(text)
 
 
-class TestParsePromptCache:
+def _in_threads(work, count=8):
+    """``work()`` from ``count`` threads released together, switching every microsecond."""
+    results, barrier = [None] * count, threading.Barrier(count, timeout=10)
+
+    def run(i):
+        barrier.wait()
+        results[i] = work()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+class TestComponentTables:
     def _prompts(self, demos, test_obs):
         return [
             build_single_prompt(demos, test_obs, arm_filter="right").user_text,
@@ -730,21 +753,30 @@ class TestParsePromptCache:
             build_judge_prompt(demos, test_obs, demos[1].actions).user_text,
         ]
 
-    def test_component_caches_are_bounded(self):
-        assert prompts._observation.cache_info().maxsize == 128
-        assert prompts._action_list.cache_info().maxsize == 512
+    def test_component_tables_are_bounded(self):
+        assert prompts.TABLE_CAPACITY == 512
+        _clear_component_tables()
+        texts = [render_action_list([(k,)]) for k in range(prompts.TABLE_CAPACITY + 3)]
+        texts += [serialize_observation({"a": (k, 0, 0)}) for k in range(prompts.TABLE_CAPACITY + 3)]
+        assert len(prompts._ACTION_LISTS) == len(prompts._OBSERVATIONS) == prompts.TABLE_CAPACITY
+        assert texts[0] not in prompts._ACTION_LISTS and texts[3] in prompts._ACTION_LISTS
+        assert texts[-1] in prompts._OBSERVATIONS
 
-    def test_each_observation_and_action_list_is_decoded_once_per_run(self):
-        # the whole-segment parser decoded 46 segments on this run: 28 misses of its
-        # demo-pair cache and 18 open test segments, which it did not cache
-        _clear_component_caches()
-        run_experiment(RunConfig(tasks=["handover"],
-                                 strategies=["leader_follower", "arms_debate"],
-                                 store_size=12, n_demos=4, episodes=3, workers=1))
-        misses = (prompts._observation.cache_info().misses,
-                  prompts._action_list.cache_info().misses)
-        assert misses == (14, 22)
-        assert sum(misses) < 46
+    def test_an_oracle_run_decodes_no_text_it_rendered(self):
+        # the two lru caches this table replaced decoded 14 observation texts and 22
+        # action-list texts on this run, and the whole-segment parser before them 46 segments
+        _clear_component_tables()
+        with mock.patch.object(prompts.json, "loads", wraps=json.loads) as decode:
+            run_experiment(RunConfig(tasks=["handover"],
+                                     strategies=["leader_follower", "arms_debate"],
+                                     store_size=12, n_demos=4, episodes=3, workers=1))
+            assert decode.call_count == 0
+            assert (len(prompts._OBSERVATIONS), len(prompts._ACTION_LISTS)) == (14, 34)
+            text = build_single_prompt([Demonstration({"a": (1, 2, 3)}, ((0,) * 14,))],
+                                       {"a": (1, 2, 4)}).user_text
+            _clear_component_tables()
+            parse_prompt(text)
+            assert decode.call_count == 3  # the patch sees each decode: 2 observations, 1 list
 
     def test_mutating_a_parse_leaves_the_next_one_unchanged(self, two_demo_fixture):
         text = build_follower_prompt(*two_demo_fixture, [(1, 2, 3, 4, 5, 6, 1)]).user_text
@@ -758,30 +790,42 @@ class TestParsePromptCache:
         partner[1].clear()
         assert parse_prompt(text) == expected
 
-    def test_threads_agree_with_a_serial_parse(self, two_demo_fixture):
+    def test_threads_agree_with_a_serial_parse_while_the_tables_evict(self, two_demo_fixture,
+                                                                       monkeypatch):
         texts = self._prompts(*two_demo_fixture)
         parsers = [parse_prompt, parse_prompt, parse_judge_prompt]
-        _clear_component_caches()
+        _clear_component_tables()
         serial = [parse(t) for parse, t in zip(parsers, texts)]
-        _clear_component_caches()
-        results, barrier = [None] * 8, threading.Barrier(8, timeout=10)
-
-        def work(i):
-            barrier.wait()
-            results[i] = [[parse(t) for parse, t in zip(parsers, texts)] for _ in range(20)]
-
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        _clear_component_tables()
+        monkeypatch.setattr(prompts, "TABLE_CAPACITY", 2)  # fewer than one prompt's texts
+        results = _in_threads(
+            lambda: [[parse(t) for parse, t in zip(parsers, texts)] for _ in range(20)])
         assert all(run == serial for result in results for run in result)
+        assert len(prompts._OBSERVATIONS) <= 2 and len(prompts._ACTION_LISTS) <= 2
+
+
+def test_component_table_memory_is_bounded():
+    """Both tables filled to capacity with 10-row, 14-int action lists and 4-object
+    observations, the largest a task renders. In a fresh interpreter the traced peak
+    measured 1.42 MiB at 512 texts per table, 2.14 MiB at 768 and 2.83 MiB at 1,024 (less
+    when freed tuples are reused). The 2 MiB budget fails a capacity of 768 or more
+    before the benchmark's peak RSS would show it."""
+    rng = random.Random(0)
+    lists = [[tuple(rng.randrange(100) for _ in range(14)) for _ in range(10)]
+             for _ in range(prompts.TABLE_CAPACITY)]
+    observations = [{f"object_{j}": tuple(rng.randrange(100) for _ in range(3)) for j in range(4)}
+                    for _ in range(prompts.TABLE_CAPACITY)]
+    _clear_component_tables()
+    tracemalloc.start()
+    try:
+        for actions, obs in zip(lists, observations):
+            render_action_list(actions)
+            serialize_observation(obs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(prompts._ACTION_LISTS) == len(prompts._OBSERVATIONS) == prompts.TABLE_CAPACITY
+    assert peak < 2 * 2**20, f"filled tables peaked at {peak / 2**20:.2f} MiB"
 
 
 # --- rendering fills the component tables: a parse reads the same with them
@@ -845,7 +889,7 @@ def _outcomes(text):
 
 
 def _cleared_outcomes(text):
-    _clear_component_caches()
+    _clear_component_tables()
     return _outcomes(text)
 
 
@@ -853,20 +897,29 @@ class TestRenderedTextsParseAsWithTablesCleared:
     @settings(max_examples=200)
     @given(data=st.data())
     def test_filled_tables_parse_as_cleared_ones(self, data):
-        _clear_component_caches()
+        _clear_component_tables()
         texts = data.draw(_rendered_texts())
         filled = [_outcomes(text) for text in texts]
         assert filled == [_cleared_outcomes(text) for text in texts]
 
     def test_an_empty_row_after_an_action_leaves_one_action(self):
-        _clear_component_caches()
+        _clear_component_tables()
         text = render_action_list([(1, 2, 3, 4, 5, 6, 0), ()])
         assert parse_completion(text, 7) == ((1, 2, 3, 4, 5, 6, 0),)
         assert _outcomes(text) == _cleared_outcomes(text)
 
     def test_an_observation_reply_is_scanned(self):
-        _clear_component_caches()
+        _clear_component_tables()
         text = serialize_observation({"ball": (1, 2, 3)})
         with pytest.raises(ArityMismatch):
             parse_completion(text, 7)
         assert _outcomes(text) == _cleared_outcomes(text)
+
+    def test_one_text_from_8_threads_while_the_tables_hold_4(self, two_demo_fixture,
+                                                             monkeypatch):
+        text = build_follower_prompt(*two_demo_fixture, [(1, 2, 3, 4, 5, 6, 1)]).user_text
+        expected = _cleared_outcomes(text)
+        _clear_component_tables()
+        monkeypatch.setattr(prompts, "TABLE_CAPACITY", 4)  # fewer than the text's 5 lists
+        assert _in_threads(lambda: [_outcomes(text) for _ in range(20)]) == [[expected] * 20] * 8
+        assert len(prompts._OBSERVATIONS) <= 4 and len(prompts._ACTION_LISTS) <= 4

@@ -138,6 +138,12 @@ class TestRunExperiment:
         {"timeout": 0},
         {"timeout": -1},
         {"timeout": float("nan")},
+        {"temperature": float("nan")},
+        {"temperature": float("inf")},
+        {"temperature": -0.5},
+        {"judge_temperature": float("nan")},
+        {"judge_temperature": float("inf")},
+        {"judge_temperature": -1},
         {"tasks": ["lift_sym", "lift_sym"]},
         {"strategies": ["best_of_n", "best_of_n"]},
         {"seeds": [0, 0]},
@@ -440,6 +446,8 @@ class TestCli:
         {"seeds": "0,1"},
         {"episodes": "2"},
         {"workers": True},
+        {"temperature": float("nan")},  # json.dumps writes NaN, which json.load reads
+        {"judge_temperature": float("inf")},
     ])
     def test_config_file_with_bad_value_exits_2(self, tmp_path, capsys, config):
         path = tmp_path / "cfg.json"

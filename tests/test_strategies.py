@@ -385,6 +385,14 @@ class TestDispatch:
             assert log.count() == expected, kind
             assert plan.kind == kind
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -0.5])
+    def test_temperature_must_be_finite_and_not_negative(self, temperature):
+        with pytest.raises(ConfigError, match="temperature must be in"):
+            StrategyConfig(temperature=temperature)
+
+    def test_zero_temperature_is_allowed(self):
+        assert StrategyConfig(temperature=0).temperature == 0
+
     def test_unknown_kind(self, two_demo_fixture):
         demos, test_obs = two_demo_fixture
         gw, _ = oracle_gateway()
