@@ -763,8 +763,6 @@ class TestComponentTables:
         assert texts[-1] in prompts._OBSERVATIONS
 
     def test_an_oracle_run_decodes_no_text_it_rendered(self):
-        # the two lru caches this table replaced decoded 14 observation texts and 22
-        # action-list texts on this run, and the whole-segment parser before them 46 segments
         _clear_component_tables()
         with mock.patch.object(prompts.json, "loads", wraps=json.loads) as decode:
             run_experiment(RunConfig(tasks=["handover"],
