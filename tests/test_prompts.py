@@ -756,8 +756,9 @@ class TestComponentTables:
     def test_component_tables_are_bounded(self):
         assert prompts.TABLE_CAPACITY == 512
         _clear_component_tables()
-        texts = [render_action_list([(k,)]) for k in range(prompts.TABLE_CAPACITY + 3)]
-        texts += [serialize_observation({"a": (k, 0, 0)}) for k in range(prompts.TABLE_CAPACITY + 3)]
+        count = prompts.TABLE_CAPACITY + 3
+        texts = [render_action_list([(k,)]) for k in range(count)]
+        texts += [serialize_observation({"a": (k, 0, 0)}) for k in range(count)]
         assert len(prompts._ACTION_LISTS) == len(prompts._OBSERVATIONS) == prompts.TABLE_CAPACITY
         assert texts[0] not in prompts._ACTION_LISTS and texts[3] in prompts._ACTION_LISTS
         assert texts[-1] in prompts._OBSERVATIONS
