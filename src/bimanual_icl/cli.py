@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .bench import DEFAULT_TASKS
@@ -24,7 +24,6 @@ from .runner import (
     run_experiment,
     write_report,
 )
-from .strategies import STRATEGY_KINDS
 
 
 def _parse_int_list(text):
@@ -33,6 +32,14 @@ def _parse_int_list(text):
 
 def _parse_str_list(text):
     return [v for v in text.split(",") if v]
+
+
+# A run flag is "--" plus its field's name with "_" as "-", but for these three.
+_FLAG_NAMES = {"tasks": "--task", "strategies": "--strategy", "out_dir": "--out"}
+# How a flag's text becomes its field's value, by the field's annotation; a field
+# annotated otherwise fails when the parser is built.
+_FLAG_TYPES = {"list[str]": _parse_str_list, "list[int]": _parse_int_list, "int": int,
+               "float": float, "str": str, "str | None": str}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,31 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=RunConfig.dataset_seed)
     gen.add_argument("--out", required=True, help="output directory root")
 
-    # Flags left out stay out of the namespace, so RunConfig owns every default.
+    # One flag per RunConfig field. Flags left out stay out of the namespace, so
+    # RunConfig owns every default.
     run = sub.add_parser("run", help="run an experiment grid",
                          argument_default=argparse.SUPPRESS)
-    run.add_argument("--task", dest="tasks", type=_parse_str_list,
-                     help="comma-separated task names")
-    run.add_argument("--strategy", dest="strategies", type=_parse_str_list,
-                     help=f"comma-separated strategies from {STRATEGY_KINDS}")
-    run.add_argument("--backend", help="oracle or http")
-    run.add_argument("--seeds", type=_parse_int_list, help="comma-separated integer seeds")
-    run.add_argument("--episodes", type=int, help="episodes per seed")
-    run.add_argument("--n-demos", type=int, dest="n_demos")
-    run.add_argument("--leader-arm", dest="leader_arm", help="right or left")
-    run.add_argument("--n-candidates", type=int, dest="n_candidates")
-    run.add_argument("--max-retries", type=int, dest="max_retries")
-    run.add_argument("--data-dir", dest="data_dir",
-                     help="load datasets generated by gen-data instead of regenerating")
-    run.add_argument("--store-size", type=int, dest="store_size")
-    run.add_argument("--workers", type=int)
-    run.add_argument("--http-url", dest="http_url")
-    run.add_argument("--http-model", dest="http_model")
-    run.add_argument("--api-key-env", dest="api_key_env",
-                     help="environment variable holding the bearer token")
-    run.add_argument("--timeout", type=float)
-    run.add_argument("--judge-mode", dest="judge_mode", help="llm or rubric")
-    run.add_argument("--out", dest="out_dir", help="output directory for logs and reports")
+    for f in fields(RunConfig):
+        run.add_argument(_FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")),
+                         dest=f.name, type=_FLAG_TYPES[f.type])
     run.add_argument("--config", help="JSON config file; its values override the flags")
 
     rep = sub.add_parser("report", help="re-render tables from an episode log")
@@ -139,16 +128,14 @@ def _run_command(args) -> int:
             write_report(report, args.out)
         return 0
 
-    if args.command == "judge":
-        demo = load_demonstration(args.plan)
-        demos = load_demo_dir(args.demos)
-        if not demos:
-            raise ConfigError(f"no demonstrations (*.json) in {args.demos}")
-        verdict = score_plan(demo.actions, demos, demo.observation)
-        print(json.dumps(asdict(verdict), indent=2))
-        return 0
-
-    raise SystemExit(f"unknown command {args.command!r}")
+    # "judge", the one command left: the subparsers admit no other
+    demo = load_demonstration(args.plan)
+    demos = load_demo_dir(args.demos)
+    if not demos:
+        raise ConfigError(f"no demonstrations (*.json) in {args.demos}")
+    verdict = score_plan(demo.actions, demos, demo.observation)
+    print(json.dumps(asdict(verdict), indent=2))
+    return 0
 
 
 if __name__ == "__main__":

@@ -64,8 +64,8 @@ class RequestTimeoutError(TransportError):
 class ExhaustedRetries(RuntimeError):
     """All parse-and-retry attempts for one logical call failed.
 
-    Carries the CallRecords of every attempt; strategies annotate the
-    pipeline phase before propagating.
+    Carries the CallRecords of every attempt and the call's phase, the last
+    ``:`` part of its tag.
     """
 
     def __init__(self, message, records=(), phase=None):

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .actions import ARM_DIM
 from .errors import (
     CompletionError,
+    ConfigError,
     ExhaustedRetries,
     OracleParseError,
     RequestTimeoutError,
@@ -36,14 +37,24 @@ from .prompts import (
 )
 
 
+def check_temperature(value, name: str):
+    """Reject a sampling temperature outside [0, inf) where a setting is built."""
+    if not 0 <= value < math.inf:  # NaN fails both comparisons
+        raise ConfigError(f"{name} must be in [0, inf): {value}")
+
+
 @dataclass(frozen=True)
 class ChatRequest:
-    """One [system, user] call with a sampling temperature and a free-form tag."""
+    """One [system, user] call with a sampling temperature and a tag, whose last
+    ``:`` part names the call's phase (``bon0:leader`` -> ``leader``)."""
 
     system: str
     user: str
     temperature: float = 0.0
     tag: str = ""
+
+    def __post_init__(self):
+        check_temperature(self.temperature, "temperature")
 
 
 @dataclass
@@ -262,6 +273,7 @@ class ChatGateway:
             f"no parseable completion after {len(attempts)} attempts "
             f"(tag={req.tag!r}): {last_error}",
             records=attempts,
+            phase=req.tag.rpartition(":")[2],
         )
 
 

@@ -16,8 +16,8 @@ import re
 from dataclasses import dataclass, field
 
 from .actions import ARM_OFFSET, GRIPPER, _is_integer
-from .errors import ExhaustedRetries, JudgeParseError
-from .gateway import ChatRequest
+from .errors import ConfigError, ExhaustedRetries, JudgeParseError
+from .gateway import ChatRequest, check_temperature
 from .perception import nearest_demo_index
 from .prompts import build_judge_prompt, json_values
 
@@ -201,6 +201,9 @@ class PlanJudge:
             raise ValueError(f"unknown judge mode {mode!r}")
         if mode == "llm" and gateway is None:
             raise ValueError("llm mode requires a gateway")
+        check_temperature(temperature, "judge temperature")
+        if max_retries < 0:
+            raise ConfigError("judge max_retries must be >= 0")
         self.mode = mode
         self.gateway = gateway
         self.temperature = temperature

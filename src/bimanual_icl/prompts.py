@@ -163,6 +163,8 @@ def demo_texts(demo) -> dict[str, str]:
 def _demo_pairs(rendered_pairs, test_obs_text=None) -> str:
     """Join ``obs>actions`` pairs, then the open ``test_obs>`` when one is given."""
     segments = [f"{obs}>{acts}" for obs, acts in rendered_pairs]
+    if not segments:
+        raise ValueError("at least one demonstration is required")
     if test_obs_text is not None:
         segments.append(f"{test_obs_text}>")
     return ", ".join(segments)
@@ -178,8 +180,6 @@ def build_single_prompt(demos, test_obs: dict, arm_filter: str = "both") -> Prom
     """
     if arm_filter not in ARM_FILTERS:
         raise ValueError(f"unknown arm filter {arm_filter!r}")
-    if not demos:
-        raise ValueError("at least one demonstration is required")
     pairs = [(demo.texts["observation"], demo.texts[arm_filter]) for demo in demos]
     system = BOTH_ARMS_SYSTEM if arm_filter == "both" else SINGLE_ARM_SYSTEM.format(arm=arm_filter)
     return PromptBundle(
@@ -207,8 +207,6 @@ def build_conditioned_prompt(demos, test_obs: dict, *, target_arm: str,
     partner_pred = tuple(partner_pred)
     if not partner_pred:
         raise ValueError("partner prediction must be non-empty")
-    if not demos:
-        raise ValueError("at least one demonstration is required")
 
     pairs = [
         (_with_partner(demo.texts["observation"], partner_key, demo.texts[OTHER_ARM[target_arm]]),
@@ -233,8 +231,6 @@ def build_follower_prompt(demos, test_obs: dict, leader_pred,
 
 def build_judge_prompt(demos, test_obs: dict, candidate_actions) -> PromptBundle:
     """Validator prompt: reference demos plus the candidate bimanual plan."""
-    if not demos:
-        raise ValueError("at least one demonstration is required")
     refs = _demo_pairs((d.texts["observation"], d.texts["both"]) for d in demos)
     candidate = f"{serialize_observation(test_obs)}>{render_action_list(candidate_actions)}"
     user = f"{JUDGE_REFS_HEADER}{refs}{JUDGE_CANDIDATE_HEADER}{candidate}"

@@ -24,7 +24,7 @@ from .actions import _is_integer
 from .bench import DEFAULT_TASKS, execute, scripted_expert, spawn, spawn_many
 from .demos import load_demo_dir, sample_batch
 from .errors import EPISODE_ERRORS, ConfigError
-from .gateway import CallLog, ChatGateway, HttpBackend, OracleBackend
+from .gateway import CallLog, ChatGateway, HttpBackend, OracleBackend, check_temperature
 from .judge import JUDGE_MODES, PlanJudge
 from .strategies import STRATEGY_KINDS, StrategyConfig, run_strategy
 
@@ -89,8 +89,7 @@ class RunConfig:
             raise ConfigError("workers must be >= 1")
         if not 0 < self.timeout < math.inf:  # NaN fails both comparisons
             raise ConfigError(f"timeout must be a positive finite number, got {self.timeout}")
-        if not 0 <= self.judge_temperature < math.inf:
-            raise ConfigError(f"judge_temperature must be in [0, inf): {self.judge_temperature}")
+        check_temperature(self.judge_temperature, "judge_temperature")
         for name in ("tasks", "strategies", "seeds"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -189,7 +188,7 @@ def _run_episode(cfg: RunConfig, backend, store, task_name: str, strategy: str,
         success = result.success
         reason = result.reason
     except EPISODE_ERRORS as exc:
-        phase = getattr(exc, "phase", None)  # set by strategies on ExhaustedRetries
+        phase = getattr(exc, "phase", None)  # ExhaustedRetries names it from the tag
         reason = f"strategy_error:{type(exc).__name__}" + (f":{phase}" if phase else "")
     wall_ms = int((time.perf_counter() - started) * 1000)
 

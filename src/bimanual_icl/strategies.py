@@ -19,7 +19,7 @@ from .errors import (
     EmptyTrajectory,
     ExhaustedRetries,
 )
-from .gateway import ChatRequest, ChatGateway
+from .gateway import ChatRequest, ChatGateway, check_temperature
 from .judge import PlanJudge
 from .prompts import build_conditioned_prompt, build_follower_prompt, build_single_prompt
 
@@ -38,8 +38,7 @@ class StrategyConfig:
             raise ConfigError("n_candidates must be >= 1")
         if self.max_retries < 0:
             raise ConfigError("max_retries must be >= 0")
-        if not 0 <= self.temperature < float("inf"):  # NaN fails both comparisons
-            raise ConfigError(f"temperature must be in [0, inf): {self.temperature}")
+        check_temperature(self.temperature, "temperature")
 
 
 @dataclass(frozen=True)
@@ -90,19 +89,10 @@ def _fan_out(gateway: ChatGateway, fn, items) -> list:
     return [future.result() for future in futures]
 
 
-def _call(gateway: ChatGateway, bundle, cfg: StrategyConfig, tag: str, arity: int,
-          phase: str):
-    req = ChatRequest(
-        system=bundle.system_text,
-        user=bundle.user_text,
-        temperature=cfg.temperature,
-        tag=tag,
-    )
-    try:
-        return gateway.complete_parsed(req, arity=arity, max_retries=cfg.max_retries)
-    except ExhaustedRetries as exc:
-        exc.phase = phase
-        raise
+def _call(gateway: ChatGateway, bundle, cfg: StrategyConfig, tag: str, arity: int):
+    req = ChatRequest(system=bundle.system_text, user=bundle.user_text,
+                      temperature=cfg.temperature, tag=tag)
+    return gateway.complete_parsed(req, arity=arity, max_retries=cfg.max_retries)
 
 
 def run_single_agent(gateway: ChatGateway, demos, obs: dict,
@@ -110,7 +100,7 @@ def run_single_agent(gateway: ChatGateway, demos, obs: dict,
     """One arity-14 call predicting both arms jointly."""
     cfg = cfg or StrategyConfig()
     bundle = build_single_prompt(demos, obs, arm_filter="both")
-    actions = _call(gateway, bundle, cfg, tag="single", arity=14, phase="single")
+    actions = _call(gateway, bundle, cfg, tag="single", arity=14)
     return BimanualPlan(actions=actions, kind="single_agent", tags=("single",))
 
 
@@ -122,7 +112,7 @@ def run_dual_agent(gateway: ChatGateway, demos, obs: dict,
 
     def predict(arm: str):
         bundle = build_single_prompt(demos, obs, arm_filter=arm)
-        return _call(gateway, bundle, cfg, tag=f"dual:{arm}", arity=7, phase=arm)
+        return _call(gateway, bundle, cfg, tag=f"dual:{arm}", arity=7)
 
     right, left = _fan_out(gateway, predict, ("right", "left"))
     return compose(right, left, kind="dual_agent", tags=("dual:right", "dual:left"))
@@ -147,8 +137,7 @@ def _run_turns(gateway: ChatGateway, demos, obs: dict, cfg: StrategyConfig,
             partner_key = "leader_arm" if k % 2 else "follower_arm"
             bundle = build_conditioned_prompt(demos, obs, target_arm=arm,
                                               partner_key=partner_key, partner_pred=pred)
-        pred = latest[arm] = _call(gateway, bundle, cfg, tag=f"{tag_prefix}:{turn}", arity=7,
-                                   phase=turn)
+        pred = latest[arm] = _call(gateway, bundle, cfg, tag=f"{tag_prefix}:{turn}", arity=7)
     return compose(latest["right"], latest["left"], kind=kind,
                    tags=tuple(f"{tag_prefix}:{turn}" for turn in turns))
 
@@ -190,7 +179,7 @@ def _run_reranked(gateway: ChatGateway, demos, obs: dict, cfg: StrategyConfig,
     def candidate(j: int):
         try:
             plan = generate(j)
-        except (ExhaustedRetries, EmptyTrajectory) as exc:
+        except ExhaustedRetries as exc:
             return None, None, exc
         try:
             return plan, judge.score(plan.actions, demos, obs).score, None

@@ -11,6 +11,7 @@ import pytest
 import bimanual_icl
 from bimanual_icl.bench import DEFAULT_TASKS, scripted_expert, spawn
 from bimanual_icl.errors import (
+    ConfigError,
     ExhaustedRetries,
     OracleParseError,
     TransportError,
@@ -24,6 +25,7 @@ from bimanual_icl.gateway import (
     oracle_nearest_demo,
     request_fingerprint,
 )
+from bimanual_icl.judge import PlanJudge
 from bimanual_icl.prompts import build_single_prompt, parse_completion
 from doubles import FlakyBackend, NoisyArmBackend, ScriptedBackend
 
@@ -108,6 +110,16 @@ class TestGatewayAccounting:
         assert len(excinfo.value.records) == 3
         assert log.count() == 3
 
+    @pytest.mark.parametrize("tag, phase", [
+        ("x", "x"), ("single", "single"), ("dual:left", "left"),
+        ("bon2:follower", "follower"), ("a:b:c", "c"), ("", ""),
+    ])
+    def test_exhausted_retries_name_the_tag_s_last_part_as_phase(self, tag, phase):
+        gw = ChatGateway(lambda r: "garbage", CallLog())
+        with pytest.raises(ExhaustedRetries) as excinfo:
+            gw.complete_parsed(req("x", tag=tag), arity=7, max_retries=0)
+        assert excinfo.value.phase == phase
+
     def test_out_of_range_actions_never_returned(self):
         backend = ScriptedBackend(["[[100,2,3,4,5,6,1]]", "[[1,2,3,4,5,6,1]]"])
         gw = ChatGateway(backend, CallLog())
@@ -120,6 +132,27 @@ class TestGatewayAccounting:
         with ThreadPoolExecutor(max_workers=8) as pool:
             list(pool.map(lambda i: gw.complete_parsed(req(f"u{i}"), 7), range(64)))
         assert log.count() == 64
+
+
+class TestTemperatureCheckedWhereBuilt:
+    """The library constructors reject the temperatures that StrategyConfig and
+    RunConfig.validate reject (tests in test_strategies and test_runner_cli)."""
+
+    BUILDERS = {
+        "ChatRequest": lambda t: ChatRequest(system="s", user="u", temperature=t),
+        "PlanJudge": lambda t: PlanJudge(temperature=t),
+    }
+
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -0.5])
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_non_finite_or_negative_is_a_config_error(self, builder, temperature):
+        with pytest.raises(ConfigError, match=r"temperature must be in \[0, inf\)"):
+            self.BUILDERS[builder](temperature)
+
+    @pytest.mark.parametrize("temperature", [0, 0.0, 0.7, 2])
+    @pytest.mark.parametrize("builder", BUILDERS)
+    def test_finite_non_negative_is_accepted(self, builder, temperature):
+        self.BUILDERS[builder](temperature)
 
 
 class TestHttpResponseContent:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from bimanual_icl.errors import JudgeParseError
+from bimanual_icl.errors import ConfigError, JudgeParseError
 from bimanual_icl.gateway import CallLog, ChatGateway, ChatRequest, oracle_nearest_demo
 from bimanual_icl.judge import (
     JudgeVerdict,
@@ -339,3 +339,9 @@ class TestLlmModeJudge:
     def test_llm_mode_requires_gateway(self):
         with pytest.raises(ValueError):
             PlanJudge(mode="llm")
+
+    @pytest.mark.parametrize("mode", ["rubric", "llm"])
+    def test_negative_max_retries_is_rejected_when_built(self, mode):
+        gw = ChatGateway(lambda r: "unused", CallLog())
+        with pytest.raises(ConfigError, match="max_retries must be >= 0"):
+            PlanJudge(mode=mode, gateway=gw, max_retries=-1)

@@ -1,13 +1,15 @@
+import argparse
 import hashlib
 import json
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bimanual_icl.cli import main
+from bimanual_icl.cli import build_parser, main
 from bimanual_icl.errors import ConfigError
 from bimanual_icl.runner import (
     AggregateReport,
@@ -428,18 +430,40 @@ class TestCli:
             "run", "--task", "handover,lift_sym", "--strategy", "best_of_n,single_agent",
             "--backend", "http", "--seeds", "3,1", "--episodes", "4", "--n-demos", "6",
             "--leader-arm", "left", "--n-candidates", "3", "--max-retries", "1",
-            "--data-dir", "data", "--store-size", "50", "--workers", "2",
-            "--http-url", "http://127.0.0.1:9/v1", "--http-model", "m",
-            "--api-key-env", "KEY", "--timeout", "7.5", "--judge-mode", "rubric",
-            "--out", "out",
+            "--temperature", "0.25", "--judge-temperature", "0.5", "--judge-mode", "rubric",
+            "--store-size", "50", "--dataset-seed", "77", "--data-dir", "data",
+            "--out", "out", "--http-url", "http://127.0.0.1:9/v1", "--http-model", "m",
+            "--api-key-env", "KEY", "--timeout", "7.5", "--workers", "2",
         ]) == 0
-        assert captured_config == [RunConfig(
+        expected = RunConfig(
             tasks=["handover", "lift_sym"], strategies=["best_of_n", "single_agent"],
             backend="http", seeds=[3, 1], episodes=4, n_demos=6, leader_arm="left",
-            n_candidates=3, max_retries=1, data_dir="data", store_size=50, workers=2,
-            http_url="http://127.0.0.1:9/v1", http_model="m", api_key_env="KEY",
-            timeout=7.5, judge_mode="rubric", out_dir="out",
-        )]
+            n_candidates=3, max_retries=1, temperature=0.25, judge_temperature=0.5,
+            judge_mode="rubric", store_size=50, dataset_seed=77, data_dir="data",
+            out_dir="out", http_url="http://127.0.0.1:9/v1", http_model="m",
+            api_key_env="KEY", timeout=7.5, workers=2,
+        )
+        assert captured_config == [expected]
+        default = RunConfig()
+        assert all(getattr(expected, f.name) != getattr(default, f.name)
+                   for f in fields(RunConfig)), "every field is set away from its default"
+
+    def test_run_flags_are_exactly_the_run_config_fields(self):
+        commands = next(action for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        run = commands.choices["run"]
+        dests = {action.dest for action in run._actions if action.dest != "help"}
+        assert dests == {f.name for f in fields(RunConfig)} | {"config"}
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--temperature", "nan"), ("--temperature", "inf"), ("--temperature", "-0.5"),
+        ("--judge-temperature", "nan"), ("--judge-temperature", "-1"),
+    ])
+    def test_non_finite_or_negative_temperature_flag_exits_2(self, tmp_path, capsys,
+                                                              flag, value):
+        assert main(["run", flag, value, "--out", str(tmp_path / "run")]) == 2
+        assert "temperature must be in [0, inf)" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("config", [
         {"judge_mode": "LLM"},
