@@ -68,19 +68,24 @@ def _check_integers(values, limit: int, what: str):
             raise RangeError(f"{what} {v} outside [0, {limit - 1}]")
 
 
+_ARM_LIMITS = (VOXELS_PER_AXIS,) * 3 + (ROTATION_BINS,) * 3 + (2,)
+_LIMITS = {ARM_DIM: _ARM_LIMITS, 2 * ARM_DIM: _ARM_LIMITS * 2}  # exclusive bound per component
+_OUT_OF_RANGE = {VOXELS_PER_AXIS: "voxel component {} outside [0, 99]",
+                 ROTATION_BINS: "rotation bin {} outside [0, 71]",
+                 2: "gripper bit {} not in {{0, 1}}"}
+
+
 def check_action(values, arity: int = 14) -> tuple:
     """Return values as a tuple; raise RangeError unless it is one action of
     ``arity`` components (7: one arm, 14: right arm then left) whose every
-    voxel, rotation bin and gripper bit is an integer in its range."""
+    voxel, rotation bin and gripper bit is an integer in its range. One pass
+    left to right over (value, bound) pairs names the first bad component."""
     values = tuple(values)
     if len(values) != arity:
         raise RangeError(f"expected {arity} components, got {len(values)}")
-    for base in range(0, arity, ARM_DIM):
-        _check_integers(values[base:base + 3], VOXELS_PER_AXIS, "voxel component")
-        _check_integers(values[base + 3:base + GRIPPER], ROTATION_BINS, "rotation bin")
-        bit = values[base + GRIPPER]
-        if not _is_integer(bit) or bit not in (0, 1):
-            raise RangeError(f"gripper bit {bit} not in {{0, 1}}")
+    for v, limit in zip(values, _LIMITS[arity]):
+        if not ((type(v) is int or _is_integer(v)) and 0 <= v < limit):
+            raise RangeError(_OUT_OF_RANGE[limit].format(v))
     return values
 
 

@@ -32,7 +32,7 @@ from .prompts import (
     JUDGE_SYSTEM,
     parse_completion,
     parse_judge_prompt,
-    parse_prompt,
+    read_prompt,
     render_action_list,
 )
 
@@ -167,9 +167,10 @@ def oracle_nearest_demo(req: ChatRequest) -> str:
     Picks the in-prompt demo ``perception.nearest_demo_index`` picks (partner
     entries excluded), shifts every action's position components by the
     rounded per-object mean voxel offset, and copies rotation bins and
-    gripper bits verbatim.
+    gripper bits verbatim. It reads the prompt through ``read_prompt``, so
+    it takes the component tables' values in place and changes none of them.
     """
-    demos, (test_entries, _) = parse_prompt(req.user)
+    demos, (test_entries, _) = read_prompt(req.user)
     if not demos:
         raise OracleParseError("prompt contains no demonstrations")
     demo_entries, _, actions = demos[nearest_demo_index(demos, test_entries)]
@@ -187,11 +188,15 @@ def oracle_nearest_demo(req: ChatRequest) -> str:
 
 
 def _translated(action, delta) -> tuple[int, ...]:
-    """Shift each arm's voxel (7 or 14 components) by delta, clamped into the grid."""
+    """Shift each arm's voxel (7 or 14 components) by delta, clamped into the grid;
+    a row of any other length is an OracleParseError."""
+    if len(action) not in (ARM_DIM, 2 * ARM_DIM):
+        raise OracleParseError(f"demo row holds {len(action)} components, not 7 or 14")
     moved = list(action)
     for base in range(0, len(moved), ARM_DIM):
         for axis, d in enumerate(delta):
-            moved[base + axis] = min(99, max(0, moved[base + axis] + d))
+            v = moved[base + axis] + d
+            moved[base + axis] = v if 0 <= v <= 99 else (0 if v < 0 else 99)
     return tuple(moved)
 
 

@@ -15,10 +15,11 @@ allowed) and ``judge.parse_verdict`` the first object. Reply numbers are JSON
 integers: ``+1``, ``0x1``, ``1_0``, tuples and ``#`` comments are not read.
 ``parse_prompt`` and ``parse_judge_prompt`` accept exactly the renderers'
 output: they decode a prompt, render the result again and reject any text
-that does not come back byte for byte. The scripted oracle reads prompts
-through them. The renderers record each text and its value in a bounded
-table per component, observations and action lists, that the parsers read
-before they decode: a backend in the renderer's process decodes nothing.
+that does not come back byte for byte. The renderers record each text and
+its value in a bounded table per component, observations and action lists,
+that the parsers read before they decode: a backend in the renderer's
+process decodes nothing. ``parse_prompt`` hands every caller fresh copies;
+the scripted oracle reads the tables' values in place through ``read_prompt``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import json
 import re
 import threading
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from .actions import ARM_DIM, ARM_OFFSET, OTHER_ARM, _is_integer, check_action
@@ -109,12 +111,14 @@ class PromptBundle:
             raise ValueError("continuation prompts must end with '>'")
 
 
-def _record(table: dict, text: str, value):
-    """Keep ``text -> value`` in a table, oldest out past TABLE_CAPACITY; reads take no lock."""
+def _record(table: dict, text: str, value) -> str:
+    """Keep ``text -> value`` in a table, oldest out past TABLE_CAPACITY; return the text.
+    Reads take no lock."""
     with _TABLE_LOCK:
         table[text] = value
         while len(table) > TABLE_CAPACITY:
             del table[next(iter(table))]
+    return text
 
 
 def render_action_list(actions) -> str:
@@ -152,12 +156,23 @@ def _with_partner(obs_text: str, key: str, actions_text: str) -> str:
 
 
 def demo_texts(demo) -> dict[str, str]:
-    """A demo's observation text and its action-list text per arm filter;
-    ``Demonstration.texts`` memoizes them, so each demo is rendered once."""
-    texts = {arm: render_action_list([a[base:base + ARM_DIM] for a in demo.actions])
-             for arm, base in ARM_OFFSET.items()}
-    return {"observation": serialize_observation(demo.observation),
-            "both": render_action_list(demo.actions), **texts}
+    """A demo's observation text and its action-list text per arm filter, recorded as
+    ``render_action_list`` records them; ``Demonstration.texts`` memoizes them. Each
+    keyframe's two arm rows are rendered once and a 14-int row's text joins them. Rows
+    that are all tuples of exact ints are recorded as they are, the demo's own ``actions``
+    as ``both``; any other row goes through int() first."""
+    rows = demo.actions
+    if not ({*map(type, rows)} <= {tuple} and {*map(type, chain.from_iterable(rows))} <= {int}):
+        rows = tuple(tuple(map(int, a)) for a in rows)
+    right = tuple(a[:ARM_DIM] for a in rows)
+    left = tuple(a[ARM_DIM:2 * ARM_DIM] for a in rows)
+    right_texts, left_texts = [str(list(a)) for a in right], [str(list(a)) for a in left]
+    both_texts = [f"{r[:-1]}, {l[1:]}" if len(a) == 2 * ARM_DIM else str(list(a))
+                  for r, l, a in zip(right_texts, left_texts, rows)]
+    return {"right": _record(_ACTION_LISTS, f"[{', '.join(right_texts)}]", right),
+            "left": _record(_ACTION_LISTS, f"[{', '.join(left_texts)}]", left),
+            "both": _record(_ACTION_LISTS, f"[{', '.join(both_texts)}]", rows),
+            "observation": serialize_observation(demo.observation)}
 
 
 def _demo_pairs(rendered_pairs, test_obs_text=None) -> str:
@@ -387,7 +402,8 @@ def _parse_components(segment: str, pair: bool):
         actions = _action_list(actions_text) if pair else ()
         if pair and not actions:
             raise ValueError("a demo's action list is empty")
-        return _observation(base_text), partner, actions
+        # built as _fresh builds its copies
+        return tuple.__new__(ParsedDemo, (_observation(base_text), partner, actions))
     # AttributeError: an observation that is not an object
     except (ValueError, TypeError, OverflowError, RecursionError, AttributeError) as exc:
         raise OracleParseError(f"prompt outside the grammar: {exc}") from exc
@@ -399,7 +415,7 @@ class ParsedDemo(NamedTuple):
 
     observation: dict
     partner: tuple | None  # (key, action tuples) of a partner entry
-    actions: list
+    actions: list  # the table's tuple of rows when read by read_prompt
 
 
 def _fresh(entries, partner, actions):
@@ -407,6 +423,16 @@ def _fresh(entries, partner, actions):
     ``tuple.__new__``, as cheap as a plain tuple, rather than ParsedDemo's Python ``__new__``."""
     copies = (entries.copy(), partner and (partner[0], list(partner[1])), list(actions))
     return tuple.__new__(ParsedDemo, copies)
+
+
+def read_prompt(text: str, with_trailing_test: bool = True):
+    """``parse_prompt`` without its copies: each ``ParsedDemo`` and the test entry
+    hold the component tables' own values (dicts and tuples), which a caller reads
+    and must not mutate. The scripted oracle reads its prompts this way."""
+    segments = text.split(", {")
+    segments[1:] = ["{" + segment for segment in segments[1:]]
+    test = _parse_components(segments.pop(), pair=False)[:2] if with_trailing_test else None
+    return [_parse_components(segment, pair=True) for segment in segments], test
 
 
 def parse_prompt(text: str, with_trailing_test: bool = True):
@@ -418,13 +444,10 @@ def parse_prompt(text: str, with_trailing_test: bool = True):
     after its last action list and ``test`` is ``None``. The body is split
     before each ``{``, which opens only an observation; each segment must
     render back byte for byte, and its observation and action lists go
-    through the component tables.
+    through the component tables. Every value returned is a fresh copy.
     """
-    segments = text.split(", {")
-    segments[1:] = ["{" + segment for segment in segments[1:]]
-    test = (_fresh(*_parse_components(segments.pop(), pair=False))[:2]
-            if with_trailing_test else None)
-    return [_fresh(*_parse_components(segment, pair=True)) for segment in segments], test
+    demos, test = read_prompt(text, with_trailing_test)
+    return [_fresh(*demo) for demo in demos], test and _fresh(*test, ())[:2]
 
 
 def parse_judge_prompt(text: str):

@@ -18,6 +18,7 @@ from .errors import (
     EPISODE_ERRORS,
     EmptyTrajectory,
     ExhaustedRetries,
+    TransportError,
 )
 from .gateway import ChatRequest, ChatGateway, check_temperature
 from .judge import PlanJudge
@@ -169,8 +170,9 @@ def _run_reranked(gateway: ChatGateway, demos, obs: dict, cfg: StrategyConfig,
     """Best-of-n: n tasks, concurrent unless the backend is ``cpu_bound``, each
     generating ``generate(j)`` then scoring it.
 
-    A candidate whose generation exhausts its retries, or whose judge call
-    fails, is skipped; the highest score wins, ties to the lowest index.
+    A candidate whose generation exhausts its retries or meets a transport
+    fault, or whose judge call fails, is skipped; the highest score wins, ties
+    to the lowest index.
     """
     if judge is None:
         raise ConfigError(f"{kind} needs a judge")
@@ -179,7 +181,7 @@ def _run_reranked(gateway: ChatGateway, demos, obs: dict, cfg: StrategyConfig,
     def candidate(j: int):
         try:
             plan = generate(j)
-        except ExhaustedRetries as exc:
+        except (ExhaustedRetries, TransportError) as exc:
             return None, None, exc
         try:
             return plan, judge.score(plan.actions, demos, obs).score, None

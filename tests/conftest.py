@@ -3,12 +3,15 @@ import tempfile
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from bimanual_icl.demos import Demonstration
+
+HERE = Path(__file__).parent
 
 
 # Property tests draw the same examples on every run and write no example
@@ -30,8 +33,11 @@ def pytest_configure(config):
 
 def pytest_collection_modifyitems(items):
     """A leaked socket, file or pipe fails the test that leaked it. Kept here
-    rather than in pyproject.toml so the filter covers this suite only."""
+    rather than in pyproject.toml, and applied to items under this directory
+    only, so the filter covers this suite and not one collected beside it."""
     for item in items:
+        if HERE not in item.path.parents:
+            continue
         item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
         item.add_marker(pytest.mark.filterwarnings(
             "error::pytest.PytestUnraisableExceptionWarning"))

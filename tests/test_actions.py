@@ -398,6 +398,67 @@ class TestCheckAction:
             demonstration_from_dict({"observation": {}, "actions": [list(VALID_ARM)]})
 
 
+def _reference_is_integer(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def reference_check_action(values, arity=14):
+    """The per-arm check that the one-pass check_action replaced: each arm's
+    voxels, then its rotation bins, then its gripper bit."""
+    values = tuple(values)
+    if len(values) != arity:
+        raise RangeError(f"expected {arity} components, got {len(values)}")
+    for base in range(0, arity, 7):
+        for what, limit, part in (("voxel component", 100, values[base:base + 3]),
+                                  ("rotation bin", 72, values[base + 3:base + 6])):
+            for v in part:
+                if not _reference_is_integer(v) or not 0 <= v < limit:
+                    raise RangeError(f"{what} {v} outside [0, {limit - 1}]")
+        bit = values[base + 6]
+        if not _reference_is_integer(bit) or bit not in (0, 1):
+            raise RangeError(f"gripper bit {bit} not in {{0, 1}}")
+    return values
+
+
+def _check_outcome(check, values, arity):
+    """check's returned values with their types, or its error's class and message."""
+    try:
+        result = check(values, arity)
+    except Exception as exc:  # noqa: BLE001 - the class and message are compared
+        return type(exc), str(exc)
+    return [(type(v), v) for v in result]
+
+
+# mostly in-range components, so a bad one can sit anywhere in the action
+_check_components = st.one_of(
+    st.integers(0, 1),
+    st.integers(-3, 120),
+    st.integers(-3, 120).map(np.int64),
+    st.integers(0, 120).map(np.uint8),
+    st.booleans(),
+    st.floats(-3, 120, allow_nan=False),
+)
+
+
+class TestCheckActionAgreesWithThePerArmCheck:
+    @settings(max_examples=400)
+    @given(values=st.lists(_check_components, max_size=15), arity=st.sampled_from([7, 14]),
+           as_list=st.booleans())
+    def test_same_values_or_same_error(self, values, arity, as_list):
+        values = values if as_list else tuple(values)
+        assert (_check_outcome(check_action, values, arity)
+                == _check_outcome(reference_check_action, values, arity))
+
+    @settings(max_examples=400)
+    @given(arity=st.sampled_from([7, 14]), data=st.data())
+    def test_one_bad_component_anywhere(self, arity, data):
+        values = [data.draw(st.integers(0, 1)) for _ in range(arity)]
+        position = data.draw(st.integers(0, arity - 1))
+        values[position] = data.draw(_check_components)
+        assert (_check_outcome(check_action, values, arity)
+                == _check_outcome(reference_check_action, values, arity))
+
+
 class TestPose:
     def test_pose_invariants(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 import re
@@ -23,6 +24,7 @@ from bimanual_icl.errors import (
     RangeViolation,
 )
 from bimanual_icl import prompts
+from bimanual_icl.gateway import ChatRequest, OracleBackend
 from bimanual_icl.runner import RunConfig, run_experiment
 from bimanual_icl.prompts import (
     JUDGE_CANDIDATE_HEADER,
@@ -922,3 +924,72 @@ class TestRenderedTextsParseAsWithTablesCleared:
         monkeypatch.setattr(prompts, "TABLE_CAPACITY", 4)  # fewer than the text's 5 lists
         assert _in_threads(lambda: [_outcomes(text) for _ in range(20)]) == [[expected] * 20] * 8
         assert len(prompts._OBSERVATIONS) <= 4 and len(prompts._ACTION_LISTS) <= 4
+
+
+# --- demo_texts renders each keyframe's arm rows once: the texts and table values
+# of one render_action_list per arm filter
+
+def reference_demo_texts(demo):
+    """The body demo_texts replaced: one render_action_list per arm filter."""
+    texts = {arm: render_action_list([a[base:base + 7] for a in demo.actions])
+             for arm, base in ARM_OFFSET.items()}
+    return {"observation": serialize_observation(demo.observation),
+            "both": render_action_list(demo.actions), **texts}
+
+
+def _typed_tables():
+    """Both tables with each value's repr, which tells an np.int64 or a bool from an
+    int and a list from a tuple where == would not."""
+    return [{text: repr(value) for text, value in table.items()}
+            for table in (prompts._OBSERVATIONS, prompts._ACTION_LISTS)]
+
+
+_row_components = st.one_of(st.integers(-3, 120), st.integers(0, 99).map(np.int64),
+                            st.booleans())
+_any_rows = st.one_of(
+    _arm_actions,
+    _bimanual_actions,
+    st.lists(st.integers(0, 99), max_size=15).map(tuple),  # exact ints, odd lengths
+    st.lists(_row_components, max_size=15).map(tuple),
+    st.lists(_row_components, max_size=15),
+)
+
+
+class TestDemoTextsRenderAsOneRenderPerFilter:
+    @settings(max_examples=300)
+    @given(observation=_any_observations, rows=st.lists(_any_rows, min_size=1, max_size=4))
+    def test_same_texts_and_table_values(self, observation, rows):
+        demo = Demonstration(observation, rows)
+        _clear_component_tables()
+        expected, expected_tables = reference_demo_texts(demo), _typed_tables()
+        _clear_component_tables()
+        texts = prompts.demo_texts(demo)
+        assert texts == expected
+        assert _typed_tables() == expected_tables
+        exact = all(type(row) is tuple and all(type(v) is int for v in row) for row in rows)
+        assert (prompts._ACTION_LISTS[texts["both"]] is demo.actions) == exact
+
+
+class TestOracleReadsTheTablesInPlace:
+    @settings(max_examples=150)
+    @given(demos=_demos, test_obs=_observations, kind=st.sampled_from(
+        ["right", "left", "both", "follower", "judge"]))
+    def test_a_call_changes_no_table_and_replies_as_with_tables_cleared(self, demos, test_obs,
+                                                                         kind):
+        _clear_component_tables()
+        if kind == "follower":
+            bundle = build_follower_prompt(demos, test_obs, [a[:7] for a in demos[0].actions])
+        elif kind == "judge":
+            bundle = build_judge_prompt(demos, test_obs, demos[-1].actions)
+        else:
+            bundle = build_single_prompt(demos, test_obs, arm_filter=kind)
+        request = ChatRequest(system=bundle.system_text, user=bundle.user_text)
+        before = copy.deepcopy([prompts._OBSERVATIONS, prompts._ACTION_LISTS])
+        reply = OracleBackend()(request)
+        # the reply's own render may add its text; every value already there is unchanged
+        after = [{**table} for table in (prompts._OBSERVATIONS, prompts._ACTION_LISTS)]
+        if reply not in before[1]:
+            after[1].pop(reply, None)
+        assert after == before
+        _clear_component_tables()
+        assert OracleBackend()(request) == reply

@@ -11,6 +11,8 @@ from bimanual_icl.errors import (
     EmptyTrajectory,
     ExhaustedRetries,
     JudgeParseError,
+    OracleParseError,
+    RequestTimeoutError,
     TransportError,
 )
 from bimanual_icl.gateway import CallLog, ChatGateway, OracleBackend
@@ -338,6 +340,22 @@ class TestBestOfN:
             run_strategy(kind, gw, demos, test_obs, judge=None)
         assert log.count() == 0
 
+    def test_a_transport_fault_in_generation_drops_that_candidate(self, two_demo_fixture):
+        demos, test_obs = two_demo_fixture
+        log = CallLog()
+
+        def backend(req):
+            if req.tag == "bon1:leader":
+                raise RequestTimeoutError("no response after 60000 ms", elapsed_ms=60000)
+            return OracleBackend()(req)
+
+        gw = ChatGateway(backend, log)
+        plan = run_strategy("best_of_n", gw, demos, test_obs, StrategyConfig(n_candidates=3),
+                            PlanJudge(mode="llm", gateway=gw))
+        assert {"selected:0", "selected:2"} & set(plan.tags)
+        assert log.count() == 7  # two whole candidates and their judges, one failed leader
+        assert [r.outcome for r in log.records() if r.tag == "bon1:leader"] == ["transport_fail"]
+
     def test_judge_bug_propagates(self, two_demo_fixture):
         demos, test_obs = two_demo_fixture
         gw, _ = oracle_gateway()
@@ -365,6 +383,16 @@ class TestDebatePlusBon:
         run_debate_plus_bon(gw, demos, test_obs,
                             StrategyConfig(n_candidates=1), judge)
         assert log.count() == 5
+
+
+class TestOracleNamesADemoRowItCannotReplay:
+    @pytest.mark.parametrize("kind", ["single_agent", "leader_follower"])
+    def test_a_nine_int_row_is_an_oracle_parse_error(self, kind):
+        demo = Demonstration({"ball": (1, 2, 3)}, [(1, 2, 3, 4, 5, 6, 1, 7, 8)])
+        gw, _ = oracle_gateway()
+        # both: the whole 9-int row; leader-follower: the follower's 2-int left row
+        with pytest.raises(OracleParseError, match="^demo row holds (9|2) components"):
+            run_strategy(kind, gw, [demo], {"ball": (1, 2, 4)})
 
 
 class TestDispatch:
