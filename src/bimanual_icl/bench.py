@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .actions import ARM_OFFSET, GRIPPER, WORKSPACE_MAX, WORKSPACE_MIN, devoxelize
+from .actions import ARM_OFFSET, GRIPPER, VOXELS_PER_AXIS, WORKSPACE_MAX, WORKSPACE_MIN, devoxelize
 from .demos import Demonstration
 from .perception import MaskedCloud, build_observation, observe_groups
 
@@ -74,11 +74,8 @@ class World:
         executed (cell-center) position sits within half a cell of the true
         target; the floor-based observation quantizer is biased low.
         """
-        out = []
-        for p, lo, hi in zip(self.positions[name], WORKSPACE_MIN, WORKSPACE_MAX):
-            frac = (p - lo) / (hi - lo)
-            out.append(min(99, max(0, int(round(frac * 100.0 - 0.5)))))
-        return tuple(out)
+        return tuple(min(99, max(0, int(round((p - lo) / (hi - lo) * 100.0 - 0.5))))
+                     for p, lo, hi in zip(self.positions[name], WORKSPACE_MIN, WORKSPACE_MAX))
 
 
 @dataclass
@@ -140,11 +137,12 @@ def _surface_points(cdfs, frames, uniforms, centers, noise):
     """Points (s, k, m, 3) on k boxes in each of s scenes, from the boxes'
     ``_box_tables`` (cdfs k x 6, frames 3 x 3 x 6k), their centers (s, k, 3) and
     per point its face, u and v uniforms (s, k, 3, m) and noise (s, k, m, 3). A
-    face is found as ``Generator.choice`` finds it: a right-sided CDF search."""
-    rows = np.stack([cdf.searchsorted(uniforms[:, j, 0], side="right") + 6 * j
-                     for j, cdf in enumerate(cdfs)], axis=1)
+    face is found as ``Generator.choice`` finds it, by a right-sided CDF search:
+    the count of the box's CDF values at or below the point's face uniform."""
+    faces = (cdfs.T[:, None, :, None] <= uniforms[:, :, 0]).sum(axis=0)
     # center + (fixed + u * along_u + v * along_v) + noise, in place and axis-major
     # (swapped operands round alike); u, v scaled as rng.uniform(-1.0, 1.0) does.
+    rows = faces + 6 * np.arange(len(cdfs))[:, None]
     fixed, along_u, along_v = frames
     points = along_u.take(rows, axis=1)
     points *= -1.0 + 2.0 * uniforms[:, :, 1]
@@ -155,21 +153,6 @@ def _surface_points(cdfs, frames, uniforms, centers, noise):
     points += centers.transpose(2, 0, 1)[..., None]
     points += noise.transpose(3, 0, 1, 2)
     return points.transpose(1, 2, 3, 0)
-
-
-def sample_box_surface(rng, center, half_extent, n, sigma, face_weights=None):
-    """n points over an axis-aligned box surface, plus Gaussian noise.
-
-    Faces are drawn by area unless ``face_weights`` (6 values, order
-    +x, -x, +y, -y, +z, -z) skews the density, as a camera with a biased
-    viewpoint would. Draws exactly what ``rng.choice(6, n, p=weights)``
-    would, then u, v and the noise.
-    """
-    cdf, frames = _box_tables(half_extent, face_weights)
-    block, noise = _draw_surface(rng, n, sigma)
-    center = np.asarray(center, dtype=float).reshape(1, 1, 3)
-    return _surface_points(cdf[None], frames, block.reshape(1, 1, 3, n), center,
-                           noise.reshape(1, 1, n, 3))[0, 0]
 
 
 @functools.cache
@@ -197,7 +180,7 @@ def _scene_points(objects, positions, rngs):
              for rng in rngs for _ in objects for n in OBS_POINTS_PER_CAMERA]
     shape = positions.shape[:2]
     uniforms = np.concatenate([block for block, _ in draws]).reshape(*shape, -1)
-    uniforms = uniforms[..., _CAMERA_COLUMNS]  # frees the ungathered blocks
+    uniforms = uniforms.take(_CAMERA_COLUMNS, axis=2)  # frees the ungathered blocks
     noise = np.concatenate([eps for _, eps in draws]).reshape(*shape, -1, 3)
     return _surface_points(cdfs, frames, uniforms, positions, noise)
 
@@ -212,7 +195,9 @@ def synthetic_clouds(rng, objects, positions):
 
 
 def spawn(task: TaskSpec, seed: int) -> World:
-    """Place objects uniformly in their spawn regions and observe the scene."""
+    """Place objects uniformly in their spawn regions and observe the scene: one
+    ``synthetic_clouds`` call draws every cloud and one ``build_observation`` call
+    bins them all (``spawn_many`` does both for a chunk of scenes at a time)."""
     rng = np.random.default_rng(seed)
     low, span, _, _ = _scene_tables(task.objects)
     positions = low + span * rng.random(low.shape)  # rng.uniform(low, low + span)
@@ -321,12 +306,17 @@ def scripted_expert(task: TaskSpec, world: World) -> Demonstration:
 
 
 def execute(world: World, plan) -> EpisodeResult:
-    """Run a keyframe plan through the kinematic model; never raises on failure."""
+    """Run a keyframe plan through the kinematic model; never raises on failure.
+
+    The loop holds positions in Python floats and does the IEEE operations of a
+    numpy array loop: ``devoxelize``'s cell centres, each held object at the mean
+    of its holders' gripper + offset. Every distance compared against a threshold
+    is ``np.linalg.norm``'s, and the outcome test is handed numpy arrays."""
     plan = tuple(plan)
     if not plan:
         return EpisodeResult(False, dict(world.positions), reason="empty_plan")
 
-    positions = {k: v.copy() for k, v in world.positions.items()}
+    positions = {name: pos.tolist() for name, pos in world.positions.items()}
     grippers = {}
     prev_bits = {}
     holders = {name: {} for name in positions}  # object -> {arm: offset}
@@ -334,15 +324,11 @@ def execute(world: World, plan) -> EpisodeResult:
 
     for step, action in enumerate(plan):
         for arm, base in ARM_OFFSET.items():
-            grippers[arm] = np.asarray(devoxelize(action[base:base + 3]))
+            grippers[arm] = _cell_centre(action[base:base + 3])
         for name, held in holders.items():
-            if not held:
-                continue
-            if name in world.task.bimanual_objects and len(held) < 2:
-                continue
-            positions[name] = np.mean(
-                [grippers[arm] + offset for arm, offset in held.items()], axis=0
-            )
+            if held and (len(held) == 2 or name not in world.task.bimanual_objects):
+                moved = [[g + o for g, o in zip(grippers[arm], off)] for arm, off in held.items()]
+                positions[name] = [sum(axis) / len(moved) for axis in zip(*moved)]  # np.mean's
         for arm, base in ARM_OFFSET.items():
             bit = action[base + GRIPPER]
             was = prev_bits.get(arm, 1)
@@ -359,26 +345,42 @@ def execute(world: World, plan) -> EpisodeResult:
                     attach_events.append((step, arm, name))
             prev_bits[arm] = bit
 
-    reason = world.task.outcome(world, positions, attach_events)
+    final = {name: np.array(pos) for name, pos in positions.items()}
+    reason = world.task.outcome(world, final, attach_events)
     if reason and not attach_events:  # every task fails alike when nothing was grasped
         reason = "no_contact"
-    final = {name: tuple(pos) for name, pos in positions.items()}
+    final = {name: tuple(pos) for name, pos in final.items()}
     return EpisodeResult(success=reason is None, final_positions=final, reason=reason or "")
+
+
+# devoxelize's centre of cell v on each axis, at index v
+_CELLS = range(VOXELS_PER_AXIS)
+_CENTRES_X, _CENTRES_Y, _CENTRES_Z = zip(*(devoxelize((v, v, v)) for v in _CELLS))
+_SPAN = [hi - lo for lo, hi in zip(WORKSPACE_MIN, WORKSPACE_MAX)]
+
+
+def _cell_centre(voxel):
+    """``devoxelize(voxel)`` in Python floats; a voxel that is not three exact ints
+    in range goes through ``devoxelize``, which raises as it always has."""
+    if len(voxel) == 3:
+        x, y, z = voxel
+        if type(x) is type(y) is type(z) is int and x in _CELLS and y in _CELLS and z in _CELLS:
+            return [_CENTRES_X[x], _CENTRES_Y[y], _CENTRES_Z[z]]
+    return [float(c) for c in devoxelize(voxel)]
 
 
 def _nearest_graspable(world: World, positions, gripper_pos):
     """Closest (object, centroid-anchor offset) within the grasp radius, or None."""
     best, best_dist = None, None
-    span = np.asarray([hi - lo for lo, hi in zip(WORKSPACE_MIN, WORKSPACE_MAX)])
     for spec in world.task.objects:
         if not spec.graspable:
             continue
         for offset in spec.grasp_offsets:
-            offset_world = np.asarray(offset) / 100.0 * span
-            point = positions[spec.name] + offset_world
-            dist = float(np.linalg.norm(point - gripper_pos))
+            offset_world = [o / 100.0 * s for o, s in zip(offset, _SPAN)]
+            gap = [p + o - g for p, o, g in zip(positions[spec.name], offset_world, gripper_pos)]
+            dist = float(np.linalg.norm(gap))
             if dist <= GRASP_RADIUS + 1e-9 and (best_dist is None or dist < best_dist):
-                best, best_dist = (spec.name, -offset_world), dist
+                best, best_dist = (spec.name, [-o for o in offset_world]), dist
     return best
 
 

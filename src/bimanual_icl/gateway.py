@@ -66,7 +66,7 @@ class CallRecord:
     completion_chars: int
     wall_ms: int
     attempt: int
-    outcome: str  # ok | parse_fail | transport_fail
+    outcome: str  # ok | parse_fail | transport_fail | backend_fail (any other raise)
 
 
 class CallLog:
@@ -232,15 +232,17 @@ class ChatGateway:
         self.log = log if log is not None else CallLog()
 
     def complete_with_record(self, req: ChatRequest, attempt: int = 1):
-        """Call the backend once; return its text and the CallRecord for outcome updates."""
+        """Call the backend once; return its text and the CallRecord for outcome updates.
+        A backend that raises leaves its record too, then the error propagates as is."""
         record = CallRecord(tag=req.tag, prompt_chars=len(req.system) + len(req.user),
                             completion_chars=0, wall_ms=0, attempt=attempt,
                             outcome="transport_fail")
         started = time.perf_counter()
         try:
             text = self.backend(req)
-        except TransportError:
+        except Exception as exc:
             record.wall_ms = _elapsed_ms(started)
+            record.outcome = "transport_fail" if isinstance(exc, TransportError) else "backend_fail"
             self.log.append(record)
             raise
         record.wall_ms = _elapsed_ms(started)

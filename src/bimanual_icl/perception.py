@@ -10,6 +10,7 @@ Three fusion strategies are supported:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import EmptyObject, OutOfWorkspace
 
 STRATEGIES = ("standard", "concat", "prune")
 DEFAULT_VOXEL_SIZE = 0.02
+_DENSE_CELLS_PER_POINT = 8  # the largest box _voxel_downsample bins densely
 _LOW, _HIGH = np.array(WORKSPACE_MIN), np.array(WORKSPACE_MAX)
 
 
@@ -32,7 +34,7 @@ class MaskedCloud:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).reshape(-1, 3)
-        if pts.size and not np.isfinite(pts).all():
+        if not math.isfinite(pts.sum()) and not np.isfinite(pts).all():  # the sum may overflow
             raise ValueError(f"non-finite points in cloud {self.camera_id}/{self.object_name}")
         self.points = pts
 
@@ -67,26 +69,34 @@ def _voxel_downsample(points: np.ndarray, voxel_size: float, owner=None):
     """One representative (cell mean) per occupied grid cell of each ``owner`` group
     (all 0 if omitted), and its owner, sorted by owner and then cell (x, y, z). The
     grid is anchored at the origin and a cell sums its points in input order, so a
-    group's representatives do not depend on the other groups."""
+    group's representatives do not depend on the other groups.
+
+    Each (owner, x, y, z) key gets one row-major code over the keys' bounding box;
+    ``np.bincount`` of the codes counts and sums the cells, in key order. A box of
+    more than ``_DENSE_CELLS_PER_POINT`` cells per point is numbered by ``np.unique``."""
     if voxel_size <= 0:
         raise ValueError(f"voxel_size must be positive, got {voxel_size}")
     if owner is None:
         owner = np.zeros(len(points), dtype=np.int64)
     keys = np.column_stack((owner, np.floor(points / voxel_size).astype(np.int64)))
-    # Number occupied cells in (owner, x, y, z) order: sort the rows and open a
-    # new cell wherever a sorted row differs from the one before it.
-    order = np.lexsort(keys.T[::-1])
-    sorted_keys = keys[order]
-    differs = sorted_keys[1:] != sorted_keys[:-1]
-    starts = np.ones(len(keys), dtype=bool)
-    starts[1:] = differs[:, 0] | differs[:, 1] | differs[:, 2] | differs[:, 3]  # .any(axis=1)
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(starts) - 1
-    n_cells = int(starts.sum())
-    sums = np.stack([np.bincount(inverse, weights=points[:, axis], minlength=n_cells)
+    if not len(keys):
+        return np.empty((0, 3)), keys[:, 0]
+    low = keys.min(axis=0)
+    spans = (keys.max(axis=0) - low + 1).tolist()
+    n_codes = math.prod(spans)  # a Python int: a sparse box's count may pass int64
+    if n_codes <= _DENSE_CELLS_PER_POINT * len(keys):
+        index = (keys - low) @ [spans[1] * spans[2] * spans[3], spans[2] * spans[3], spans[3], 1]
+        counts = np.bincount(index, minlength=n_codes)
+        occupied = counts.nonzero()[0]
+        owners = occupied // (n_codes // spans[0]) + low[0]
+    else:
+        cells, index = np.unique(keys, axis=0, return_inverse=True)
+        index = index.reshape(-1)  # 1-D under every numpy version
+        counts, occupied, owners = np.bincount(index), slice(None), cells[:, 0]
+        n_codes = len(cells)
+    sums = np.stack([np.bincount(index, weights=points[:, axis], minlength=n_codes)[occupied]
                      for axis in range(3)], axis=1)
-    counts = np.bincount(inverse, minlength=n_cells).astype(float)
-    return sums / counts[:, None], sorted_keys[starts, 0]
+    return sums / counts[occupied, None], owners
 
 
 def observe_groups(points: np.ndarray, owner: np.ndarray, labels) -> list:

@@ -14,14 +14,13 @@ from bimanual_icl.bench import (
     EpisodeResult,
     ObjectSpec,
     execute,
-    sample_box_surface,
     scripted_expert,
     spawn,
     spawn_many,
     synthetic_clouds,
 )
 from bimanual_icl.runner import generate_dataset, stable_seed
-from doubles import benchmark_clouds
+from doubles import benchmark_clouds, sample_box_surface
 
 
 def act(voxel, g):
@@ -256,9 +255,10 @@ class TestStorePathEqualsSpawn:
 
 def test_store_build_memory_is_bounded():
     """``dual_targets`` has the most objects, so the largest chunks. The traced peak
-    of its 100-scene store measured 1.26 MiB at 5 scenes per chunk and grows by
-    about 0.19 MiB per scene in a chunk (2.20 MiB at 10). The 1.5 MiB budget fails
-    a chunk of 7 scenes or more, before the benchmark's peak RSS would show it."""
+    of its 100-scene store measured 1.31 MiB at 5 scenes per chunk and grows by
+    about 0.2 MiB per scene in a chunk (1.41 MiB at 6, 1.64 at 7, 2.31 at 10). The
+    1.5 MiB budget fails a chunk of 7 scenes or more, before the benchmark's peak
+    RSS would show it."""
     generate_dataset("dual_targets", 1, 1234)  # per-task tables are built once
     tracemalloc.start()
     try:

@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bimanual_icl.actions import ARM_OFFSET, GRIPPER, WORKSPACE_MAX, WORKSPACE_MIN, devoxelize
-from bimanual_icl.bench import DEFAULT_TASKS, GRASP_RADIUS, EpisodeResult, execute, scripted_expert, spawn
+from bimanual_icl.bench import (
+    DEFAULT_TASKS,
+    GRASP_RADIUS,
+    EpisodeResult,
+    execute,
+    scripted_expert,
+    spawn,
+)
 
 
 def execute_reference(world, plan):
@@ -79,8 +86,8 @@ def recording_world(name, seed):
     task = DEFAULT_TASKS[name]
 
     def outcome(world, positions, attach_events):
-        seen.append((list(attach_events),
-                     {k: (type(v).__name__, np.asarray(v).dtype.str) for k, v in positions.items()}))
+        types = {k: (type(v).__name__, np.asarray(v).dtype.str) for k, v in positions.items()}
+        seen.append((list(attach_events), types))
         return task.outcome(world, positions, attach_events)
 
     world = spawn(task, seed)
@@ -165,7 +172,7 @@ def _episodes(draw):
     seed = draw(st.integers(min_value=0, max_value=10_000))
     world = spawn(DEFAULT_TASKS[name], seed)
     anchors = [world.action_voxel_of(spec.name) for spec in world.task.objects]
-    anchors += [(a[0] + 12, a[1], a[2]) for a in anchors] + [(a[0] - 12, a[1], a[2]) for a in anchors]
+    anchors += [(a[0] + dx, a[1], a[2]) for a in anchors for dx in (12, -12)]
     small = st.sampled_from((0, 0, 0, 1, -1, 2))
     near = st.tuples(st.sampled_from(anchors), small, small, st.sampled_from((0, 0, 1, -1, 8, 15)))
     near = near.map(lambda t: tuple(min(99, max(0, c + d)) for c, d in zip(t[0], t[1:])))

@@ -84,6 +84,20 @@ class TestGatewayAccounting:
             gw.complete_with_record(req("x"))
         assert log.records()[0].outcome == "transport_fail"
 
+    def test_other_backend_error_recorded_and_reraised(self):
+        error = OracleParseError("not a prompt")
+
+        def boom(r):
+            raise error
+
+        log = CallLog()
+        gw = ChatGateway(boom, log)
+        with pytest.raises(OracleParseError) as excinfo:
+            gw.complete_with_record(req("x", tag="lf:follower"), attempt=2)
+        assert excinfo.value is error
+        assert [(r.tag, r.attempt, r.outcome) for r in log.records()] == \
+            [("lf:follower", 2, "backend_fail")]
+
     def test_parsed_first_try(self):
         log = CallLog()
         gw = ChatGateway(lambda r: "[[1,2,3,4,5,6,1]]", log)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bimanual_icl.actions import voxelize
 from bimanual_icl.errors import EmptyObject, OutOfWorkspace
 from bimanual_icl.perception import (
+    _DENSE_CELLS_PER_POINT,
     MaskedCloud,
     _voxel_downsample,
     build_observation,
@@ -131,7 +132,61 @@ class TestVoxelDownsamplePerOwner:
         owner = np.random.default_rng(seed).integers(0, n_owners, size=len(points))
         representatives, rep_owner = _voxel_downsample(points, voxel_size, owner)
         assert (np.diff(rep_owner) >= 0).all()
-        for group in range(n_owners):
+        for group in range(owner.max() + 1):
+            alone, _ = _voxel_downsample(points[owner == group], voxel_size)
+            assert representatives[rep_owner == group].tobytes() == alone.tobytes()
+
+
+def _voxel_downsample_unique_owned(points, voxel_size, owner):
+    """``_voxel_downsample_unique`` with the owner as the leading key column."""
+    keys = np.column_stack((owner, np.floor(points / voxel_size).astype(np.int64)))
+    cells, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    sums = np.zeros((len(cells), 3))
+    np.add.at(sums, inverse, points)
+    return sums / np.bincount(inverse, minlength=len(cells))[:, None], cells[:, 0]
+
+
+@st.composite
+def _binning_cases(draw):
+    """Points of up to 20 owners (numbered from 0 to 3 up) in a key box of a drawn
+    shape, with as many points as put the box's cell count on the drawn side of the
+    dense-binning bound. The box's corners are occupied, so its shape is the one
+    drawn; which path bins the points is not observable, only that both agree."""
+    dense = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n_owners = draw(st.integers(min_value=1, max_value=20))
+    spans = draw(st.tuples(*[st.integers(min_value=1, max_value=12)] * 3))
+    cells = n_owners * spans[0] * spans[1] * spans[2]
+    bound = cells // _DENSE_CELLS_PER_POINT  # fewer points than this bins sparsely
+    if dense:
+        n = draw(st.integers(min_value=max(2, -(-cells // _DENSE_CELLS_PER_POINT)),
+                             max_value=max(2, -(-cells // _DENSE_CELLS_PER_POINT)) + 300))
+    else:
+        assume(bound >= 3)
+        n = draw(st.integers(min_value=2, max_value=min(400, bound - 1)))
+    corner = rng.integers(-60, 60, size=3)
+    key_cells = corner + rng.integers(0, spans, size=(n, 3))
+    first_owner = draw(st.integers(min_value=0, max_value=3))
+    owner = first_owner + rng.integers(0, n_owners, size=n)
+    key_cells[0], key_cells[1] = corner, corner + np.array(spans) - 1
+    owner[0], owner[1] = first_owner, first_owner + n_owners - 1
+    voxel_size = draw(st.sampled_from((0.02, 0.005)))
+    points = (key_cells + rng.uniform(0.1, 0.9, size=(n, 3))) * voxel_size
+    assert (n_owners * np.prod(spans) <= _DENSE_CELLS_PER_POINT * n) == dense
+    return points, voxel_size, owner
+
+
+class TestVoxelDownsampleDenseAndSparse:
+    @settings(max_examples=300)
+    @given(case=_binning_cases())
+    def test_matches_unique_and_each_owner_alone(self, case):
+        points, voxel_size, owner = case
+        representatives, rep_owner = _voxel_downsample(points, voxel_size, owner)
+        expected, expected_owner = _voxel_downsample_unique_owned(points, voxel_size, owner)
+        assert representatives.tobytes() == expected.tobytes()
+        assert rep_owner.tolist() == expected_owner.tolist()
+        for group in range(owner.max() + 1):
             alone, _ = _voxel_downsample(points[owner == group], voxel_size)
             assert representatives[rep_owner == group].tobytes() == alone.tobytes()
 

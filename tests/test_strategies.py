@@ -394,6 +394,16 @@ class TestOracleNamesADemoRowItCannotReplay:
         with pytest.raises(OracleParseError, match="^demo row holds (9|2) components"):
             run_strategy(kind, gw, [demo], {"ball": (1, 2, 4)})
 
+    def test_the_failed_call_is_recorded(self):
+        demo = Demonstration({"ball": (1, 2, 3)}, [(1, 2, 3, 4, 5, 6, 1, 7, 8)])
+        gw, log = oracle_gateway()
+        with pytest.raises(OracleParseError):
+            run_strategy("leader_follower", gw, [demo], {"ball": (1, 2, 4)})
+        records = log.records()
+        assert [(r.tag, r.outcome) for r in records] == [("lf:leader", "ok"),
+                                                         ("lf:follower", "backend_fail")]
+        assert records[1].attempt == 1 and records[1].completion_chars == 0
+
 
 class TestDispatch:
     def test_run_strategy_routes_all_kinds(self, two_demo_fixture):
