@@ -140,9 +140,9 @@ def _surface_points(cdfs, frames, uniforms, centers, noise):
     face is found as ``Generator.choice`` finds it, by a right-sided CDF search:
     the count of the box's CDF values at or below the point's face uniform."""
     faces = (cdfs.T[:, None, :, None] <= uniforms[:, :, 0]).sum(axis=0)
+    rows = faces + 6 * np.arange(len(cdfs))[:, None]
     # center + (fixed + u * along_u + v * along_v) + noise, in place and axis-major
     # (swapped operands round alike); u, v scaled as rng.uniform(-1.0, 1.0) does.
-    rows = faces + 6 * np.arange(len(cdfs))[:, None]
     fixed, along_u, along_v = frames
     points = along_u.take(rows, axis=1)
     points *= -1.0 + 2.0 * uniforms[:, :, 1]
@@ -327,8 +327,9 @@ def execute(world: World, plan) -> EpisodeResult:
             grippers[arm] = _cell_centre(action[base:base + 3])
         for name, held in holders.items():
             if held and (len(held) == 2 or name not in world.task.bimanual_objects):
+                # np.mean over the holders; sum() starts at 0, which no term (never -0.0) alters
                 moved = [[g + o for g, o in zip(grippers[arm], off)] for arm, off in held.items()]
-                positions[name] = [sum(axis) / len(moved) for axis in zip(*moved)]  # np.mean's
+                positions[name] = [sum(axis) / len(moved) for axis in zip(*moved)]
         for arm, base in ARM_OFFSET.items():
             bit = action[base + GRIPPER]
             was = prev_bits.get(arm, 1)
@@ -345,11 +346,11 @@ def execute(world: World, plan) -> EpisodeResult:
                     attach_events.append((step, arm, name))
             prev_bits[arm] = bit
 
-    final = {name: np.array(pos) for name, pos in positions.items()}
-    reason = world.task.outcome(world, final, attach_events)
+    arrays = {name: np.array(pos) for name, pos in positions.items()}
+    reason = world.task.outcome(world, arrays, attach_events)
     if reason and not attach_events:  # every task fails alike when nothing was grasped
         reason = "no_contact"
-    final = {name: tuple(pos) for name, pos in final.items()}
+    final = {name: tuple(pos) for name, pos in arrays.items()}
     return EpisodeResult(success=reason is None, final_positions=final, reason=reason or "")
 
 
