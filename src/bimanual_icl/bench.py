@@ -74,8 +74,11 @@ class World:
         executed (cell-center) position sits within half a cell of the true
         target; the floor-based observation quantizer is biased low.
         """
-        return tuple(min(99, max(0, int(round((p - lo) / (hi - lo) * 100.0 - 0.5))))
-                     for p, lo, hi in zip(self.positions[name], WORKSPACE_MIN, WORKSPACE_MAX))
+        out = []
+        for p, lo, hi in zip(self.positions[name], WORKSPACE_MIN, WORKSPACE_MAX):
+            frac = (p - lo) / (hi - lo)
+            out.append(min(99, max(0, int(round(frac * 100.0 - 0.5)))))
+        return tuple(out)
 
 
 @dataclass
@@ -153,6 +156,21 @@ def _surface_points(cdfs, frames, uniforms, centers, noise):
     points += centers.transpose(2, 0, 1)[..., None]
     points += noise.transpose(3, 0, 1, 2)
     return points.transpose(1, 2, 3, 0)
+
+
+def sample_box_surface(rng, center, half_extent, n, sigma, face_weights=None):
+    """n points over an axis-aligned box surface, plus Gaussian noise.
+
+    Faces are drawn by area unless ``face_weights`` (6 values, order
+    +x, -x, +y, -y, +z, -z) skews the density, as a camera with a biased
+    viewpoint would. Draws exactly what ``rng.choice(6, n, p=weights)``
+    would, then u, v and the noise.
+    """
+    cdf, frames = _box_tables(half_extent, face_weights)
+    block, noise = _draw_surface(rng, n, sigma)
+    center = np.asarray(center, dtype=float).reshape(1, 1, 3)
+    return _surface_points(cdf[None], frames, block.reshape(1, 1, 3, n), center,
+                           noise.reshape(1, 1, n, 3))[0, 0]
 
 
 @functools.cache

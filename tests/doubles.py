@@ -13,7 +13,7 @@ import threading
 import numpy as np
 
 from bimanual_icl.actions import ARM_OFFSET
-from bimanual_icl.bench import _box_tables, _draw_surface, _surface_points
+from bimanual_icl.bench import sample_box_surface
 from bimanual_icl.errors import TransportError
 from bimanual_icl.gateway import ChatRequest, _translated, request_fingerprint
 from bimanual_icl.perception import MaskedCloud
@@ -88,22 +88,6 @@ class NoisyArmBackend:
         ).digest()
         delta = [1 if digest[i] % 2 else -1 for i in range(3)]
         return render_action_list([_translated(a, delta) for a in parse_completion(text, arity=7)])
-
-
-def sample_box_surface(rng, center, half_extent, n, sigma, face_weights=None):
-    """n points over an axis-aligned box surface, plus Gaussian noise, through the
-    package's draw and geometry routines (the store and spawn paths use them).
-
-    Faces are drawn by area unless ``face_weights`` (6 values, order
-    +x, -x, +y, -y, +z, -z) skews the density, as a camera with a biased
-    viewpoint would. Draws exactly what ``rng.choice(6, n, p=weights)``
-    would, then u, v and the noise.
-    """
-    cdf, frames = _box_tables(half_extent, face_weights)
-    block, noise = _draw_surface(rng, n, sigma)
-    center = np.asarray(center, dtype=float).reshape(1, 1, 3)
-    return _surface_points(cdf[None], frames, block.reshape(1, 1, 3, n), center,
-                           noise.reshape(1, 1, n, 3))[0, 0]
 
 
 def benchmark_clouds(rng, center, half_extent=(0.05, 0.05, 0.05), sigma=0.005):

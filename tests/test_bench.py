@@ -14,13 +14,14 @@ from bimanual_icl.bench import (
     EpisodeResult,
     ObjectSpec,
     execute,
+    sample_box_surface,
     scripted_expert,
     spawn,
     spawn_many,
     synthetic_clouds,
 )
 from bimanual_icl.runner import generate_dataset, stable_seed
-from doubles import benchmark_clouds, sample_box_surface
+from doubles import benchmark_clouds
 
 
 def act(voxel, g):

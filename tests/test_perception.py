@@ -13,6 +13,7 @@ from bimanual_icl.perception import (
     extract_centroid,
     nearest_demo_index,
     observation_l1,
+    observe_groups,
 )
 from doubles import benchmark_clouds, centroid_error
 
@@ -132,7 +133,7 @@ class TestVoxelDownsamplePerOwner:
         owner = np.random.default_rng(seed).integers(0, n_owners, size=len(points))
         representatives, rep_owner = _voxel_downsample(points, voxel_size, owner)
         assert (np.diff(rep_owner) >= 0).all()
-        for group in range(owner.max() + 1):
+        for group in range(n_owners):
             alone, _ = _voxel_downsample(points[owner == group], voxel_size)
             assert representatives[rep_owner == group].tobytes() == alone.tobytes()
 
@@ -189,6 +190,20 @@ class TestVoxelDownsampleDenseAndSparse:
         for group in range(owner.max() + 1):
             alone, _ = _voxel_downsample(points[owner == group], voxel_size)
             assert representatives[rep_owner == group].tobytes() == alone.tobytes()
+
+    def test_a_box_wider_than_int64_is_binned(self):
+        """Finite points at +-1e17 span 10**19 cells of 0.02 on each axis, past
+        int64: they are binned as the reference bins them, and a scene of them is
+        outside the workspace."""
+        points = np.array([[-1e17] * 3, [1e17] * 3, [1e17] * 3, [0.2, 0.0, 1.0]])
+        owner = np.array([0, 0, 1, 1])
+        representatives, rep_owner = _voxel_downsample(points, 0.02, owner)
+        expected, expected_owner = _voxel_downsample_unique_owned(points, 0.02, owner)
+        assert representatives.tobytes() == expected.tobytes()
+        assert rep_owner.tolist() == expected_owner.tolist()
+        assert extract_centroid([cloud("a", "obj", points[:2])], strategy="prune") == (0, 0, 0)
+        with pytest.raises(OutOfWorkspace, match="object 'e0'"):
+            observe_groups(points, owner, [("e0", "obj"), ("e1", "item")])
 
 
 def build_observation_per_object(object_clouds):
