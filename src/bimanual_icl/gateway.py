@@ -12,11 +12,14 @@ on the episode's thread; ``HttpBackend`` and plain callables fan out.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import threading
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
+from urllib.parse import urlsplit, urlunsplit
 
 from .actions import ARM_DIM
 from .errors import (
@@ -84,33 +87,50 @@ class CallLog:
         with self._lock:
             return list(self._records)
 
-    def count(self, tag_prefix: str | None = None) -> int:
+    def count(self, tag_prefix: str = "") -> int:
         with self._lock:
-            if tag_prefix is None:
-                return len(self._records)
             return sum(1 for r in self._records if r.tag.startswith(tag_prefix))
 
 
-def __getattr__(name):
-    """Import ``requests`` on first use (PEP 562): only the HTTP backend needs it."""
-    if name != "requests":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import requests
+def _post(url: str, payload, headers: dict, timeout: float) -> SimpleNamespace:
+    """POST ``payload`` as JSON on its own connection; the reply reads like a ``requests`` one."""
+    import http.client  # HttpBackend() loaded it, so offline runs never import it
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https"):
+        raise TransportError(f"unsupported URL scheme in {url}")
+    connection = (http.client.HTTPSConnection if parts.scheme == "https"
+                  else http.client.HTTPConnection)(parts.netloc, timeout=timeout)
+    started = time.perf_counter()
+    try:
+        connection.request("POST", urlunsplit(("", "", parts.path or "/", parts.query, "")),
+                           json.dumps(payload, allow_nan=False).encode("utf-8"), headers)
+        reply = connection.getresponse()
+        body = reply.read()
+    except TimeoutError as exc:
+        raise RequestTimeoutError(f"no response from {url} within {timeout} s",
+                                  elapsed_ms=_elapsed_ms(started)) from exc
+    except (OSError, http.client.HTTPException) as exc:
+        raise TransportError(f"request to {url} failed: {exc}") from exc
+    finally:
+        connection.close()
+    return SimpleNamespace(status_code=reply.status, headers=reply.headers,
+                           text=body.decode("utf-8", "replace"),
+                           json=lambda: json.loads(body.decode("utf-8")))
 
-    return globals().setdefault("requests", requests)  # a module bound already stays
+
+requests = SimpleNamespace(post=_post)  # the name perfbench's tracer wraps, until ROADMAP item 4b
 
 
 class HttpBackend:
-    """Chat-completions HTTP client: POST {model, messages, temperature}.
+    """Chat-completions HTTP client: POST {model, messages, temperature}, one connection a call.
 
-    Reads the bearer token from ``api_key_env`` at call time; the response
-    text is taken from ``choices[0].message.content``, which must be a string.
-    Construction loads ``requests``, so the first call does not pay for it.
+    Reads the bearer token from ``api_key_env`` at call time and returns the string at
+    ``choices[0].message.content``. Construction loads ``http.client``.
     """
 
     def __init__(self, url: str, model: str, api_key_env: str = "OPENAI_API_KEY",
                  timeout: float = 60.0):
-        __getattr__("requests")  # load it here rather than in the first call
+        import http.client  # noqa: F401 -- load it here rather than in the first call
         self.url = url
         self.model = model
         self.api_key_env = api_key_env
@@ -129,17 +149,8 @@ class HttpBackend:
             ],
             "temperature": req.temperature,
         }
-        started = time.perf_counter()
-        try:
-            resp = requests.post(self.url, json=payload, headers=headers, timeout=self.timeout)
-        except requests.Timeout as exc:
-            elapsed = int((time.perf_counter() - started) * 1000)
-            raise RequestTimeoutError(
-                f"no response from {self.url} after {elapsed} ms", elapsed_ms=elapsed
-            ) from exc
-        except requests.RequestException as exc:
-            raise TransportError(f"request to {self.url} failed: {exc}") from exc
-        if resp.status_code >= 400:
+        resp = requests.post(self.url, payload, headers, self.timeout)
+        if resp.status_code >= 300:
             raise TransportError(f"HTTP {resp.status_code} from {self.url}: {resp.text[:200]}")
         try:
             content = resp.json()["choices"][0]["message"]["content"]
@@ -267,7 +278,6 @@ class ChatGateway:
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         attempts = []
-        last_error = None
         for attempt in range(1, max_retries + 2):
             text, record = self.complete_with_record(req, attempt=attempt)
             attempts.append(record)

@@ -61,12 +61,13 @@ class StubChatHandler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length)) if length else {}
+        raw = self.rfile.read(length)
         self.server.requests.append({
             "path": self.path,
             "auth": self.headers.get("Authorization"),
             "content_type": self.headers.get("Content-Type"),
-            "body": body,
+            "body": json.loads(raw) if length else {},
+            "raw": raw,
         })
         mode = self.server.mode
         if mode == "ok":

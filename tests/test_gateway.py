@@ -194,31 +194,46 @@ def run_python(code: str) -> str:
 
 _HTTP_MODULES = ("; print(sorted(m for m in sys.modules "
                  "if m.split('.')[0] in ('requests', 'urllib3')))")
+# requests and urllib3 with every submodule, and the standard library's client.
+_HTTP_STACK = ("; print(sorted(m for m in sys.modules if m.split('.')[0] in "
+               "('requests', 'urllib3') or m in ('http.client', 'ssl')))")
+
+_OFFLINE_PATHS = [
+    "import sys, bimanual_icl",
+    "import sys, bimanual_icl.cli",
+    "import sys; from bimanual_icl.runner import RunConfig, run_experiment; "
+    "run_experiment(RunConfig(tasks=['handover'], strategies=['single_agent', 'best_of_n'], "
+    "episodes=1, store_size=4, n_demos=2, n_candidates=2))",
+]
+_BUILD_HTTP = ("import sys; from bimanual_icl.gateway import ChatRequest, HttpBackend; "
+               "backend = HttpBackend(URL, 'm')")
 
 
 class TestRequestsLoadsOnlyForHttp:
-    @pytest.mark.parametrize("code", [
-        "import sys, bimanual_icl",
-        "import sys, bimanual_icl.cli",
-        "import sys; from bimanual_icl.runner import RunConfig, run_experiment; "
-        "run_experiment(RunConfig(tasks=['handover'], strategies=['single_agent', 'best_of_n'], "
-        "episodes=1, store_size=4, n_demos=2, n_candidates=2))",
-    ])
+    @pytest.mark.parametrize("code", _OFFLINE_PATHS)
     def test_offline_paths_leave_requests_unloaded(self, code):
         assert run_python(code + _HTTP_MODULES) == "[]"
 
-    def test_constructing_the_http_backend_loads_requests(self):
-        code = ("import sys; from bimanual_icl.gateway import HttpBackend; "
-                "loaded = 'requests' in sys.modules; "
-                "HttpBackend('http://127.0.0.1:9/v1/chat/completions', 'm'); "
-                "print(loaded, 'requests' in sys.modules)")
-        assert run_python(code) == "False True"
 
-    def test_gateway_requests_resolves_to_the_module(self):
-        code = ("import sys; from bimanual_icl import gateway; "
-                "print(gateway.requests is sys.modules['requests'], "
-                "hasattr(gateway, 'no_such_name'))")
-        assert run_python(code) == "True False"
+class TestNoPathLoadsRequests:
+    @pytest.mark.parametrize("code, loaded", [
+        *((code, "[]") for code in _OFFLINE_PATHS),
+        (_BUILD_HTTP, "['http.client', 'ssl']"),
+        (_BUILD_HTTP + "; assert backend(ChatRequest('s', 'u')) == '[[1, 2, 3, 4, 5, 6, 1]]'",
+         "['http.client', 'ssl']"),
+    ], ids=["package", "cli", "oracle-grid", "build-http-backend", "http-call"])
+    def test_only_the_http_backend_loads_the_standard_library_client(self, stub_server, code,
+                                                                     loaded):
+        url = f"http://127.0.0.1:{stub_server.server_address[1]}/v1/chat/completions"
+        assert run_python(code.replace("URL", repr(url)) + _HTTP_STACK) == loaded
+        assert len(stub_server.requests) == code.count("backend(ChatRequest")
+
+    def test_installing_the_tracer_loads_no_http_client(self):
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        code = (f"import sys; sys.path.insert(0, {str(perfbench)!r}); import spans; "
+                "spans.Tracer().install(); from bimanual_icl import gateway; "
+                "assert isinstance(gateway.requests, spans._RequestsProxy)")
+        assert run_python(code + _HTTP_STACK) == "[]"
 
 
 class TestOracleRunStaysOnOneThread:

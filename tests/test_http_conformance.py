@@ -4,7 +4,14 @@ Everything runs against a loopback HTTP server; the suite makes no
 external network calls.
 """
 
+import contextlib
+import gc
+import json
+import re
+import socket
+import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -76,3 +83,125 @@ class TestFailureModes:
                               timeout=0.5)
         with pytest.raises(TransportError):
             backend(REQ)
+
+
+class CannedReplyHandler(BaseHTTPRequestHandler):
+    """Answers every POST with the server's ``canned`` (status, headers, body)."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        status, headers, body = self.server.canned
+        self.send_response(status)
+        for name, value in {"Content-Length": str(len(body)), **headers}.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def canned_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), CannedReplyHandler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=2)
+
+
+def closed_port() -> int:
+    """A loopback port that nothing listens on (bound once, then released)."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+class TestStandardLibraryTransport:
+    def test_body_bytes_are_the_payload_json(self, stub_server):
+        req = ChatRequest(system="sé", user="{'a': [1]}> →", temperature=0.25)
+        backend_for(stub_server)(req)
+        payload = {
+            "model": "test-model",
+            "messages": [
+                {"role": "system", "content": req.system},
+                {"role": "user", "content": req.user},
+            ],
+            "temperature": 0.25,
+        }
+        assert stub_server.requests[0]["raw"] == json.dumps(payload, allow_nan=False).encode()
+
+    @pytest.mark.parametrize("path, sent", [
+        ("/v1/chat/completions?api-version=2024-06-01&x=a%20b",
+         "/v1/chat/completions?api-version=2024-06-01&x=a%20b"),
+        ("/deploy/chat#fragment", "/deploy/chat"),
+        ("", "/"),
+        ("?q=1", "/?q=1"),
+    ])
+    def test_path_and_query_reach_the_server(self, stub_server, path, sent):
+        port = stub_server.server_address[1]
+        HttpBackend(f"http://127.0.0.1:{port}{path}", model="m", timeout=5.0)(REQ)
+        assert stub_server.requests[0]["path"] == sent
+
+    def test_https_to_a_closed_port_is_a_transport_error(self):
+        backend = HttpBackend(f"https://127.0.0.1:{closed_port()}/v1/chat/completions",
+                              model="m", timeout=2.0)
+        with pytest.raises(TransportError):
+            backend(REQ)
+
+    def test_https_to_a_plain_http_server_is_a_transport_error(self, stub_server):
+        port = stub_server.server_address[1]
+        backend = HttpBackend(f"https://127.0.0.1:{port}/v1/chat/completions", model="m",
+                              timeout=2.0)
+        with pytest.raises(TransportError):
+            backend(REQ)
+        assert stub_server.requests == []
+
+    def test_unsupported_scheme_names_the_url(self):
+        url = "ftp://127.0.0.1/v1/chat/completions"
+        with pytest.raises(TransportError, match=f"scheme in {re.escape(url)}"):
+            HttpBackend(url, model="m")(REQ)
+
+    @pytest.mark.parametrize("status", [302, 307, 300])
+    def test_a_redirect_is_not_followed(self, canned_server, stub_server, status):
+        target = f"http://127.0.0.1:{stub_server.server_address[1]}/v1/chat/completions"
+        canned_server.canned = (status, {"Location": target}, b"")
+        with pytest.raises(TransportError, match=f"HTTP {status} "):
+            backend_for(canned_server)(REQ)
+        assert stub_server.requests == []
+
+    @pytest.mark.parametrize("body", [
+        b'{"choices": [{"message": {"content": "caf\xe9"}}]}',  # Latin-1, not UTF-8
+        b"\xff\xfe[]",
+        b"not json",
+        b"",
+        b'{"choices": [{"message": {"content": "[[1, 2, 3, 4, 5, 6, 1]]"}}]',  # cut short
+    ])
+    def test_a_body_that_is_not_utf8_json_is_malformed(self, canned_server, body):
+        canned_server.canned = (200, {"Content-Type": "application/json"}, body)
+        with pytest.raises(TransportError, match="malformed"):
+            backend_for(canned_server)(REQ)
+
+    def test_a_short_read_is_a_transport_error(self, canned_server):
+        canned_server.canned = (200, {"Content-Length": "999"}, b"{}")  # then the server closes
+        with pytest.raises(TransportError):
+            backend_for(canned_server, timeout=2.0)(REQ)
+
+    def test_no_call_leaves_a_socket_open(self, stub_server, canned_server):
+        """conftest turns ResourceWarning into an error, so a socket dropped without
+        close() fails this test when the collection below finalizes it."""
+        for mode in ("ok", "error", "malformed", "slow"):
+            stub_server.mode = mode
+            with contextlib.suppress(TransportError):
+                backend_for(stub_server, timeout=0.2)(REQ)
+        canned_server.canned = (302, {"Location": "/"}, b"")
+        for backend in (backend_for(canned_server),
+                        HttpBackend(f"http://127.0.0.1:{closed_port()}/", model="m"),
+                        HttpBackend(f"https://127.0.0.1:{closed_port()}/", model="m"),
+                        HttpBackend(f"https://127.0.0.1:{stub_server.server_address[1]}/",
+                                    model="m", timeout=2.0)):
+            with pytest.raises(TransportError):
+                backend(REQ)
+        gc.collect()
