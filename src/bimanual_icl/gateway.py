@@ -154,7 +154,7 @@ class HttpBackend:
             raise TransportError(f"HTTP {resp.status_code} from {self.url}: {resp.text[:200]}")
         try:
             content = resp.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise TransportError(f"malformed chat response: {resp.text[:200]}") from exc
         if not isinstance(content, str):
             raise TransportError(f"chat response carries no text content: {resp.text[:200]}")

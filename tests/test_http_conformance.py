@@ -178,8 +178,9 @@ class TestStandardLibraryTransport:
         b"not json",
         b"",
         b'{"choices": [{"message": {"content": "[[1, 2, 3, 4, 5, 6, 1]]"}}]',  # cut short
-    ])
-    def test_a_body_that_is_not_utf8_json_is_malformed(self, canned_server, body):
+        b"[" * 100_000,  # deeper than the decoder recurses
+    ], ids=["latin-1", "utf-16-bom", "text", "empty", "truncated", "too-deep"])
+    def test_a_body_that_is_not_usable_json_is_malformed(self, canned_server, body):
         canned_server.canned = (200, {"Content-Type": "application/json"}, body)
         with pytest.raises(TransportError, match="malformed"):
             backend_for(canned_server)(REQ)
