@@ -114,17 +114,14 @@ _CAMERA_COLUMNS = np.concatenate([3 * r.start + np.arange(3 * (r.stop - r.start)
                                   for r in _CAMERA_ROWS], axis=1)
 
 
-def _box_tables(half_extent, face_weights=None):
-    """A box's face CDF and its face frames, scaled by the half extents, as
-    (fixed, along u, along v) x axis x face."""
+def _box_tables(half_extent):
+    """A box's face CDF, by face area, and its face frames, scaled by the half
+    extents, as (fixed, along u, along v) x axis x face."""
     hx, hy, hz = half_extent
-    if face_weights is None:
-        weights = np.array([hy * hz, hy * hz, hx * hz, hx * hz, hx * hy, hx * hy], dtype=float)
-    else:
-        weights = np.asarray(face_weights, dtype=float)
+    weights = np.array([hy * hz, hy * hz, hx * hz, hx * hz, hx * hy, hx * hy], dtype=float)
     total = weights.sum()
-    if weights.shape != (6,) or not ((weights >= 0).all() and 0 < total < np.inf):
-        raise ValueError(f"face weights must be 6 finite numbers >= 0, not all 0: {weights}")
+    if not ((weights >= 0).all() and 0 < total < np.inf):
+        raise ValueError(f"half extents {half_extent} give no face areas to draw from: {weights}")
     cdf = (weights / total).cumsum()
     cdf /= cdf[-1]
     return cdf, (_FACE_FRAMES * [hx, hy, hz]).transpose(0, 2, 1)
@@ -156,21 +153,6 @@ def _surface_points(cdfs, frames, uniforms, centers, noise):
     points += centers.transpose(2, 0, 1)[..., None]
     points += noise.transpose(3, 0, 1, 2)
     return points.transpose(1, 2, 3, 0)
-
-
-def sample_box_surface(rng, center, half_extent, n, sigma, face_weights=None):
-    """n points over an axis-aligned box surface, plus Gaussian noise.
-
-    Faces are drawn by area unless ``face_weights`` (6 values, order
-    +x, -x, +y, -y, +z, -z) skews the density, as a camera with a biased
-    viewpoint would. Draws exactly what ``rng.choice(6, n, p=weights)``
-    would, then u, v and the noise.
-    """
-    cdf, frames = _box_tables(half_extent, face_weights)
-    block, noise = _draw_surface(rng, n, sigma)
-    center = np.asarray(center, dtype=float).reshape(1, 1, 3)
-    return _surface_points(cdf[None], frames, block.reshape(1, 1, 3, n), center,
-                           noise.reshape(1, 1, n, 3))[0, 0]
 
 
 @functools.cache

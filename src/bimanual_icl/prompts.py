@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import threading
 from dataclasses import dataclass
 from itertools import chain
@@ -45,7 +46,6 @@ _JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"?|[\[\]{}]', re.DOTALL)  # a string 
 # a bracket, a string, then a character that may not follow it: the string ends where the
 # decoder's would, or the decoder finds it invalid, so no JSON value starts at the bracket
 _STRING_THEN_STRAY = re.compile(r'[\[{]\s*"(?:[^"\\]|\\.)*"\s*[^\s,:\]}]', re.DOTALL)
-_DEEP_LEVELS = 64
 _WINDOW = 1024  # characters _decode_at first decodes a value from
 _CUT_REACH = 16  # a value cut by the window fails this close to the cut: '-Infinit' is 8 long
 _TRAILING_COMMA = re.compile(r",\s*]")
@@ -262,10 +262,12 @@ def json_values(text: str):
     still open at e would fail at e too (a nested value decodes the same in
     any context), so it is not tried again. Nor is a bracket whose first item
     is a string followed by a character that may not follow it, such as a
-    bracket inside a string of '["[", ["[", '. A value nested too deep for
-    the decoder is skipped with the brackets open in its first 64 levels.
+    bracket inside a string of '["[", ["[", '. When a decode runs out of
+    recursion, the text is read to the end of that value once: a bracket left
+    open at the end of the text, or whose value nests more levels than the
+    recursion limit, is not tried again.
     """
-    failed = set()
+    failed, read = set(), set()
     for match in _OPENING.finditer(text):
         start = match.start()
         if start in failed or _STRING_THEN_STRAY.match(text, start):
@@ -273,9 +275,10 @@ def json_values(text: str):
         try:
             value = _decode_at(text, start)
         except json.JSONDecodeError as exc:
-            failed.update(_open_brackets(text, start, start + exc.pos))
+            failed.update(_failing_brackets(text, start, start + exc.pos, read))
         except RecursionError:
-            failed.update(_open_brackets(text, start, len(text), _DEEP_LEVELS))
+            if start not in read:  # else that read marked the brackets of this value
+                failed.update(_failing_brackets(text, start, len(text), read))
         except ValueError:  # e.g. an integer too long to convert
             pass
         else:
@@ -301,18 +304,25 @@ def _decode_at(text: str, start: int):
         size *= 2
 
 
-def _open_brackets(text: str, start: int, end: int, levels: float = float("inf")):
-    """Positions of the brackets still open at ``end``, or once more than ``levels``
-    are open, when ``text[start:end]`` is read as the valid start of one JSON value."""
-    stack = []
+def _failing_brackets(text: str, start: int, end: int, read: set):
+    """Positions of brackets whose values cannot decode, found by reading ``text[start:end]``
+    as the valid start of one JSON value, up to that value's end: the brackets still open
+    where the read stops, and those whose values nest more levels than the recursion limit
+    (the decoder spends a level of it per bracket). Adds every bracket read to ``read``."""
+    limit, stack, failed, marked = sys.getrecursionlimit(), [], [], 0
     for token in _JSON_TOKEN.finditer(text, start, end):
         if token.group() in ("[", "{"):
             stack.append(token.start())
-            if len(stack) > levels:
-                break
+            read.add(token.start())
+            if len(stack) - marked > limit:  # stack[i] holds len(stack) - i levels
+                failed.append(stack[marked])
+                marked += 1
         elif token.group() in ("]", "}"):
             stack.pop()
-    return stack
+            if not stack:
+                break
+            marked = min(marked, len(stack))
+    return failed + stack[marked:]
 
 
 def _is_row(value) -> bool:

@@ -1,8 +1,4 @@
-import json
 import tempfile
-import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -54,62 +50,12 @@ def make_demo(entries, arm_waypoints):
     return Demonstration(observation=dict(entries), actions=actions)
 
 
-class StubChatHandler(BaseHTTPRequestHandler):
-    """Loopback chat-completions stub; behavior switched via server.mode."""
-
-    server_version = "StubChat/0.1"
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length)
-        self.server.requests.append({
-            "path": self.path,
-            "auth": self.headers.get("Authorization"),
-            "content_type": self.headers.get("Content-Type"),
-            "body": json.loads(raw) if length else {},
-            "raw": raw,
-        })
-        mode = self.server.mode
-        if mode == "ok":
-            payload = {
-                "id": "stub-1",
-                "choices": [{"index": 0, "message": {"role": "assistant",
-                                                     "content": "[[1, 2, 3, 4, 5, 6, 1]]"}}],
-            }
-            self._respond(200, json.dumps(payload).encode("utf-8"))
-        elif mode == "error":
-            self._respond(503, json.dumps({"error": {"message": "overloaded"}}).encode("utf-8"))
-        elif mode == "slow":
-            time.sleep(1.0)
-            self._respond(200, b"{}")
-        elif mode == "malformed":
-            self._respond(200, b'{"choices": []}')
-
-    def _respond(self, status, data):
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client gave up (timeout tests); nothing to report
-
-    def log_message(self, *args):
-        pass
-
-
 @pytest.fixture
 def stub_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), StubChatHandler)
-    server.requests = []
-    server.mode = "ok"
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=2)
+    from doubles import LoopbackChatServer  # test_leak_filter runs this file without doubles.py
+
+    with LoopbackChatServer() as server:
+        yield server
 
 
 @pytest.fixture

@@ -37,7 +37,7 @@ from bimanual_icl.runner import RunConfig, run_experiment, run_strategy, stable_
 from bimanual_icl.strategies import StrategyConfig
 
 from conftest import make_demo
-from doubles import FlakyBackend, NoisyArmBackend, benchmark_clouds, centroid_error
+from doubles import CANNED_REPLIES, FlakyBackend, NoisyArmBackend, benchmark_clouds, centroid_error
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -268,15 +268,15 @@ def test_criterion_8_http_conformance(stub_server, monkeypatch):
         assert sent["body"]["temperature"] == 0.5
         assert [m["role"] for m in sent["body"]["messages"]] == ["system", "user"]
 
-        stub_server.mode = "error"
+        stub_server.reply = CANNED_REPLIES["error"]
         with pytest.raises(TransportError):
             backend(req)
 
-        stub_server.mode = "slow"
+        stub_server.reply = CANNED_REPLIES["slow"]
         fast = HttpBackend(url, model="m", api_key_env="ACCEPT_KEY", timeout=0.2)
         with pytest.raises(RequestTimeoutError):
             fast(req)
-        stub_server.mode = "ok"
+        stub_server.reply = CANNED_REPLIES["ok"]
 
 
 def test_criterion_9_determinism(tmp_path):

@@ -13,15 +13,15 @@ from bimanual_icl.bench import (
     SCENE_CHUNK,
     EpisodeResult,
     ObjectSpec,
+    _box_tables,
     execute,
-    sample_box_surface,
     scripted_expert,
     spawn,
     spawn_many,
     synthetic_clouds,
 )
 from bimanual_icl.runner import generate_dataset, stable_seed
-from doubles import benchmark_clouds
+from doubles import benchmark_clouds, sample_box_surface
 
 
 def act(voxel, g):
@@ -331,6 +331,17 @@ def test_invalid_face_weights_raise(weights):
     with pytest.raises(ValueError, match="face weights"):
         sample_box_surface(np.random.default_rng(0), (0.0, 0.0, 1.0), (0.1, 0.1, 0.1), 10, 0.0,
                            face_weights=weights)
+
+
+@pytest.mark.parametrize("half_extent", [
+    (0.0, 0.0, 0.1),
+    (-0.1, 0.1, 0.1),
+    (float("nan"), 0.1, 0.1),
+    (float("inf"), 0.1, 0.1),
+])
+def test_a_box_without_face_areas_to_draw_from_raises(half_extent):
+    with pytest.raises(ValueError, match="no face areas"):
+        _box_tables(half_extent)
 
 
 SPAWN_DIGEST = "2fcd6217cdc6181186f9b9ca9fb015eb435e3ff65146c489ad39da253f550d64"

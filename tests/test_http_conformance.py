@@ -9,14 +9,13 @@ import gc
 import json
 import re
 import socket
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from bimanual_icl.errors import RequestTimeoutError, TransportError
 from bimanual_icl.gateway import ChatRequest, HttpBackend
+from doubles import CANNED_REPLIES, CannedReply, LoopbackChatServer
 
 
 def backend_for(server, **kwargs):
@@ -58,12 +57,12 @@ class TestRequestMapping:
 
 class TestFailureModes:
     def test_http_error_propagates(self, stub_server):
-        stub_server.mode = "error"
+        stub_server.reply = CANNED_REPLIES["error"]
         with pytest.raises(TransportError, match="503"):
             backend_for(stub_server)(REQ)
 
     def test_timeout_raises_with_elapsed(self, stub_server):
-        stub_server.mode = "slow"
+        stub_server.reply = CANNED_REPLIES["slow"]
         backend = backend_for(stub_server, timeout=0.2)
         started = time.perf_counter()
         with pytest.raises(RequestTimeoutError) as excinfo:
@@ -74,7 +73,7 @@ class TestFailureModes:
         assert excinfo.value.elapsed_ms >= 150
 
     def test_malformed_response_is_transport_error(self, stub_server):
-        stub_server.mode = "malformed"
+        stub_server.reply = CANNED_REPLIES["malformed"]
         with pytest.raises(TransportError, match="malformed"):
             backend_for(stub_server)(REQ)
 
@@ -83,33 +82,6 @@ class TestFailureModes:
                               timeout=0.5)
         with pytest.raises(TransportError):
             backend(REQ)
-
-
-class CannedReplyHandler(BaseHTTPRequestHandler):
-    """Answers every POST with the server's ``canned`` (status, headers, body)."""
-
-    def do_POST(self):
-        self.rfile.read(int(self.headers.get("Content-Length", 0)))
-        status, headers, body = self.server.canned
-        self.send_response(status)
-        for name, value in {"Content-Length": str(len(body)), **headers}.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def canned_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), CannedReplyHandler)
-    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=2)
 
 
 def closed_port() -> int:
@@ -165,12 +137,13 @@ class TestStandardLibraryTransport:
             HttpBackend(url, model="m")(REQ)
 
     @pytest.mark.parametrize("status", [302, 307, 300])
-    def test_a_redirect_is_not_followed(self, canned_server, stub_server, status):
-        target = f"http://127.0.0.1:{stub_server.server_address[1]}/v1/chat/completions"
-        canned_server.canned = (status, {"Location": target}, b"")
-        with pytest.raises(TransportError, match=f"HTTP {status} "):
-            backend_for(canned_server)(REQ)
-        assert stub_server.requests == []
+    def test_a_redirect_is_not_followed(self, stub_server, status):
+        with LoopbackChatServer() as target:
+            location = f"http://127.0.0.1:{target.server_address[1]}/v1/chat/completions"
+            stub_server.reply = CannedReply(status, {"Location": location}, b"")
+            with pytest.raises(TransportError, match=f"HTTP {status} "):
+                backend_for(stub_server)(REQ)
+            assert target.requests == []
 
     @pytest.mark.parametrize("body", [
         b'{"choices": [{"message": {"content": "caf\xe9"}}]}',  # Latin-1, not UTF-8
@@ -180,25 +153,25 @@ class TestStandardLibraryTransport:
         b'{"choices": [{"message": {"content": "[[1, 2, 3, 4, 5, 6, 1]]"}}]',  # cut short
         b"[" * 100_000,  # deeper than the decoder recurses
     ], ids=["latin-1", "utf-16-bom", "text", "empty", "truncated", "too-deep"])
-    def test_a_body_that_is_not_usable_json_is_malformed(self, canned_server, body):
-        canned_server.canned = (200, {"Content-Type": "application/json"}, body)
+    def test_a_body_that_is_not_usable_json_is_malformed(self, stub_server, body):
+        stub_server.reply = CannedReply(200, {"Content-Type": "application/json"}, body)
         with pytest.raises(TransportError, match="malformed"):
-            backend_for(canned_server)(REQ)
+            backend_for(stub_server)(REQ)
 
-    def test_a_short_read_is_a_transport_error(self, canned_server):
-        canned_server.canned = (200, {"Content-Length": "999"}, b"{}")  # then the server closes
+    def test_a_short_read_is_a_transport_error(self, stub_server):
+        stub_server.reply = CannedReply(200, {"Content-Length": "999"}, b"{}")  # then it closes
         with pytest.raises(TransportError):
-            backend_for(canned_server, timeout=2.0)(REQ)
+            backend_for(stub_server, timeout=2.0)(REQ)
 
-    def test_no_call_leaves_a_socket_open(self, stub_server, canned_server):
+    def test_no_call_leaves_a_socket_open(self, stub_server):
         """conftest turns ResourceWarning into an error, so a socket dropped without
         close() fails this test when the collection below finalizes it."""
         for mode in ("ok", "error", "malformed", "slow"):
-            stub_server.mode = mode
+            stub_server.reply = CANNED_REPLIES[mode]
             with contextlib.suppress(TransportError):
                 backend_for(stub_server, timeout=0.2)(REQ)
-        canned_server.canned = (302, {"Location": "/"}, b"")
-        for backend in (backend_for(canned_server),
+        stub_server.reply = CannedReply(302, {"Location": "/"}, b"")
+        for backend in (backend_for(stub_server),
                         HttpBackend(f"http://127.0.0.1:{closed_port()}/", model="m"),
                         HttpBackend(f"https://127.0.0.1:{closed_port()}/", model="m"),
                         HttpBackend(f"https://127.0.0.1:{stub_server.server_address[1]}/",

@@ -388,6 +388,47 @@ class TestJsonValues:
         text = "[" * 5_000 + " [[1, 2, 3, 4, 5, 6, 1]]"
         assert parse_completion(text, arity=7) == ((1, 2, 3, 4, 5, 6, 1),)
 
+    @pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a": [', "]}")])
+    def test_values_near_the_decoders_depth_limit_are_kept(self, opening, closing):
+        # the levels the decoder reaches shrink as the call stack grows, so the limit is
+        # measured here and only values nesting 10 or more levels below it are compared
+        limit = _decodable_levels()
+        text = opening * (limit + 20) + closing * (limit + 20)
+        expected = [n for n in map(_levels, reference_json_values(text)) if n <= limit - 10]
+        kept = [n for n in map(_levels, prompts.json_values(text)) if n <= limit - 10]
+        assert kept == expected
+        assert expected[0] == limit - 10
+
+    @pytest.mark.parametrize("text", ['["[", ' * 40_000, "[" * 100_000])
+    def test_a_too_deep_reply_is_not_decoded_level_by_level(self, text):
+        # the first decode runs out of recursion, and reading on to the end of the text
+        # finds every bracket left open there
+        with mock.patch.object(prompts, "_decode_at", wraps=prompts._decode_at) as decode:
+            assert list(prompts.json_values(text)) == []
+        assert decode.call_count < 10
+
+
+def _levels(value):
+    """How many lists and objects nest along a value's first items."""
+    levels = 0
+    while isinstance(value, (list, dict)):
+        levels += 1
+        value = next(iter(value.values() if isinstance(value, dict) else value), None)
+    return levels
+
+
+def _decodable_levels():
+    """The most levels of nested lists the decoder reads when called from here."""
+    low, high = 1, sys.getrecursionlimit()
+    while low < high:
+        mid = (low + high + 1) // 2
+        try:
+            json.JSONDecoder().raw_decode("[" * mid + "]" * mid)
+            low = mid
+        except RecursionError:
+            high = mid - 1
+    return low
+
 
 class TestPromptBundleInvariants:
     def test_requires_continuation_marker(self):
