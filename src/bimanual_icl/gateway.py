@@ -35,7 +35,7 @@ from .prompts import (
     JUDGE_SYSTEM,
     parse_completion,
     parse_judge_prompt,
-    read_prompt,
+    parse_prompt,
     render_action_list,
 )
 
@@ -178,10 +178,9 @@ def oracle_nearest_demo(req: ChatRequest) -> str:
     Picks the in-prompt demo ``perception.nearest_demo_index`` picks (partner
     entries excluded), shifts every action's position components by the
     rounded per-object mean voxel offset, and copies rotation bins and
-    gripper bits verbatim. It reads the prompt through ``read_prompt``, so
-    it takes the component tables' values in place and changes none of them.
+    gripper bits verbatim.
     """
-    demos, (test_entries, _) = read_prompt(req.user)
+    demos, (test_entries, _) = parse_prompt(req.user)
     if not demos:
         raise OracleParseError("prompt contains no demonstrations")
     demo_entries, _, actions = demos[nearest_demo_index(demos, test_entries)]

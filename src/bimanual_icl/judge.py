@@ -29,6 +29,8 @@ ZONE_VIOLATION_STEPS = 3
 JUDGE_MODES = ("rubric", "llm")
 
 _CHECK_VALUE = re.compile(r"^\s*([+-]?\d+)(?!\.\d)")
+# the verdict's checks in JSON order, each with the values it may take
+VERDICT_CHECKS = {"check1": (1, -1), "check2": (1, -1), "check3": (0, -1), "check4": (0, -1)}
 
 
 @dataclass(frozen=True)
@@ -147,12 +149,7 @@ def parse_verdict(text: str) -> JudgeVerdict:
         raise JudgeParseError(f"no JSON object found in verdict: {text[:120]!r}")
     checks = []
     reasons = {}
-    for key, allowed in (
-        ("check1", (1, -1)),
-        ("check2", (1, -1)),
-        ("check3", (0, -1)),
-        ("check4", (0, -1)),
-    ):
+    for key, allowed in VERDICT_CHECKS.items():
         raw = payload.get(key)
         if raw is None:
             raise JudgeParseError(f"verdict missing {key}")
@@ -176,20 +173,12 @@ def parse_verdict(text: str) -> JudgeVerdict:
 def verdict_to_json(verdict: JudgeVerdict) -> str:
     """Render a verdict in the exact JSON schema the llm judge must emit."""
 
-    def check_str(value: int, key: str) -> str:
-        reason = verdict.reasons.get(key, "")
+    def check_str(key: str) -> str:
+        value, reason = getattr(verdict, key), verdict.reasons.get(key, "")
         prefix = str(value) if value == 0 else f"{value:+d}"
         return f"{prefix}: {reason}" if reason else prefix
 
-    return json.dumps(
-        {
-            "check1": check_str(verdict.check1, "check1"),
-            "check2": check_str(verdict.check2, "check2"),
-            "check3": check_str(verdict.check3, "check3"),
-            "check4": check_str(verdict.check4, "check4"),
-            "score": verdict.score,
-        }
-    )
+    return json.dumps({**{key: check_str(key) for key in VERDICT_CHECKS}, "score": verdict.score})
 
 
 class PlanJudge:

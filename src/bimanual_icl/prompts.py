@@ -18,18 +18,19 @@ output: they decode a prompt, render the result again and reject any text
 that does not come back byte for byte. The renderers record each text and
 its value in a bounded table per component, observations and action lists,
 that the parsers read before they decode: a backend in the renderer's
-process decodes nothing. ``parse_prompt`` hands every caller fresh copies;
-the scripted oracle reads the tables' values in place through ``read_prompt``.
+process decodes nothing. The tables' values are read-only mappings and tuples,
+so the parsers return them as they are.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import sys
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .actions import ARM_DIM, ARM_OFFSET, OTHER_ARM, _is_integer, check_action
@@ -52,23 +53,21 @@ _TRAILING_COMMA = re.compile(r",\s*]")
 
 TABLE_CAPACITY = 512  # texts per table; a store holds 100 observations, 300 lists per task
 _TABLE_LOCK = threading.Lock()
-_OBSERVATIONS, _ACTION_LISTS = {}, {}  # text -> name -> voxel dict; text -> action tuples
+_OBSERVATIONS, _ACTION_LISTS = {}, {}  # text -> read-only voxel map; text -> action tuples
 
-SINGLE_ARM_SYSTEM = (
-    "You are the {arm} arm of a bimanual Franka Panda robot with parallel grippers.\n"
+ARM_SYSTEM = (
+    "You are {} of a bimanual Franka Panda robot with parallel grippers.\n"
     "We provide you with some demos in the format of observation>[action_1, action_2, ...].\n"
     "Then you will receive a new observation and you need to output a list of actions "
     "that matches the trend in the demos.\n"
     "Do not output anything else."
 )
 
-BOTH_ARMS_SYSTEM = (
-    "You are both arms of a bimanual Franka Panda robot with parallel grippers.\n"
-    "We provide you with some demos in the format of observation>[action_1, action_2, ...].\n"
-    "Then you will receive a new observation and you need to output a list of actions "
-    "that matches the trend in the demos.\n"
-    "Do not output anything else."
-)
+
+def arm_system(arm: str) -> str:
+    """``ARM_SYSTEM`` for the arm a prompt asks for: right, left or both."""
+    return ARM_SYSTEM.format("both arms" if arm == "both" else f"the {arm} arm")
+
 
 JUDGE_SYSTEM = """You are a strict judge evaluating bimanual robot action plans.
 
@@ -143,7 +142,7 @@ def serialize_observation(obs: dict, partner=None) -> str:
     text = "{" + ", ".join(f"'{name}': {voxel}" for name, voxel in voxels.items()) + "}"
     if text not in _OBSERVATIONS and all(isinstance(n, str) and n.isidentifier() and len(v) == 3
                                          and n not in PARTNER_KEYS for n, v in voxels.items()):
-        _record(_OBSERVATIONS, text, {n: tuple(v) for n, v in voxels.items()})
+        _record(_OBSERVATIONS, text, MappingProxyType({n: tuple(v) for n, v in voxels.items()}))
     if partner is not None:
         text = _with_partner(text, partner[0], render_action_list(partner[1]))
     return text
@@ -196,9 +195,8 @@ def build_single_prompt(demos, test_obs: dict, arm_filter: str = "both") -> Prom
     if arm_filter not in ARM_FILTERS:
         raise ValueError(f"unknown arm filter {arm_filter!r}")
     pairs = [(demo.texts["observation"], demo.texts[arm_filter]) for demo in demos]
-    system = BOTH_ARMS_SYSTEM if arm_filter == "both" else SINGLE_ARM_SYSTEM.format(arm=arm_filter)
     return PromptBundle(
-        system_text=system,
+        system_text=arm_system(arm_filter),
         user_text=_demo_pairs(pairs, serialize_observation(test_obs)),
         role="single" if arm_filter == "both" else "leader",
         arm=arm_filter,
@@ -229,7 +227,7 @@ def build_conditioned_prompt(demos, test_obs: dict, *, target_arm: str,
         for demo in demos
     ]
     return PromptBundle(
-        system_text=SINGLE_ARM_SYSTEM.format(arm=target_arm),
+        system_text=arm_system(target_arm),
         user_text=_demo_pairs(pairs, serialize_observation(test_obs, (partner_key, partner_pred))),
         role="follower" if partner_key == "leader_arm" else "leader",
         arm=target_arm,
@@ -265,7 +263,9 @@ def json_values(text: str):
     bracket inside a string of '["[", ["[", '. When a decode runs out of
     recursion, the text is read to the end of that value once: a bracket left
     open at the end of the text, or whose value nests more levels than the
-    recursion limit, is not tried again.
+    decoder reaches, is not tried again. That reach is found by a binary search
+    over decodes of nested lists, about log2 of the deepest closed value's levels
+    of them, made only when a bracket of the value read closes.
     """
     failed, read = set(), set()
     for match in _OPENING.finditer(text):
@@ -275,10 +275,22 @@ def json_values(text: str):
         try:
             value = _decode_at(text, start)
         except json.JSONDecodeError as exc:
-            failed.update(_failing_brackets(text, start, start + exc.pos, read))
+            # a bracket closed before the failure was decoded on the way there
+            failed.update(_read_value(text, start, start + exc.pos, read)[0])
         except RecursionError:
             if start not in read:  # else that read marked the brackets of this value
-                failed.update(_failing_brackets(text, start, len(text), read))
+                left_open, closed = _read_value(text, start, len(text), read)
+                # the levels a decode from this frame reaches, searched here and not in a
+                # helper: before CPython 3.12 each frame on the stack costs a level of it
+                reach, deepest = 0, max(closed.values(), default=0)
+                while reach < deepest:
+                    mid = (reach + deepest + 1) // 2
+                    try:
+                        _decode_at("[" * mid + "]" * mid, 0)
+                        reach = mid
+                    except RecursionError:
+                        deepest = mid - 1
+                failed.update(left_open, [at for at, nested in closed.items() if nested > reach])
         except ValueError:  # e.g. an integer too long to convert
             pass
         else:
@@ -304,25 +316,24 @@ def _decode_at(text: str, start: int):
         size *= 2
 
 
-def _failing_brackets(text: str, start: int, end: int, read: set):
-    """Positions of brackets whose values cannot decode, found by reading ``text[start:end]``
-    as the valid start of one JSON value, up to that value's end: the brackets still open
-    where the read stops, and those whose values nest more levels than the recursion limit
-    (the decoder spends a level of it per bracket). Adds every bracket read to ``read``."""
-    limit, stack, failed, marked = sys.getrecursionlimit(), [], [], 0
+def _read_value(text: str, start: int, end: int, read: set):
+    """Read ``text[start:end]`` as the valid start of one JSON value, up to that value's
+    end. Returns the brackets still open where the read stops, and a map from each
+    bracket closed before to the levels its value nests (the decoder spends a level of
+    its reach per bracket). Adds every bracket read to ``read``."""
+    stack, levels, closed = [], [], {}
     for token in _JSON_TOKEN.finditer(text, start, end):
         if token.group() in ("[", "{"):
             stack.append(token.start())
+            levels.append(1)
             read.add(token.start())
-            if len(stack) - marked > limit:  # stack[i] holds len(stack) - i levels
-                failed.append(stack[marked])
-                marked += 1
         elif token.group() in ("]", "}"):
-            stack.pop()
+            nested = levels.pop()
+            closed[stack.pop()] = nested
             if not stack:
                 break
-            marked = min(marked, len(stack))
-    return failed + stack[marked:]
+            levels[-1] = max(levels[-1], nested + 1)
+    return stack, closed
 
 
 def _is_row(value) -> bool:
@@ -366,13 +377,13 @@ def parse_completion(text: str, arity: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _observation(text: str):
-    """An observation text without partner entry as a name -> voxel dict that only
-    ``_fresh``'s copies leave: its table entry, or else decoded and checked, and
-    recorded by the check's render when the renderer records such texts."""
+    """An observation text without partner entry as a read-only name -> voxel map: its
+    table entry, or else decoded and checked, and recorded by the check's render when
+    the renderer records such texts."""
     entries = _OBSERVATIONS.get(text)
     if entries is None:
-        entries = {name: tuple(map(int, voxel))
-                   for name, voxel in json.loads(text.replace("'", '"')).items()}
+        entries = MappingProxyType({name: tuple(map(int, voxel))
+                                    for name, voxel in json.loads(text.replace("'", '"')).items()})
         if (serialize_observation(entries) != text
                 or any(name in PARTNER_KEYS or len(voxel) != 3 for name, voxel in entries.items())):
             raise ValueError("observation is not byte-identical renderer output")
@@ -412,7 +423,7 @@ def _parse_components(segment: str, pair: bool):
         actions = _action_list(actions_text) if pair else ()
         if pair and not actions:
             raise ValueError("a demo's action list is empty")
-        # built as _fresh builds its copies
+        # tuple.__new__ is as cheap as a plain tuple, unlike ParsedDemo's Python __new__
         return tuple.__new__(ParsedDemo, (_observation(base_text), partner, actions))
     # AttributeError: an observation that is not an object
     except (ValueError, TypeError, OverflowError, RecursionError, AttributeError) as exc:
@@ -423,26 +434,9 @@ class ParsedDemo(NamedTuple):
     """One parsed ``obs>actions`` segment, equal to the plain ``(entries, partner,
     actions)`` tuple; the judge's rubric reads it as a ``Demonstration``."""
 
-    observation: dict
+    observation: Mapping  # read-only name -> voxel map
     partner: tuple | None  # (key, action tuples) of a partner entry
-    actions: list  # the table's tuple of rows when read by read_prompt
-
-
-def _fresh(entries, partner, actions):
-    """Mutable copies of a table's values, so no caller can change the tables. Built by
-    ``tuple.__new__``, as cheap as a plain tuple, rather than ParsedDemo's Python ``__new__``."""
-    copies = (entries.copy(), partner and (partner[0], list(partner[1])), list(actions))
-    return tuple.__new__(ParsedDemo, copies)
-
-
-def read_prompt(text: str, with_trailing_test: bool = True):
-    """``parse_prompt`` without its copies: each ``ParsedDemo`` and the test entry
-    hold the component tables' own values (dicts and tuples), which a caller reads
-    and must not mutate. The scripted oracle reads its prompts this way."""
-    segments = text.split(", {")
-    segments[1:] = ["{" + segment for segment in segments[1:]]
-    test = _parse_components(segments.pop(), pair=False)[:2] if with_trailing_test else None
-    return [_parse_components(segment, pair=True) for segment in segments], test
+    actions: tuple  # action tuples
 
 
 def parse_prompt(text: str, with_trailing_test: bool = True):
@@ -454,10 +448,13 @@ def parse_prompt(text: str, with_trailing_test: bool = True):
     after its last action list and ``test`` is ``None``. The body is split
     before each ``{``, which opens only an observation; each segment must
     render back byte for byte, and its observation and action lists go
-    through the component tables. Every value returned is a fresh copy.
+    through the component tables. The values are the tables' own, and none
+    of them can change: no caller alters what the next parse returns.
     """
-    demos, test = read_prompt(text, with_trailing_test)
-    return [_fresh(*demo) for demo in demos], test and _fresh(*test, ())[:2]
+    segments = text.split(", {")
+    segments[1:] = ["{" + segment for segment in segments[1:]]
+    test = _parse_components(segments.pop(), pair=False)[:2] if with_trailing_test else None
+    return [_parse_components(segment, pair=True) for segment in segments], test
 
 
 def parse_judge_prompt(text: str):

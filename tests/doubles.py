@@ -21,7 +21,7 @@ from bimanual_icl.bench import _box_tables, _draw_surface, _surface_points
 from bimanual_icl.errors import TransportError
 from bimanual_icl.gateway import ChatRequest, _translated, request_fingerprint
 from bimanual_icl.perception import MaskedCloud
-from bimanual_icl.prompts import SINGLE_ARM_SYSTEM, parse_completion, parse_prompt, render_action_list
+from bimanual_icl.prompts import arm_system, parse_completion, parse_prompt, render_action_list
 
 
 class ScriptedBackend:
@@ -84,7 +84,7 @@ class NoisyArmBackend:
 
     def __call__(self, req: ChatRequest) -> str:
         text = self.inner(req)
-        if req.system != SINGLE_ARM_SYSTEM.format(arm=self.arm):
+        if req.system != arm_system(self.arm):
             return text
         _, (entries, _) = parse_prompt(req.user)
         digest = hashlib.md5(

@@ -1,4 +1,3 @@
-import copy
 import json
 import random
 import re
@@ -6,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections.abc import Mapping
 from pathlib import Path
 from unittest import mock
 
@@ -399,6 +399,17 @@ class TestJsonValues:
         assert kept == expected
         assert expected[0] == limit - 10
 
+    def test_values_deeper_than_the_recursion_limit_are_kept_where_the_decoder_reaches(self):
+        # from CPython 3.12 on the decoder's levels count against a limit of their own, and
+        # it reads values nested deeper than sys.getrecursionlimit(); a limit reported below
+        # the decoder's reach stands in for that here
+        levels = _decodable_levels() - 20
+        text = "[" * 3_000 + "[" * levels + "7" + "]" * levels
+        expected = list(reference_json_values(text))
+        with mock.patch.object(sys, "getrecursionlimit", return_value=levels // 2):
+            assert list(prompts.json_values(text)) == expected
+        assert len(expected) == levels
+
     @pytest.mark.parametrize("text", ['["[", ' * 40_000, "[" * 100_000])
     def test_a_too_deep_reply_is_not_decoded_level_by_level(self, text):
         # the first decode runs out of recursion, and reading on to the end of the text
@@ -466,8 +477,8 @@ def _parsed_pair(obs, actions):
 
 def _arm_tuples(actions, arm):
     if arm == "both":
-        return list(actions)
-    return [a[ARM_OFFSET[arm]:ARM_OFFSET[arm] + 7] for a in actions]
+        return tuple(actions)
+    return tuple(a[ARM_OFFSET[arm]:ARM_OFFSET[arm] + 7] for a in actions)
 
 
 def _assert_truncations_rejected(text, cut):
@@ -533,7 +544,7 @@ class TestParsePromptRoundTrip:
             for d in demos
         ]
         assert parsed_test == (test_obs,
-                               (partner_key, list(partner_pred)))
+                               (partner_key, tuple(partner_pred)))
         _assert_truncations_rejected(text, cut)
         _assert_garbles_rejected(text)
 
@@ -678,7 +689,7 @@ def _reference_segment(segment, pair):
     tail = render_action_list(actions) if pair else ""
     if f"{serialize_observation(entries, partner)}>{tail}" != segment:
         raise OracleParseError("prompt is not byte-identical renderer output")
-    return entries, partner and (partner[0], list(partner[1])), list(actions)
+    return entries, partner, actions
 
 
 def reference_parse_prompt(text, with_trailing_test=True):
@@ -766,6 +777,26 @@ class TestComponentParserAgreesWithSegmentParser:
             parse_prompt(text)
 
 
+def _containers(value):
+    """value and every mapping, tuple and list inside it, depth first."""
+    if isinstance(value, (Mapping, tuple, list)):
+        yield value
+        for item in value.values() if isinstance(value, Mapping) else value:
+            yield from _containers(item)
+
+
+# every way a dict or a list could be changed in place
+_MUTATIONS = [
+    lambda value: value.__setitem__(next(iter(value), 0), (0, 0, 0)),
+    lambda value: value.__delitem__(next(iter(value), 0)),
+    lambda value: value.clear(),
+    lambda value: value.update({"ball": (0, 0, 0)}),
+    lambda value: value.pop(),
+    lambda value: value.append((9,) * 7),
+    lambda value: value.extend([(9,) * 7]),
+]
+
+
 def _in_threads(work, count=8):
     """``work()`` from ``count`` threads released together, switching every microsecond."""
     results, barrier = [None] * count, threading.Barrier(count, timeout=10)
@@ -821,16 +852,22 @@ class TestComponentTables:
             assert decode.call_count == 3  # the patch sees each decode: 2 observations, 1 list
 
     def test_mutating_a_parse_leaves_the_next_one_unchanged(self, two_demo_fixture):
-        text = build_follower_prompt(*two_demo_fixture, [(1, 2, 3, 4, 5, 6, 1)]).user_text
-        expected = parse_prompt(text)
-        demos, (entries, partner) = parse_prompt(text)
-        for demo_entries, demo_partner, actions in demos:
-            demo_entries["ball"] = (0, 0, 0)
-            demo_partner[1].clear()
-            actions.append((9,) * 7)
-        entries.clear()
-        partner[1].clear()
-        assert parse_prompt(text) == expected
+        demos, test_obs = two_demo_fixture
+        for parse, text in (
+                (parse_prompt, build_follower_prompt(demos, test_obs,
+                                                     [(1, 2, 3, 4, 5, 6, 1)]).user_text),
+                (parse_judge_prompt, build_judge_prompt(demos, test_obs,
+                                                        demos[1].actions).user_text)):
+            expected, tables = parse(text), _typed_tables()
+            parsed_demos, test = parse(text)
+            values = list(_containers((*parsed_demos, test)))
+            assert len(values) > 10
+            for value in values:
+                for mutate in _MUTATIONS:
+                    with pytest.raises((TypeError, AttributeError)):
+                        mutate(value)
+            assert _typed_tables() == tables
+            assert parse(text) == expected
 
     def test_threads_agree_with_a_serial_parse_while_the_tables_evict(self, two_demo_fixture,
                                                                        monkeypatch):
@@ -1025,10 +1062,10 @@ class TestOracleReadsTheTablesInPlace:
         else:
             bundle = build_single_prompt(demos, test_obs, arm_filter=kind)
         request = ChatRequest(system=bundle.system_text, user=bundle.user_text)
-        before = copy.deepcopy([prompts._OBSERVATIONS, prompts._ACTION_LISTS])
+        before = _typed_tables()
         reply = OracleBackend()(request)
         # the reply's own render may add its text; every value already there is unchanged
-        after = [{**table} for table in (prompts._OBSERVATIONS, prompts._ACTION_LISTS)]
+        after = _typed_tables()
         if reply not in before[1]:
             after[1].pop(reply, None)
         assert after == before
