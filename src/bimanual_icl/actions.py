@@ -111,11 +111,33 @@ def devoxelize(voxel) -> tuple[float, float, float]:
     Centers advance in steps of span/100 while the quantizer's cells are
     span/99 wide, so devoxelize(voxelize(p)) drifts low by up to
     (v + 50.5)/9900 of the span per axis (under 0.015 everywhere), and
-    voxelize(devoxelize(v)) = v holds exactly for v <= 49.
+    voxelize(devoxelize(v)) = v holds exactly for v <= 49. Three exact ints
+    in range are looked up in ``_CENTRE_TABLE``; any other voxel is checked.
     """
+    if len(voxel) == 3:
+        x, y, z = voxel
+        if type(x) is type(y) is type(z) is int and x in _GRID and y in _GRID and z in _GRID:
+            xs, ys, zs = _CENTRE_TABLE
+            return xs[x], ys[y], zs[z]
     _check_integers(voxel, VOXELS_PER_AXIS, "voxel component")
+    return _centres(voxel)
+
+
+def _centres(voxel):
     return tuple(lo + (v + 0.5) / VOXELS_PER_AXIS * (hi - lo)
                  for v, lo, hi in zip(voxel, WORKSPACE_MIN, WORKSPACE_MAX))
+
+
+_GRID = range(VOXELS_PER_AXIS)
+_CENTRE_TABLE = tuple(zip(*(_centres((v, v, v)) for v in _GRID)))  # [axis][index]
+
+
+def nearest_voxel(position) -> tuple[int, int, int]:
+    """The voxel whose ``devoxelize`` center is nearest ``position``, clamped into the
+    grid: the experts' encoder, as voxelize's floor would bias the executed center low."""
+    cells = (round((p - lo) / (hi - lo) * VOXELS_PER_AXIS - 0.5)
+             for p, lo, hi in zip(map(float, position), WORKSPACE_MIN, WORKSPACE_MAX))
+    return tuple(min(VOXELS_PER_AXIS - 1, max(0, v)) for v in cells)
 
 
 def _euler_xyz(x, y, z, w) -> tuple[float, float, float]:

@@ -20,11 +20,12 @@ from typing import Callable
 
 import numpy as np
 
-from .actions import ARM_OFFSET, GRIPPER, VOXELS_PER_AXIS, WORKSPACE_MAX, WORKSPACE_MIN, devoxelize
+from .actions import (ARM_OFFSET, GRIPPER, VOXELS_PER_AXIS, WORKSPACE_MAX, WORKSPACE_MIN,
+                      devoxelize, nearest_voxel)
 from .demos import Demonstration
 from .perception import MaskedCloud, build_observation, observe_groups
 
-GRASP_RADIUS = 2.0 / 100.0  # 2 voxels, in meters at unit axis span
+GRASP_RADIUS = 2.0 / VOXELS_PER_AXIS  # 2 voxels, in meters at unit axis span
 NOMINAL_ROT = (36, 36, 0)
 TABLE_Z = 25
 
@@ -45,7 +46,7 @@ class ObjectSpec:
 
     def __post_init__(self):
         for lo, hi in self.region:
-            if not (0 <= lo <= hi <= 99):
+            if not (0 <= lo <= hi <= VOXELS_PER_AXIS - 1):
                 raise ValueError(f"spawn region {self.region} outside the voxel grid")
 
 
@@ -66,19 +67,6 @@ class World:
     task: TaskSpec
     positions: dict  # name -> np.ndarray(3,) meters at spawn; execute() copies them
     observation: dict  # name -> voxel triple, as build_observation returns it
-
-    def action_voxel_of(self, name: str):
-        """Voxel whose devoxelized center is nearest the object's true position.
-
-        Experts encode waypoints with this instead of voxelize() so that the
-        executed (cell-center) position sits within half a cell of the true
-        target; the floor-based observation quantizer is biased low.
-        """
-        out = []
-        for p, lo, hi in zip(self.positions[name], WORKSPACE_MIN, WORKSPACE_MAX):
-            frac = (p - lo) / (hi - lo)
-            out.append(min(99, max(0, int(round(frac * 100.0 - 0.5)))))
-        return tuple(out)
 
 
 @dataclass
@@ -159,14 +147,14 @@ def _surface_points(cdfs, frames, uniforms, centers, noise):
 def _scene_tables(objects):
     """The spawn regions' low corners and extents (k x 3 each) and the objects'
     stacked ``_box_tables``."""
-    bounds = []
+    bounds, top = [], VOXELS_PER_AXIS - 1
     for spec in objects:
         for (vlo, vhi), lo, hi in zip(spec.region, WORKSPACE_MIN, WORKSPACE_MAX):
             # Uniform over the region's continuous extent: the quantizer's
-            # cell v covers [v/99, (v+1)/99) of the axis span.
+            # cell v covers [v, v + 1) / top of the axis span.
             span = hi - lo
-            high = lo + (vhi + 1) / 99.0 * span if vhi < 99 else hi
-            bounds.append((lo + vlo / 99.0 * span, high))
+            high = lo + (vhi + 1) / top * span if vhi < top else hi
+            bounds.append((lo + vlo / top * span, high))
     low, high = np.array(bounds).reshape(len(objects), 3, 2).transpose(2, 0, 1)
     cdfs, frames = zip(*(_box_tables(spec.half_extent) for spec in objects))
     return low, high - low, np.stack(cdfs), np.concatenate(frames, axis=2)
@@ -230,7 +218,7 @@ def spawn_many(task: TaskSpec, seeds):
 
 def _act(voxel, gripper):
     """One arm's 7-int action: the voxel clamped into the grid, nominal rotation."""
-    return (*(min(99, max(0, int(v))) for v in voxel), *NOMINAL_ROT, gripper)
+    return (*(min(VOXELS_PER_AXIS - 1, max(0, int(v))) for v in voxel), *NOMINAL_ROT, gripper)
 
 
 def _shift(voxel, dx=0, dy=0, dz=0):
@@ -238,7 +226,7 @@ def _shift(voxel, dx=0, dy=0, dz=0):
 
 
 def _expert_lift_sym(world: World):
-    c = world.action_voxel_of("tray")
+    c = nearest_voxel(world.positions["tray"])
     w = 12  # grasp-face offset; keeps the arms at 24 voxels separation
     rp, lp = _shift(c, dx=w), _shift(c, dx=-w)
     return [
@@ -250,8 +238,8 @@ def _expert_lift_sym(world: World):
 
 
 def _expert_handover(world: World):
-    p = world.action_voxel_of("item")
-    d = world.action_voxel_of("dropzone")
+    p = nearest_voxel(world.positions["item"])
+    d = nearest_voxel(world.positions["dropzone"])
     meet = (50, 50, p[2] + 10)
     hold = _act(meet, 0)
     wait_open = _act(meet, 1)
@@ -269,8 +257,8 @@ def _expert_handover(world: World):
 
 
 def _expert_dual_targets(world: World):
-    rb, rt = world.action_voxel_of("red_block"), world.action_voxel_of("red_target")
-    bb, bt = world.action_voxel_of("blue_block"), world.action_voxel_of("blue_target")
+    rb, rt, bb, bt = (nearest_voxel(world.positions[name])
+                      for name in ("red_block", "red_target", "blue_block", "blue_target"))
     return [
         _act(_shift(rb, dz=8), 1) + _act(_shift(bb, dz=8), 1),
         _act(rb, 1) + _act(bb, 1),
@@ -283,8 +271,8 @@ def _expert_dual_targets(world: World):
 
 
 def _expert_drawer_item(world: World):
-    h = world.action_voxel_of("handle")
-    i = world.action_voxel_of("item")
+    h = nearest_voxel(world.positions["handle"])
+    i = nearest_voxel(world.positions["item"])
     ho = _shift(h, dy=-12)  # handle position once the drawer is pulled open
     return [
         _act(_shift(i, dz=8), 1) + _act(_shift(h, dz=6), 1),
@@ -314,7 +302,7 @@ def execute(world: World, plan) -> EpisodeResult:
     is ``np.linalg.norm``'s, and the outcome test is handed numpy arrays."""
     plan = tuple(plan)
     if not plan:
-        return EpisodeResult(False, dict(world.positions), reason="empty_plan")
+        return EpisodeResult(False, {n: tuple(p) for n, p in world.positions.items()}, "empty_plan")
 
     positions = {name: pos.tolist() for name, pos in world.positions.items()}
     grippers = {}
@@ -324,7 +312,7 @@ def execute(world: World, plan) -> EpisodeResult:
 
     for step, action in enumerate(plan):
         for arm, base in ARM_OFFSET.items():
-            grippers[arm] = _cell_centre(action[base:base + 3])
+            grippers[arm] = devoxelize(action[base:base + 3])
         for name, held in holders.items():
             if held and (len(held) == 2 or name not in world.task.bimanual_objects):
                 # np.mean over the holders; sum() starts at 0, which no term (never -0.0) alters
@@ -354,20 +342,7 @@ def execute(world: World, plan) -> EpisodeResult:
     return EpisodeResult(success=reason is None, final_positions=final, reason=reason or "")
 
 
-# devoxelize's centre of cell v on each axis, at index v
-_CELLS = range(VOXELS_PER_AXIS)
-_CENTRES_X, _CENTRES_Y, _CENTRES_Z = zip(*(devoxelize((v, v, v)) for v in _CELLS))
 _SPAN = [hi - lo for lo, hi in zip(WORKSPACE_MIN, WORKSPACE_MAX)]
-
-
-def _cell_centre(voxel):
-    """``devoxelize(voxel)`` in Python floats; a voxel that is not three exact ints
-    in range goes through ``devoxelize``, which raises as it always has."""
-    if len(voxel) == 3:
-        x, y, z = voxel
-        if type(x) is type(y) is type(z) is int and x in _CELLS and y in _CELLS and z in _CELLS:
-            return [_CENTRES_X[x], _CENTRES_Y[y], _CENTRES_Z[z]]
-    return [float(c) for c in devoxelize(voxel)]
 
 
 def _nearest_graspable(world: World, positions, gripper_pos):
@@ -377,7 +352,7 @@ def _nearest_graspable(world: World, positions, gripper_pos):
         if not spec.graspable:
             continue
         for offset in spec.grasp_offsets:
-            offset_world = [o / 100.0 * s for o, s in zip(offset, _SPAN)]
+            offset_world = [o / VOXELS_PER_AXIS * s for o, s in zip(offset, _SPAN)]
             gap = [p + o - g for p, o, g in zip(positions[spec.name], offset_world, gripper_pos)]
             dist = float(np.linalg.norm(gap))
             if dist <= GRASP_RADIUS + 1e-9 and (best_dist is None or dist < best_dist):

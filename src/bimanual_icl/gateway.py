@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from urllib.parse import urlsplit, urlunsplit
 
-from .actions import ARM_DIM
+from .actions import ARM_DIM, VOXELS_PER_AXIS
 from .errors import (
     CompletionError,
     ConfigError,
@@ -202,11 +202,11 @@ def _translated(action, delta) -> tuple[int, ...]:
     a row of any other length is an OracleParseError."""
     if len(action) not in (ARM_DIM, 2 * ARM_DIM):
         raise OracleParseError(f"demo row holds {len(action)} components, not 7 or 14")
-    moved = list(action)
+    moved, top = list(action), VOXELS_PER_AXIS - 1
     for base in range(0, len(moved), ARM_DIM):
         for axis, d in enumerate(delta):
             v = moved[base + axis] + d
-            moved[base + axis] = v if 0 <= v <= 99 else (0 if v < 0 else 99)
+            moved[base + axis] = v if 0 <= v <= top else (0 if v < 0 else top)
     return tuple(moved)
 
 

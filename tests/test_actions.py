@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from bimanual_icl.actions import (
     check_action,
     devoxelize,
     discretize_pose,
+    nearest_voxel,
     unbin_rotation,
     voxelize,
 )
@@ -94,6 +96,73 @@ class TestVoxelize:
             assert all(0 <= c <= 99 for c in v)
             bumped = [min(hi, c + 1e-4) for c, hi in zip(p, WORKSPACE_MAX)]
             assert all(a <= b for a, b in zip(v, voxelize(bumped)))
+
+
+def devoxelize_by_formula(voxel):
+    """``devoxelize`` without its table: each component checked, then its cell center."""
+    for v in voxel:
+        if not (isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < 100):
+            raise RangeError(f"voxel component {v} outside [0, 99]")
+    return tuple(lo + (v + 0.5) / 100 * (hi - lo)
+                 for v, lo, hi in zip(voxel, WORKSPACE_MIN, WORKSPACE_MAX))
+
+
+def nearest_voxel_by_formula(position):
+    """The experts' encoder as it read numpy rows: round(frac * 100 - 0.5), clamped."""
+    out = []
+    for p, lo, hi in zip(np.asarray(position, dtype=float), WORKSPACE_MIN, WORKSPACE_MAX):
+        frac = (p - lo) / (hi - lo)
+        out.append(min(99, max(0, int(round(frac * 100.0 - 0.5)))))
+    return tuple(out)
+
+
+def _result(fn, *args):
+    try:
+        value = fn(*args)
+    except Exception as exc:  # the type and message must match too
+        return type(exc), str(exc)
+    return value, [type(c) for c in value]
+
+
+class TestGridOwner:
+    """``devoxelize``'s centre table and ``nearest_voxel``, its inverse on the grid."""
+
+    @pytest.mark.parametrize("axis", range(3))
+    def test_table_holds_the_formulas_centre_for_every_index(self, axis):
+        for v in range(100):
+            voxel = tuple(v if a == axis else 99 - v for a in range(3))
+            assert _result(devoxelize, voxel) == _result(devoxelize_by_formula, voxel)
+            assert [type(c) for c in devoxelize(voxel)] == [float] * 3
+
+    def test_other_components_give_the_formulas_values_or_range_error(self):
+        components = (0, 57, 99, -1, 100, True, False, 1.5, 2.0, float("nan"), "5",
+                      np.int64(40), np.uint8(7), np.int32(99), np.int64(100), np.int64(-1),
+                      np.bool_(True), np.float64(3.0))
+        raised = 0
+        for voxel in itertools.product(components, repeat=3):
+            expected = _result(devoxelize_by_formula, voxel)
+            assert _result(devoxelize, voxel) == expected, voxel
+            assert _result(devoxelize, list(voxel)) == expected, voxel
+            raised += expected[0] is RangeError
+        assert 0 < raised < len(components) ** 3
+        for voxel in [(1, 2), (1, 2, 3, 4), (), np.array([1, 2, 3]), np.array([5, 99, 100])]:
+            assert _result(devoxelize, voxel) == _result(devoxelize_by_formula, voxel)
+
+    def test_nearest_voxel_inverts_devoxelize(self):
+        for v in range(100):
+            for voxel in [(v, v, v), (v, 99 - v, (37 * v) % 100)]:
+                assert nearest_voxel(devoxelize(voxel)) == voxel
+                assert nearest_voxel(np.array(devoxelize(voxel))) == voxel
+
+    @settings(max_examples=300)
+    @given(st.tuples(*[st.floats(-3.0, 4.0)] * 3))
+    @example((-0.301, -1.0, -9.4))  # below the box on every axis
+    @example((0.701, 1.0, 11.6))  # above it
+    @example((-0.301, 0.0, 1.601))  # below, inside and above
+    def test_nearest_voxel_is_the_old_encoder_and_clamps_outside_the_box(self, position):
+        expected = nearest_voxel_by_formula(position)
+        assert nearest_voxel(position) == nearest_voxel(np.array(position)) == expected
+        assert all(type(c) is int for c in nearest_voxel(np.array(position)))
 
 
 class TestDevoxelize:

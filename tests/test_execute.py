@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bimanual_icl.actions import ARM_OFFSET, GRIPPER, WORKSPACE_MAX, WORKSPACE_MIN, devoxelize
+from bimanual_icl.actions import (ARM_OFFSET, GRIPPER, WORKSPACE_MAX, WORKSPACE_MIN, devoxelize,
+                                  nearest_voxel)
 from bimanual_icl.bench import (
     DEFAULT_TASKS,
     GRASP_RADIUS,
@@ -171,7 +172,7 @@ def _episodes(draw):
     name = draw(st.sampled_from(sorted(DEFAULT_TASKS)))
     seed = draw(st.integers(min_value=0, max_value=10_000))
     world = spawn(DEFAULT_TASKS[name], seed)
-    anchors = [world.action_voxel_of(spec.name) for spec in world.task.objects]
+    anchors = [nearest_voxel(world.positions[spec.name]) for spec in world.task.objects]
     anchors += [(a[0] + dx, a[1], a[2]) for a in anchors for dx in (12, -12)]
     small = st.sampled_from((0, 0, 0, 1, -1, 2))
     near = st.tuples(st.sampled_from(anchors), small, small, st.sampled_from((0, 0, 1, -1, 8, 15)))
@@ -214,9 +215,11 @@ class TestExecuteMatchesReference:
 @pytest.mark.parametrize("name", sorted(DEFAULT_TASKS))
 def test_final_positions_hold_numpy_floats(name):
     world = spawn(DEFAULT_TASKS[name], 5)
-    result = execute(world, scripted_expert(world.task, world).actions)
-    for pos in result.final_positions.values():
-        assert [type(c) for c in pos] == [np.float64] * 3
+    for plan in (scripted_expert(world.task, world).actions, ()):
+        result = execute(world, plan)
+        for pos in result.final_positions.values():  # tuples, never the world's own rows
+            assert type(pos) is tuple and [type(c) for c in pos] == [np.float64] * 3
+    assert result.final_positions == {k: tuple(v) for k, v in world.positions.items()}
 
 
 EXECUTE_DIGEST = "bf08df9a40977fb1f46355f7a3baf0aa3ab2686eeff36a76f1c9c5d47bcb4d9e"
