@@ -56,21 +56,13 @@ class TransportError(RuntimeError):
 class RequestTimeoutError(TransportError):
     """The chat backend did not answer within the configured deadline."""
 
-    def __init__(self, message, elapsed_ms=None):
-        super().__init__(message)
-        self.elapsed_ms = elapsed_ms
-
 
 class ExhaustedRetries(RuntimeError):
-    """All parse-and-retry attempts for one logical call failed.
+    """All parse-and-retry attempts for one logical call failed. Carries the call's
+    phase, the last ``:`` part of its tag; the CallLog holds each attempt's record."""
 
-    Carries the CallRecords of every attempt and the call's phase, the last
-    ``:`` part of its tag.
-    """
-
-    def __init__(self, message, records=(), phase=None):
+    def __init__(self, message, phase=None):
         super().__init__(message)
-        self.records = list(records)
         self.phase = phase
 
 

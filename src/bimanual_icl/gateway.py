@@ -18,6 +18,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from types import SimpleNamespace
 from urllib.parse import urlsplit, urlunsplit
 
@@ -92,30 +93,21 @@ class CallLog:
             return sum(1 for r in self._records if r.tag.startswith(tag_prefix))
 
 
-def _post(url: str, payload, headers: dict, timeout: float) -> SimpleNamespace:
-    """POST ``payload`` as JSON on its own connection; the reply reads like a ``requests`` one."""
+def _post(backend, body: bytes, headers: dict) -> SimpleNamespace:
+    """POST ``body`` on a new connection of ``backend``; return status, headers and body."""
     import http.client  # HttpBackend() loaded it, so offline runs never import it
-    parts = urlsplit(url)
-    if parts.scheme not in ("http", "https"):
-        raise TransportError(f"unsupported URL scheme in {url}")
-    connection = (http.client.HTTPSConnection if parts.scheme == "https"
-                  else http.client.HTTPConnection)(parts.netloc, timeout=timeout)
-    started = time.perf_counter()
+    connection = backend.connect()
     try:
-        connection.request("POST", urlunsplit(("", "", parts.path or "/", parts.query, "")),
-                           json.dumps(payload, allow_nan=False).encode("utf-8"), headers)
+        connection.request("POST", backend.target, body, headers)
         reply = connection.getresponse()
-        body = reply.read()
+        return SimpleNamespace(status=reply.status, headers=reply.headers, body=reply.read())
     except TimeoutError as exc:
-        raise RequestTimeoutError(f"no response from {url} within {timeout} s",
-                                  elapsed_ms=_elapsed_ms(started)) from exc
+        raise RequestTimeoutError(
+            f"no response from {backend.url} within {connection.timeout} s") from exc
     except (OSError, http.client.HTTPException) as exc:
-        raise TransportError(f"request to {url} failed: {exc}") from exc
+        raise TransportError(f"request to {backend.url} failed: {exc}") from exc
     finally:
         connection.close()
-    return SimpleNamespace(status_code=reply.status, headers=reply.headers,
-                           text=body.decode("utf-8", "replace"),
-                           json=lambda: json.loads(body.decode("utf-8")))
 
 
 requests = SimpleNamespace(post=_post)  # the name perfbench's tracer wraps, until ROADMAP item 4b
@@ -124,17 +116,35 @@ requests = SimpleNamespace(post=_post)  # the name perfbench's tracer wraps, unt
 class HttpBackend:
     """Chat-completions HTTP client: POST {model, messages, temperature}, one connection a call.
 
-    Reads the bearer token from ``api_key_env`` at call time and returns the string at
-    ``choices[0].message.content``. Construction loads ``http.client``.
+    Construction checks the URL (a ConfigError names it) and loads ``http.client``; an ``https``
+    backend builds one TLS context, as ``http.client`` builds its default, for all its calls.
+    A call sends the bearer token in ``api_key_env`` and returns ``choices[0].message.content``.
     """
 
     def __init__(self, url: str, model: str, api_key_env: str = "OPENAI_API_KEY",
                  timeout: float = 60.0):
-        import http.client  # noqa: F401 -- load it here rather than in the first call
+        import http.client
+        try:
+            parts = urlsplit(url)
+            parts.port  # noqa: B018 -- raises on a non-numeric or out-of-range port
+        except ValueError as exc:
+            raise ConfigError(f"malformed chat URL {url}: {exc}") from None
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ConfigError(f"chat URL {url} needs scheme http or https and a host")
         self.url = url
         self.model = model
         self.api_key_env = api_key_env
-        self.timeout = timeout
+        self.target = urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        if parts.scheme == "http":
+            self.connect = partial(http.client.HTTPConnection, parts.netloc, timeout=timeout)
+            return
+        import ssl
+        context = ssl._create_default_https_context()
+        context.set_alpn_protocols(["http/1.1"])
+        if context.post_handshake_auth is not None:
+            context.post_handshake_auth = True
+        self.connect = partial(http.client.HTTPSConnection, parts.netloc, timeout=timeout,
+                               context=context)
 
     def __call__(self, req: ChatRequest) -> str:
         headers = {"Content-Type": "application/json"}
@@ -149,15 +159,17 @@ class HttpBackend:
             ],
             "temperature": req.temperature,
         }
-        resp = requests.post(self.url, payload, headers, self.timeout)
-        if resp.status_code >= 300:
-            raise TransportError(f"HTTP {resp.status_code} from {self.url}: {resp.text[:200]}")
+        reply = requests.post(self, json.dumps(payload, allow_nan=False).encode("utf-8"),
+                              headers)
+        excerpt = reply.body[:200].decode("utf-8", "replace")
+        if reply.status >= 300:
+            raise TransportError(f"HTTP {reply.status} from {self.url}: {excerpt}")
         try:
-            content = resp.json()["choices"][0]["message"]["content"]
+            content = json.loads(reply.body.decode("utf-8"))["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
-            raise TransportError(f"malformed chat response: {resp.text[:200]}") from exc
+            raise TransportError(f"malformed chat response: {excerpt}") from exc
         if not isinstance(content, str):
-            raise TransportError(f"chat response carries no text content: {resp.text[:200]}")
+            raise TransportError(f"chat response carries no text content: {excerpt}")
         return content
 
 
@@ -243,22 +255,22 @@ class ChatGateway:
 
     def complete_with_record(self, req: ChatRequest, attempt: int = 1):
         """Call the backend once; return its text and the CallRecord for outcome updates.
-        A backend that raises leaves its record too, then the error propagates as is."""
+        A backend that raises or returns no str leaves its record too, then the error propagates."""
         record = CallRecord(tag=req.tag, prompt_chars=len(req.system) + len(req.user),
                             completion_chars=0, wall_ms=0, attempt=attempt,
-                            outcome="transport_fail")
+                            outcome="backend_fail")
         started = time.perf_counter()
         try:
             text = self.backend(req)
-        except Exception as exc:
-            record.wall_ms = _elapsed_ms(started)
-            record.outcome = "transport_fail" if isinstance(exc, TransportError) else "backend_fail"
-            self.log.append(record)
+            if not isinstance(text, str):
+                raise TypeError(f"backend returned {type(text).__name__}, not str")
+            record.completion_chars, record.outcome = len(text), "ok"
+        except TransportError:
+            record.outcome = "transport_fail"
             raise
-        record.wall_ms = _elapsed_ms(started)
-        record.completion_chars = len(text)
-        record.outcome = "ok"
-        self.log.append(record)
+        finally:
+            record.wall_ms = int((time.perf_counter() - started) * 1000)  # monotonic: >= 0
+            self.log.append(record)
         return text, record
 
     def complete_parsed(self, req: ChatRequest, arity: int,
@@ -276,22 +288,16 @@ class ChatGateway:
         """
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        attempts = []
         for attempt in range(1, max_retries + 2):
             text, record = self.complete_with_record(req, attempt=attempt)
-            attempts.append(record)
             try:
                 return parse(text)
             except CompletionError as exc:
                 record.outcome = "parse_fail"
                 last_error = exc
         raise ExhaustedRetries(
-            f"no parseable completion after {len(attempts)} attempts "
+            f"no parseable completion after {max_retries + 1} attempts "
             f"(tag={req.tag!r}): {last_error}",
-            records=attempts,
             phase=req.tag.rpartition(":")[2],
         )
 
-
-def _elapsed_ms(started: float) -> int:
-    return max(0, int(math.floor((time.perf_counter() - started) * 1000)))

@@ -98,6 +98,14 @@ class TestGatewayAccounting:
         assert [(r.tag, r.attempt, r.outcome) for r in log.records()] == \
             [("lf:follower", 2, "backend_fail")]
 
+    def test_a_reply_that_is_not_text_is_recorded_and_raises(self):
+        log = CallLog()
+        gw = ChatGateway(lambda r: None, log)
+        with pytest.raises(TypeError):
+            gw.complete_with_record(req("x", tag="lf:leader"))
+        assert [(r.tag, r.attempt, r.outcome, r.completion_chars) for r in log.records()] == \
+            [("lf:leader", 1, "backend_fail", 0)]
+
     def test_parsed_first_try(self):
         log = CallLog()
         gw = ChatGateway(lambda r: "[[1,2,3,4,5,6,1]]", log)
@@ -119,9 +127,10 @@ class TestGatewayAccounting:
         backend = lambda r: "garbage"
         log = CallLog()
         gw = ChatGateway(backend, log)
-        with pytest.raises(ExhaustedRetries) as excinfo:
+        with pytest.raises(ExhaustedRetries):
             gw.complete_parsed(req("x"), arity=7, max_retries=2)
-        assert len(excinfo.value.records) == 3
+        assert [(r.attempt, r.outcome) for r in log.records()] == \
+            [(1, "parse_fail"), (2, "parse_fail"), (3, "parse_fail")]
         assert log.count() == 3
 
     @pytest.mark.parametrize("tag, phase", [
@@ -173,8 +182,7 @@ class TestHttpResponseContent:
     @pytest.mark.parametrize("content", [None, 7, ["[[1, 2, 3, 4, 5, 6, 1]]"]])
     def test_non_text_content_is_a_transport_failure(self, monkeypatch, content):
         body = json.dumps({"choices": [{"message": {"role": "assistant", "content": content}}]})
-        response = types.SimpleNamespace(status_code=200, text=body,
-                                         json=lambda: json.loads(body))
+        response = types.SimpleNamespace(status=200, headers={}, body=body.encode())
         monkeypatch.setattr("bimanual_icl.gateway.requests.post", lambda *a, **k: response)
         log = CallLog()
         gw = ChatGateway(HttpBackend("http://127.0.0.1:9/v1/chat/completions", "m"), log)
@@ -192,8 +200,6 @@ def run_python(code: str) -> str:
     return out.stdout.strip()
 
 
-_HTTP_MODULES = ("; print(sorted(m for m in sys.modules "
-                 "if m.split('.')[0] in ('requests', 'urllib3')))")
 # requests and urllib3 with every submodule, and the standard library's client.
 _HTTP_STACK = ("; print(sorted(m for m in sys.modules if m.split('.')[0] in "
                "('requests', 'urllib3') or m in ('http.client', 'ssl')))")
@@ -209,13 +215,9 @@ _BUILD_HTTP = ("import sys; from bimanual_icl.gateway import ChatRequest, HttpBa
                "backend = HttpBackend(URL, 'm')")
 
 
-class TestRequestsLoadsOnlyForHttp:
-    @pytest.mark.parametrize("code", _OFFLINE_PATHS)
-    def test_offline_paths_leave_requests_unloaded(self, code):
-        assert run_python(code + _HTTP_MODULES) == "[]"
+class TestOnlyHttpLoadsAnHttpClient:
+    """No offline path loads ``requests``, ``urllib3``, ``http.client`` or ``ssl``."""
 
-
-class TestNoPathLoadsRequests:
     @pytest.mark.parametrize("code, loaded", [
         *((code, "[]") for code in _OFFLINE_PATHS),
         (_BUILD_HTTP, "['http.client', 'ssl']"),

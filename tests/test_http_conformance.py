@@ -9,11 +9,12 @@ import gc
 import json
 import re
 import socket
+import ssl
 import time
 
 import pytest
 
-from bimanual_icl.errors import RequestTimeoutError, TransportError
+from bimanual_icl.errors import ConfigError, RequestTimeoutError, TransportError
 from bimanual_icl.gateway import ChatRequest, HttpBackend
 from doubles import CANNED_REPLIES, CannedReply, LoopbackChatServer
 
@@ -65,12 +66,11 @@ class TestFailureModes:
         stub_server.reply = CANNED_REPLIES["slow"]
         backend = backend_for(stub_server, timeout=0.2)
         started = time.perf_counter()
-        with pytest.raises(RequestTimeoutError) as excinfo:
+        with pytest.raises(RequestTimeoutError):
             backend(REQ)
         elapsed = time.perf_counter() - started
         assert elapsed < 0.9  # honored the deadline, not the slow handler
-        assert excinfo.value.elapsed_ms is not None
-        assert excinfo.value.elapsed_ms >= 150
+        assert elapsed >= 0.15  # and waited for it
 
     def test_malformed_response_is_transport_error(self, stub_server):
         stub_server.reply = CANNED_REPLIES["malformed"]
@@ -133,8 +133,35 @@ class TestStandardLibraryTransport:
 
     def test_unsupported_scheme_names_the_url(self):
         url = "ftp://127.0.0.1/v1/chat/completions"
-        with pytest.raises(TransportError, match=f"scheme in {re.escape(url)}"):
-            HttpBackend(url, model="m")(REQ)
+        with pytest.raises(ConfigError, match=f"{re.escape(url)} needs scheme http or https"):
+            HttpBackend(url, model="m")
+
+    @pytest.mark.parametrize("url", [
+        "http://127.0.0.1:abc/v1",  # a port that is not a number
+        "http://[::1/v1",  # an IPv6 host left open
+        "http://127.0.0.1:99999/v1",  # a port out of range
+        "ftp://127.0.0.1/v1",
+        "http:///v1",  # no host
+    ])
+    def test_an_unusable_url_is_a_config_error_naming_it_when_built(self, url):
+        with pytest.raises(ConfigError, match=re.escape(url)):
+            HttpBackend(url, model="m")
+
+    def test_one_tls_context_serves_every_call(self, monkeypatch):
+        made = []
+        new = ssl.SSLContext.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(cls)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(ssl.SSLContext, "__new__", counting_new)
+        backend = HttpBackend(f"https://127.0.0.1:{closed_port()}/v1/chat/completions",
+                              model="m", timeout=2.0)
+        for _ in range(3):
+            with pytest.raises(TransportError):
+                backend(REQ)
+        assert len(made) == 1
 
     @pytest.mark.parametrize("status", [302, 307, 300])
     def test_a_redirect_is_not_followed(self, stub_server, status):

@@ -82,7 +82,7 @@ class TestRunExperiment:
         from bimanual_icl.errors import ExhaustedRetries
 
         def exploding(*args, **kwargs):
-            raise ExhaustedRetries("nope", records=[])
+            raise ExhaustedRetries("nope")
 
         monkeypatch.setattr(runner_mod, "run_strategy", exploding)
         cfg = small_config(seeds=[0], episodes=2, out_dir=str(tmp_path / "run"))
@@ -463,6 +463,24 @@ class TestCli:
                                                               flag, value):
         assert main(["run", flag, value, "--out", str(tmp_path / "run")]) == 2
         assert "temperature must be in [0, inf)" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("url", [
+        "http://127.0.0.1:abc/v1", "http://[::1/v1", "http://127.0.0.1:99999/v1",
+        "ftp://127.0.0.1/v1",
+    ])
+    def test_an_unusable_http_url_exits_2_before_any_store_is_built(self, tmp_path, capsys,
+                                                                   monkeypatch, url):
+        import bimanual_icl.runner as runner_mod
+
+        def no_store(*args, **kwargs):
+            raise AssertionError("build_store ran before the URL was checked")
+
+        monkeypatch.setattr(runner_mod, "build_store", no_store)
+        assert main(["run", "--backend", "http", "--http-url", url,
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and url in err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("config", [

@@ -346,7 +346,7 @@ class TestBestOfN:
 
         def backend(req):
             if req.tag == "bon1:leader":
-                raise RequestTimeoutError("no response after 60000 ms", elapsed_ms=60000)
+                raise RequestTimeoutError("no response after 60000 ms")
             return OracleBackend()(req)
 
         gw = ChatGateway(backend, log)
