@@ -198,7 +198,7 @@ class PlanJudge:
         self.temperature = temperature
         self.max_retries = max_retries
 
-    def score(self, plan, demos, obs: dict) -> JudgeVerdict:
+    def score(self, plan, demos, obs: dict, tag: str = "judge") -> JudgeVerdict:
         if self.mode == "rubric":
             return score_plan(plan, demos, obs)
         plan = tuple(plan)
@@ -206,7 +206,7 @@ class PlanJudge:
             raise ValueError("cannot score an empty plan")
         bundle = build_judge_prompt(demos, obs, plan)
         req = ChatRequest(system=bundle.system_text, user=bundle.user_text,
-                          temperature=self.temperature, tag="judge")
+                          temperature=self.temperature, tag=tag)
         try:
             return self.gateway.complete_and_parse(req, parse_verdict, self.max_retries)
         except ExhaustedRetries as exc:

@@ -26,7 +26,7 @@ from .demos import load_demo_dir, sample_batch
 from .errors import EPISODE_ERRORS, ConfigError
 from .gateway import CallLog, ChatGateway, HttpBackend, OracleBackend, check_temperature
 from .judge import JUDGE_MODES, PlanJudge
-from .strategies import STRATEGY_KINDS, StrategyConfig, run_strategy
+from .strategies import STRATEGY_KINDS, StrategyConfig, call_budget, run_strategy
 
 
 def _is_list_of(check):
@@ -226,19 +226,26 @@ def run_experiment(cfg: RunConfig) -> AggregateReport:
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    def work(job):
-        task, strategy, seed, episode = job
-        return _run_episode(cfg, backend, stores[task], task, strategy, seed, episode)
+    order = range(len(jobs))
+    if cfg.workers > 1:  # each task's costliest episodes first, so no pass ends on a long one
+        order = sorted(order, key=lambda i: (cfg.tasks.index(jobs[i][0]),
+                                             -call_budget(jobs[i][1], cfg.n_candidates)))
 
-    records = []
+    def work(i):
+        task, strategy, seed, episode = jobs[i]
+        return i, _run_episode(cfg, backend, stores[task], task, strategy, seed, episode)
+
+    records, done = [], {}  # done holds finished episodes by grid index until it is their turn
     log = open(out_dir / "episodes.jsonl", "w", encoding="utf-8") if out_dir else nullcontext()
     with log as log_fh, ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        # both maps yield in grid order, whichever episode finishes first
-        for record in (pool.map if cfg.workers > 1 else map)(work, jobs):
-            if log_fh is not None:
-                log_fh.write(json.dumps(record, sort_keys=True) + "\n")
-                log_fh.flush()
-            records.append(record)
+        # pool.map cancels every episode not yet started when one raises a bug
+        for i, record in (pool.map if cfg.workers > 1 else map)(work, order):
+            done[i] = record
+            while len(records) in done:  # the log stays in grid order
+                records.append(done.pop(len(records)))
+                if log_fh is not None:
+                    log_fh.write(json.dumps(records[-1], sort_keys=True) + "\n")
+                    log_fh.flush()
 
     report = aggregate(records)
     if out_dir:

@@ -1,9 +1,8 @@
 """The prediction strategies: single/dual agent, leader-follower, debate, best-of-n.
 
 Every strategy predicts the full keyframe trajectory once from the initial
-observation (open loop). Call budgets with a first-try-valid backend:
-single_agent=1, dual_agent=2, leader_follower=2, arms_debate=4,
-best_of_n=3n, debate_plus_bon=5n.
+observation (open loop). ``_STRATEGIES`` holds each one's call budget with a
+first-try-valid backend, which ``call_budget`` reads.
 """
 
 from __future__ import annotations
@@ -166,9 +165,9 @@ def run_arms_debate(gateway: ChatGateway, demos, obs: dict,
 
 
 def _run_reranked(gateway: ChatGateway, demos, obs: dict, cfg: StrategyConfig,
-                  judge: PlanJudge | None, kind: str, generate) -> BimanualPlan:
+                  judge: PlanJudge | None, kind: str, prefix: str, generate) -> BimanualPlan:
     """Best-of-n: n tasks, concurrent unless the backend is ``cpu_bound``, each
-    generating ``generate(j)`` then scoring it.
+    generating ``generate(f"{prefix}{j}")`` then judging it as ``f"{prefix}{j}:judge"``.
 
     A candidate whose generation exhausts its retries or meets a transport
     fault, or whose judge call fails, is skipped; the highest score wins, ties
@@ -180,11 +179,11 @@ def _run_reranked(gateway: ChatGateway, demos, obs: dict, cfg: StrategyConfig,
 
     def candidate(j: int):
         try:
-            plan = generate(j)
+            plan = generate(f"{prefix}{j}")
         except (ExhaustedRetries, TransportError) as exc:
             return None, None, exc
         try:
-            return plan, judge.score(plan.actions, demos, obs).score, None
+            return plan, judge.score(plan.actions, demos, obs, tag=f"{prefix}{j}:judge").score, None
         except EPISODE_ERRORS as exc:
             return plan, None, exc
 
@@ -207,8 +206,8 @@ def run_best_of_n(gateway: ChatGateway, demos, obs: dict, cfg: StrategyConfig,
                   judge: PlanJudge | None) -> BimanualPlan:
     """n independent leader-follower candidates, judged, argmax selected."""
     return _run_reranked(
-        gateway, demos, obs, cfg, judge, "best_of_n",
-        lambda j: run_leader_follower(gateway, demos, obs, cfg, tag_prefix=f"bon{j}"),
+        gateway, demos, obs, cfg, judge, "best_of_n", "bon",
+        lambda tag: run_leader_follower(gateway, demos, obs, cfg, tag_prefix=tag),
     )
 
 
@@ -216,23 +215,29 @@ def run_debate_plus_bon(gateway: ChatGateway, demos, obs: dict, cfg: StrategyCon
                         judge: PlanJudge | None) -> BimanualPlan:
     """Best-of-n with arms-debate candidates: 4n generation + n judge calls."""
     return _run_reranked(
-        gateway, demos, obs, cfg, judge, "debate_plus_bon",
-        lambda j: run_arms_debate(gateway, demos, obs, cfg, tag_prefix=f"dbon{j}"),
+        gateway, demos, obs, cfg, judge, "debate_plus_bon", "dbon",
+        lambda tag: run_arms_debate(gateway, demos, obs, cfg, tag_prefix=tag),
     )
 
 
-# Each entry looks its function up in this module at call time, so a
-# rebound module attribute (a tracer's wrapper, a test patch) sees every call.
-# build_follower_prompt is imported above only so such a tracer finds it.
+# Each entry: the strategy, looked up here at call time so a rebound attribute (a tracer's
+# wrapper, a test patch) sees every call, and its first-try-valid call budget as (fixed, per
+# candidate). build_follower_prompt is imported above only so such a tracer finds it.
 _STRATEGIES = {
-    "single_agent": lambda *args, judge: run_single_agent(*args),
-    "dual_agent": lambda *args, judge: run_dual_agent(*args),
-    "leader_follower": lambda *args, judge: run_leader_follower(*args),
-    "arms_debate": lambda *args, judge: run_arms_debate(*args),
-    "best_of_n": lambda *args, judge: run_best_of_n(*args, judge),
-    "debate_plus_bon": lambda *args, judge: run_debate_plus_bon(*args, judge),
+    "single_agent": (lambda *args, judge: run_single_agent(*args), (1, 0)),
+    "dual_agent": (lambda *args, judge: run_dual_agent(*args), (2, 0)),
+    "leader_follower": (lambda *args, judge: run_leader_follower(*args), (2, 0)),
+    "arms_debate": (lambda *args, judge: run_arms_debate(*args), (4, 0)),
+    "best_of_n": (lambda *args, judge: run_best_of_n(*args, judge), (0, 3)),
+    "debate_plus_bon": (lambda *args, judge: run_debate_plus_bon(*args, judge), (0, 5)),
 }
 STRATEGY_KINDS = tuple(_STRATEGIES)
+
+
+def call_budget(kind: str, n_candidates: int) -> int:
+    """Backend calls an episode of ``kind`` makes when every reply is valid first time."""
+    fixed, per_candidate = _STRATEGIES[kind][1]
+    return fixed + per_candidate * n_candidates
 
 
 def run_strategy(kind: str, gateway: ChatGateway, demos, obs: dict,
@@ -241,4 +246,4 @@ def run_strategy(kind: str, gateway: ChatGateway, demos, obs: dict,
     """Dispatch by strategy kind; the experiment runner's single entry point."""
     if kind not in _STRATEGIES:
         raise ConfigError(f"unknown strategy kind {kind!r}")
-    return _STRATEGIES[kind](gateway, demos, obs, cfg or StrategyConfig(), judge=judge)
+    return _STRATEGIES[kind][0](gateway, demos, obs, cfg or StrategyConfig(), judge=judge)

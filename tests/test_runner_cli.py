@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import threading
 import time
 from dataclasses import fields
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bimanual_icl.bench import DEFAULT_TASKS, spawn
 from bimanual_icl.cli import build_parser, main
 from bimanual_icl.errors import ConfigError
 from bimanual_icl.runner import (
@@ -214,17 +216,72 @@ class TestReporting:
         assert ((tmp_path / "report" / "summary.json").read_bytes()
                 == (tmp_path / "run" / "summary.json").read_bytes())
 
-    def test_episode_log_in_grid_order_at_any_worker_count(self, tmp_path):
-        logs = []
-        for workers in (1, 4):
+    @pytest.mark.parametrize("strategies, worker_counts", [
+        (["arms_debate", "single_agent", "best_of_n"], (1, 4)),
+        (["leader_follower", "debate_plus_bon"], (1, 2, 4)),
+    ])
+    def test_episode_log_in_grid_order_at_any_worker_count(self, tmp_path, monkeypatch,
+                                                           strategies, worker_counts):
+        import bimanual_icl.runner as runner_mod
+
+        run_strategy = runner_mod.run_strategy
+        starts = []
+
+        def recording(kind, *args, **kwargs):
+            starts.append((workers, threading.get_ident(), kind))
+            return run_strategy(kind, *args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "run_strategy", recording)
+        logs, summaries = [], []
+        for workers in worker_counts:
             out_dir = tmp_path / f"w{workers}"
-            run_experiment(small_config(
-                strategies=["arms_debate", "single_agent", "best_of_n"], n_candidates=2,
-                workers=workers, out_dir=str(out_dir),
-            ))
+            run_experiment(small_config(strategies=strategies, n_candidates=2,
+                                        workers=workers, out_dir=str(out_dir)))
             records = load_episode_log(out_dir / "episodes.jsonl")
             logs.append([{k: v for k, v in r.items() if k != "wall_ms"} for r in records])
-        assert logs[0] == logs[1]
+            summaries.append((out_dir / "summary.json").read_bytes())
+        assert all(log == logs[0] for log in logs)
+        assert all(summary == summaries[0] for summary in summaries)
+        if 2 in worker_counts:
+            # Each worker of two starts every debate_plus_bon episode it runs before any
+            # leader_follower one, so the pool hands all of them out first.
+            threads = {t for w, t, _ in starts if w == 2}
+            for thread in threads:
+                kinds = [k for w, t, k in starts if w == 2 and t == thread]
+                assert kinds == sorted(kinds, key=lambda kind: kind != "debate_plus_bon")
+            assert [k for w, _, k in starts if w == 2][0] == "debate_plus_bon"
+
+    def test_a_bug_stops_the_grid(self, tmp_path, monkeypatch):
+        """A bug in the first episode the pool starts cancels every one not yet started."""
+        import bimanual_icl.runner as runner_mod
+
+        strategies = ["leader_follower", "debate_plus_bon"]
+        worlds = [spawn(DEFAULT_TASKS["lift_sym"],
+                        seed=stable_seed("lift_sym", s, 0, e, "world")).observation
+                  for s in strategies for e in range(15)]
+        first = [worlds[0], worlds[15]]  # episode 0 of each; no other episode has its world
+        assert all(worlds.count(obs) == 1 for obs in first)
+        run_strategy = runner_mod.run_strategy
+        started = []
+
+        def buggy(kind, gateway, batch, obs, *args, **kwargs):
+            started.append(kind)
+            if obs in first:
+                raise KeyError("bug in an episode")
+            time.sleep(0.1)  # the others run until the bug has surfaced
+            return run_strategy(kind, gateway, batch, obs, *args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "run_strategy", buggy)
+        out_dir = tmp_path / "run"
+        cfg = small_config(strategies=strategies, seeds=[0], episodes=15, n_candidates=1,
+                           workers=2, out_dir=str(out_dir))
+        with pytest.raises(KeyError, match="bug in an episode"):
+            run_experiment(cfg)
+        assert 1 <= len(started) <= cfg.workers + 1
+        lines = (out_dir / "episodes.jsonl").read_text(encoding="utf-8").splitlines()
+        grid = [("lift_sym", s, 0, e) for s in strategies for e in range(15)]
+        assert [(r["task"], r["strategy"], r["seed"], r["episode"])
+                for r in map(json.loads, lines)] == grid[:len(lines)]
 
     def test_summary_json_is_pinned(self):
         report = run_experiment(RunConfig(

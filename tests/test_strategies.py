@@ -18,7 +18,9 @@ from bimanual_icl.errors import (
 from bimanual_icl.gateway import CallLog, ChatGateway, OracleBackend
 from bimanual_icl.judge import PlanJudge
 from bimanual_icl.strategies import (
+    STRATEGY_KINDS,
     StrategyConfig,
+    call_budget,
     compose,
     run_arms_debate,
     run_best_of_n,
@@ -259,7 +261,7 @@ class TestBestOfN:
         judge = PlanJudge(mode="llm", gateway=gw)
         run_best_of_n(gw, demos, test_obs, StrategyConfig(), judge)
         assert log.count() == 15
-        assert log.count("judge") == 5
+        assert sum(r.tag.rpartition(":")[2] == "judge" for r in log.records()) == 5
 
     def test_degenerate_n1(self, two_demo_fixture):
         demos, test_obs = two_demo_fixture
@@ -274,7 +276,7 @@ class TestBestOfN:
         scores = [3, 5, 5, 2, 4]  # candidate j scores scores[j]
 
         class FakeJudge:
-            def score(self, plan_actions, batch, obs):
+            def score(self, plan_actions, batch, obs, tag="judge"):
                 from bimanual_icl.judge import JudgeVerdict
                 j = plan_actions[0][0] - 10
                 return JudgeVerdict(check1=1, check2=1, check3=0, check4=0, score=scores[j])
@@ -323,7 +325,7 @@ class TestBestOfN:
         gw, log = oracle_gateway()
 
         class FailingJudge:
-            def score(self, plan_actions, batch, obs):
+            def score(self, plan_actions, batch, obs, tag="judge"):
                 raise error("judge unavailable")
 
         with pytest.raises(AllCandidatesFailed) as excinfo:
@@ -361,7 +363,7 @@ class TestBestOfN:
         gw, _ = oracle_gateway()
 
         class BrokenJudge:
-            def score(self, plan_actions, batch, obs):
+            def score(self, plan_actions, batch, obs, tag="judge"):
                 raise TypeError("bug in the judge")
 
         with pytest.raises(TypeError):
@@ -383,6 +385,56 @@ class TestDebatePlusBon:
         run_debate_plus_bon(gw, demos, test_obs,
                             StrategyConfig(n_candidates=1), judge)
         assert log.count() == 5
+
+
+class TestJudgeTags:
+    @pytest.mark.parametrize("kind, prefix", [("best_of_n", "bon"), ("debate_plus_bon", "dbon")])
+    def test_each_judge_call_names_its_candidate(self, two_demo_fixture, kind, prefix):
+        demos, test_obs = two_demo_fixture
+        gw, log = oracle_gateway()
+        run_strategy(kind, gw, demos, test_obs, StrategyConfig(n_candidates=3),
+                     PlanJudge(mode="llm", gateway=gw))
+        judged = [r.tag for r in log.records() if r.tag.rpartition(":")[2] == "judge"]
+        assert sorted(judged) == [f"{prefix}{j}:judge" for j in range(3)]
+
+    def test_the_tag_changes_no_prompt(self, two_demo_fixture):
+        demos, test_obs = two_demo_fixture
+        plan = run_leader_follower(oracle_gateway()[0], demos, test_obs).actions
+        sent = []
+
+        def backend(req):
+            sent.append(req)
+            return OracleBackend()(req)
+
+        judge = PlanJudge(mode="llm", gateway=ChatGateway(backend, CallLog()))
+        assert judge.score(plan, demos, test_obs) == judge.score(plan, demos, test_obs,
+                                                                 tag="bon3:judge")
+        assert [r.tag for r in sent] == ["judge", "bon3:judge"]
+        assert sent[0].system == sent[1].system and sent[0].user == sent[1].user
+
+    def test_an_unparsed_verdict_still_names_the_judge_phase(self, two_demo_fixture):
+        demos, test_obs = two_demo_fixture
+
+        def backend(req):
+            return "no verdict" if req.tag.endswith(":judge") else OracleBackend()(req)
+
+        gw = ChatGateway(backend, CallLog())
+        with pytest.raises(AllCandidatesFailed) as excinfo:
+            run_best_of_n(gw, demos, test_obs, StrategyConfig(n_candidates=2, max_retries=0),
+                          PlanJudge(mode="llm", gateway=gw, max_retries=0))
+        for j, exc in excinfo.value.failures:
+            assert isinstance(exc, JudgeParseError) and f"'bon{j}:judge'" in str(exc)
+            assert exc.__cause__.phase == "judge"
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+def test_call_budget_counts_a_first_try_valid_episode(two_demo_fixture, kind, n):
+    demos, test_obs = two_demo_fixture
+    gw, log = oracle_gateway()
+    run_strategy(kind, gw, demos, test_obs, StrategyConfig(n_candidates=n),
+                 PlanJudge(mode="llm", gateway=gw))
+    assert log.count() == call_budget(kind, n)
 
 
 class TestOracleNamesADemoRowItCannotReplay:
@@ -496,7 +548,7 @@ class JunkOracle(OracleBackend):
 
 
 class BrokenJudge:
-    def score(self, plan_actions, batch, obs):
+    def score(self, plan_actions, batch, obs, tag="judge"):
         raise TypeError("bug in the judge")
 
 
