@@ -268,7 +268,7 @@ class TestReporting:
             started.append(kind)
             if obs in first:
                 raise KeyError("bug in an episode")
-            time.sleep(0.1)  # the others run until the bug has surfaced
+            time.sleep(0.3)  # the others run until the bug has surfaced
             return run_strategy(kind, gateway, batch, obs, *args, **kwargs)
 
         monkeypatch.setattr(runner_mod, "run_strategy", buggy)
